@@ -47,10 +47,8 @@ END_TO_END = {
     "setup_s": "s",
     "peak_rss_mb": "MiB",
 }
-SETUP_PROBES = 3
+SETUP_PROBES = 5
 MIN_PASSES = 2  # medians need two passes even when one fills --seconds
-REF_EVERY_S = 0.1
-REF_WINDOW = 6
 PROBE_TIMEOUT_S = 120
 MAX_LISTED_FAILURES = 20
 SLOWEST_LISTED = 16
@@ -137,21 +135,21 @@ def _setup_seconds(workload: str, seed: int) -> list[float]:
 
 
 def _run_pass(wl, tracer=None):
-    """One full pass, with the reference kernel run at least every
-    ``REF_EVERY_S``.  Returns a dict with each task's raw and scaled
-    seconds (scaled by the median of the ``2 * REF_WINDOW`` reference runs
-    around it), results, errors and the pass's reference runs."""
+    """One full pass, with the reference kernel run before every task and
+    after the last.  Returns a dict with each task's raw and scaled
+    seconds (scaled by the mean of the two reference runs around it),
+    the pass's scaled seconds (its raw total scaled by the median of all
+    its reference runs), results, errors and the reference runs.
+
+    Two runs next to a short task track the host's speed while it ran;
+    for the pass, and the long tasks that dominate it, the median of a
+    few hundred runs is the steadier estimate."""
     ctx: dict = {}
-    results, raw, errors, before = [], [], {}, []
+    results, raw, errors = [], [], {}
     clock = time.perf_counter
     start = clock()
     refs = [timing.reference()]
-    last_ref = clock()
     for i, task in enumerate(wl.tasks):
-        if clock() - last_ref >= REF_EVERY_S:
-            refs.append(timing.reference())
-            last_ref = clock()
-        before.append(len(refs) - 1)
         run = tracer.wrap("task." + task.kind, task.run) if tracer else task.run
         t0 = clock()
         try:
@@ -160,14 +158,11 @@ def _run_pass(wl, tracer=None):
             results.append(None)
             errors[i] = f"{type(exc).__name__}: {exc}"
         raw.append(clock() - t0)
-    refs.append(timing.reference())
-    w = REF_WINDOW
-    times = [
-        t * timing.REF_SECONDS / statistics.median(refs[max(0, k - w + 1) : k + w + 1])
-        for t, k in zip(raw, before)
-    ]
-    return {"raw": raw, "times": times, "results": results, "errors": errors, "refs": refs,
-            "wall": clock() - start}
+        refs.append(timing.reference())
+    times = [t * 2.0 * timing.REF_SECONDS / (refs[k] + refs[k + 1]) for k, t in enumerate(raw)]
+    scaled = sum(raw) * timing.REF_SECONDS / statistics.median(refs)
+    return {"raw": raw, "times": times, "scaled": scaled, "results": results, "errors": errors,
+            "refs": refs, "wall": clock() - start}
 
 
 def _verify(wl, passes) -> tuple[int, int, list[str]]:
@@ -200,10 +195,10 @@ def _verify(wl, passes) -> tuple[int, int, list[str]]:
 
 
 def _typical(passes) -> list[float]:
-    """Each task's scaled latency over the given passes, as their lower
-    median: with two passes the faster one, so a burst of load on the
-    host during one pass does not count."""
-    return [statistics.median_low(times) for times in zip(*(p["times"] for p in passes))]
+    """Each task's scaled latency over the given passes, as their minimum:
+    the reference runs next to a task take out the host's overall speed,
+    and the load that remains only ever slows a task down."""
+    return [min(times) for times in zip(*(p["times"] for p in passes))]
 
 
 def _percentile(values: list[float], q: int) -> float:
@@ -245,7 +240,7 @@ def main(argv=None) -> int:
 
     attempted, failed, messages = _verify(wl, passes)
     plain = [p for p in passes if not p["traced"]]
-    wall_s = statistics.median_low(sum(p["times"]) for p in plain)
+    wall_s = statistics.median(p["scaled"] for p in plain)
     if args.trace:
         traced = [p for p in passes if p["traced"]]
         per_pass = [
@@ -253,7 +248,7 @@ def main(argv=None) -> int:
             for p in traced
         ]
         values = {k: statistics.median(p[k] for p in per_pass) for k in per_pass[0]}
-        values["trace.wall_s"] = statistics.median_low(sum(p["times"]) for p in traced)
+        values["trace.wall_s"] = statistics.median(p["scaled"] for p in traced)
         values["trace.overhead_s"] = values["trace.wall_s"] - wall_s
         closures = wl.shape.get("closure_sizes")
         values["treespace.closure_size_p95"] = _percentile(closures, 95) if closures else 0
@@ -290,7 +285,7 @@ def main(argv=None) -> int:
         "latency_samples": len(wl.tasks),
         "pass_walls_s": [p["wall"] for p in passes],
         "pass_task_s": [sum(p["raw"]) for p in passes],
-        "pass_task_scaled_s": [sum(p["times"]) for p in passes],
+        "pass_task_scaled_s": [p["scaled"] for p in passes],
         "reference_median_s": statistics.median(r for p in passes for r in p["refs"]),
         "setup_probes_s": setups,
         "slowest_tasks_ms": slowest,
