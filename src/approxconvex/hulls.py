@@ -79,7 +79,8 @@ def _column_weights(indices, norm: NormSpec) -> np.ndarray:
 
 def _embed(x: Vector, A: SampledSet) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Coordinates of x and of A's points over their joint index set."""
-    extra = [k for k in x.sorted_support() if k not in set(A.indices)]
+    known = set(A.indices)
+    extra = [k for k in x.sorted_support() if k not in known]
     if extra:
         indices = tuple(sorted(A.indices + tuple(extra), key=index_sort_key))
         idx = {k: i for i, k in enumerate(indices)}

@@ -4,7 +4,12 @@ Three solvers used by every distance computation in the package:
 
 * a dense two-phase simplex LP solver (Dantzig pricing with a permanent
   switch to Bland's rule once degeneracy is detected, which guarantees
-  termination),
+  termination).  Its start is a crash basis: a row without a slack
+  starts on a structural column equal to ``e_i``, and on an artificial
+  only when it has none, so an LP such as the tree-norm decomposition
+  needs no phase 1.  A pivot updates only the rows where the pivot
+  column is nonzero when at most a quarter of them are, and the whole
+  tableau otherwise,
 * minimization of ``f(t) = ||c - L t||^2`` over the probability simplex
   by Frank-Wolfe with exact line search and away steps (the away steps
   restore linear convergence, which plain Frank-Wolfe lacks on the
@@ -116,10 +121,17 @@ class LPSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau with two cost rows (phase 1 and phase 2)."""
+    """Dense simplex tableau with two cost rows (phase 1 and phase 2).
 
-    def __init__(self, A, b, cost2, n_real, art_cols, basis, tol):
-        m = A.shape[0]
+    The initial basis is any identity basis: slack, artificial or crash
+    columns, each a unit column ``e_i`` of its row.  Phase-2 costs are
+    priced out against it, so a crash start may carry nonzero cost.
+    A pivot updates only the rows where the pivot column is nonzero when
+    at most a quarter of them are; a denser column gets one full
+    rank-1 update, which avoids gathering a copy of a wide tableau.
+    """
+
+    def __init__(self, A, b, cost2, n_real, basis, tol):
         self.T = np.array(A, dtype=float)  # copies: pivots must not alias inputs
         self.rhs = np.array(b, dtype=float)
         self.n_real = n_real  # columns that belong to the real LP
@@ -128,9 +140,15 @@ class _Tableau:
         self.iterations = 0
         self.bland = False
         self._stall = 0
-        # Phase-2 reduced costs (initial basis has zero real cost).
-        self.r2 = np.concatenate([cost2, np.zeros(len(art_cols))])
+        # Phase-2 reduced costs (artificials cost 0), priced out against
+        # the initial basis; v2 is the negated objective.
+        self.r2 = np.concatenate([cost2, np.zeros(self.T.shape[1] - n_real)])
         self.v2 = 0.0
+        for i, j in enumerate(self.basis):
+            cj = self.r2[j]
+            if cj != 0.0:
+                self.r2 = self.r2 - cj * self.T[i]
+                self.v2 -= cj * self.rhs[i]
         # Phase-1 reduced costs: cost 1 on artificials, priced out.
         self.r1 = np.zeros(self.T.shape[1])
         art_rows = [i for i, j in enumerate(self.basis) if j >= n_real]
@@ -146,8 +164,13 @@ class _Tableau:
         rhs[row] /= piv
         colvals = T[:, col].copy()
         colvals[row] = 0.0
-        T -= np.outer(colvals, T[row])
-        rhs -= colvals * rhs[row]
+        nz = np.flatnonzero(colvals)
+        if 4 * len(nz) <= len(colvals):
+            T[nz] -= np.outer(colvals[nz], T[row])
+            rhs[nz] -= colvals[nz] * rhs[row]
+        else:
+            T -= np.outer(colvals, T[row])
+            rhs -= colvals * rhs[row]
         if self.r1[col] != 0.0:
             self.v1 -= self.r1[col] * rhs[row]
             self.r1 = self.r1 - self.r1[col] * T[row]
@@ -222,20 +245,25 @@ def _standardize(lp: LPInstance):
             cols.append((j, 1.0))
             cols.append((j, -1.0))
     n_std = len(cols)
+    idx = np.array([j for j, _ in cols], dtype=int)
+    sign = np.array([s for _, s in cols])
     A_std = np.zeros((lp.n_rows + len(extra_rows), n_std))
-    for k, (j, sign) in enumerate(cols):
-        A_std[: lp.n_rows, k] = sign * lp.A[:, j]
+    A_std[: lp.n_rows] = lp.A[:, idx] * sign
     b_std = np.concatenate([lp.b - lp.A @ shift, [r for _, r in extra_rows]])
     rel_std = list(lp.rel)
     for i, (k, _) in enumerate(extra_rows):
         A_std[lp.n_rows + i, k] = 1.0
         rel_std.append("<=")
-    c_std = np.array([sign * c[j] for j, sign in cols])
-    return A_std, b_std, rel_std, c_std, cols, shift
+    c_std = c[idx] * sign
+    return A_std, b_std, rel_std, c_std, idx, sign, shift
 
 
 def lp_solve(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None) -> LPSolution:
     """Two-phase dense simplex with a certified duality gap.
+
+    Phase 1 runs only over the artificials that the crash basis could not
+    avoid; row duals are read off the initial basic columns, whatever
+    their cost.
 
     The reported optimum always comes with a dual vector whose objective
     agrees with the primal within ``tol`` (scaled); a numerical failure
@@ -245,7 +273,7 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None) -> 
     std = _standardize(lp)
     if std is None:
         return LPSolution(status="infeasible")
-    A, b, rel, c, cols, shift = std
+    A, b, rel, c, idx, sign, shift = std
     m, n_std = A.shape
     if max_iter is None:
         max_iter = 20_000 + 40 * (m + n_std)
@@ -276,20 +304,26 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None) -> 
     n_real = n_std + n_slack
     cost2 = np.concatenate([c, np.zeros(n_slack)])
 
-    # Artificials for rows without a natural basic column.
-    art_rows = [i for i in range(m) if i not in slack_of_row]
+    # Crash: a row without a slack starts on a structural column equal to
+    # e_i (one nonzero, +1), the cheapest if several; only rows left
+    # without one get an artificial.
+    unit = (np.count_nonzero(A, axis=0) == 1) & (A.max(axis=0, initial=0.0) == 1.0)
+    unit_cols = np.flatnonzero(unit)
+    crash_of_row = {}
+    unit_rows, which = np.nonzero(A[:, unit_cols])
+    for i, j in zip(unit_rows.tolist(), unit_cols[which].tolist()):
+        if i not in slack_of_row and (i not in crash_of_row or c[j] < c[crash_of_row[i]]):
+            crash_of_row[i] = j
+    art_rows = [i for i in range(m) if i not in slack_of_row and i not in crash_of_row]
     art = np.zeros((m, len(art_rows)))
-    basis = [0] * m
-    identity_col = [0] * m  # column whose reduced cost encodes the row dual
+    identity_col = [0] * m  # the row's initial basic column, a unit column
     for k, i in enumerate(art_rows):
         art[i, k] = 1.0
-        basis[i] = n_real + k
         identity_col[i] = n_real + k
-    for i, jcol in slack_of_row.items():
-        basis[i] = jcol
+    for i, jcol in {**slack_of_row, **crash_of_row}.items():
         identity_col[i] = jcol
 
-    tab = _Tableau(np.hstack([body, art]), b, cost2, n_real, art_rows, basis, tol)
+    tab = _Tableau(np.hstack([body, art]), b, cost2, n_real, identity_col, tol)
     n_all = tab.T.shape[1]
     allowed = np.ones(n_all, dtype=bool)
 
@@ -319,13 +353,11 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None) -> 
     for i, j in enumerate(tab.basis):
         x_std[j] = tab.rhs[i]
     x = np.array(shift, dtype=float)
-    for k, (j, sign) in enumerate(cols):
-        x[j] += sign * x_std[k]
+    np.add.at(x, idx, sign * x_std[:n_std])  # in order: split columns add twice
 
-    # Row duals from the reduced costs of the initial identity columns.
-    y = np.zeros(m)
-    for i in range(m):
-        y[i] = -tab.r2[identity_col[i]]
+    # Row duals from the initial identity columns: r_j = c_j - y.e_i.
+    cost_all = np.concatenate([cost2, np.zeros(len(art_rows))])
+    y = cost_all[identity_col] - tab.r2[identity_col]
     y *= row_sign
     # Report duals in the sense of the original problem, so that the dual
     # objective b.dual reproduces the reported optimal value.

@@ -1,5 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+
+from approxconvex import treespace
+from approxconvex.core import Vector
+from approxconvex.labels import downward_closure, label_sort_key, leaf, pair
 
 
 def regular_simplex(n: int) -> np.ndarray:
@@ -57,6 +63,40 @@ def exact_simplex_distance(P: np.ndarray) -> float:
             mu /= mu.sum()
             best = min(best, float(np.linalg.norm(Q.T @ mu)))
     return best
+
+
+def random_tree_vector(rng, closure: int, max_level: int = 12) -> Vector:
+    """A tree vector whose support's downward closure has at least
+    `closure` labels, in the shape of acceptance criterion 8's tail."""
+
+    def rand_label(max_lv):
+        if max_lv <= 1 or rng.random() < 0.4:
+            return leaf(int(rng.integers(1, 600)))
+        lv = int(rng.integers(1, max_lv))
+        return pair(rand_label(lv), rand_label(max_lv - lv))
+
+    labels = set()
+    while len(downward_closure(labels)) < closure:
+        labels.add(rand_label(max_level))
+    ordered = sorted(labels, key=label_sort_key)
+    return Vector({lab: float(rng.uniform(-2.0, 2.0)) for lab in ordered})
+
+
+def tree_lps(x: Vector, M: float):
+    """The two LPs `treespace` solves for the tree norm of x: the
+    decomposition LP (equality rows) and the dual-ball LP (inequality
+    rows, box bounds), captured at its `lp_solve` call site."""
+    captured = []
+    solve = treespace.lp_solve
+
+    def record(lp, *args, **kwargs):
+        captured.append(lp)
+        return solve(lp, *args, **kwargs)
+
+    with mock.patch.object(treespace, "lp_solve", record):
+        treespace.tree_norm(x, M, tol=1e-7)
+        treespace.tree_norm_dual_lp(x, M)
+    return captured
 
 
 @pytest.fixture

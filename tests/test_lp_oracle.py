@@ -1,0 +1,160 @@
+"""`lp_solve` against HiGHS (`scipy.optimize.linprog`), an independent
+LP solver used only as a test oracle."""
+
+import numpy as np
+import pytest
+
+from approxconvex.optim import LPInstance, lp_solve
+from conftest import random_tree_vector, tree_lps
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def highs(lp: LPInstance):
+    """(status, value) of the same LP solved by HiGHS."""
+    ub = [i for i, r in enumerate(lp.rel) if r != "="]
+    eq = [i for i, r in enumerate(lp.rel) if r == "="]
+    flip = np.array([-1.0 if lp.rel[i] == ">=" else 1.0 for i in ub])
+    res = linprog(
+        -lp.c if lp.maximize else lp.c,
+        A_ub=lp.A[ub] * flip[:, None] if ub else None,
+        b_ub=lp.b[ub] * flip if ub else None,
+        A_eq=lp.A[eq] if eq else None,
+        b_eq=lp.b[eq] if eq else None,
+        bounds=lp.bounds,
+        method="highs",
+    )
+    status = HIGHS_STATUS[res.status]
+    if status != "optimal":
+        return status, None
+    return status, -res.fun if lp.maximize else res.fun
+
+
+def assert_matches_highs(lp: LPInstance, rel: float = 1e-7):
+    sol = lp_solve(lp)
+    status, value = highs(lp)
+    assert sol.status == status
+    if status == "optimal":
+        assert abs(sol.value - value) <= rel * max(1.0, abs(value))
+    return sol
+
+
+def assert_dual_certificate(lp: LPInstance, sol, tol: float = 1e-7):
+    """For min c.x, A x (rel) b, x >= 0: y = sol.dual has the sign its
+    row relation requires, c - A.T y >= 0, and b.y equals the value."""
+    assert not lp.maximize and all(bd == (0.0, None) for bd in lp.bounds)
+    y = sol.dual
+    for yi, r in zip(y, lp.rel):
+        assert (r != "<=" or yi <= tol) and (r != ">=" or yi >= -tol)
+    assert (lp.c - lp.A.T @ y).min() >= -tol * (1.0 + np.abs(lp.c).max())
+    assert float(lp.b @ y) == pytest.approx(sol.value, abs=tol * (1.0 + abs(sol.value)))
+
+
+def feasible_instance(rng, m: int, n: int, maximize: bool) -> LPInstance:
+    """Random rows through a point inside the box [0, 5]^n, so the LP is
+    feasible and, with every variable boxed, bounded."""
+    A = rng.normal(size=(m, n))
+    x0 = rng.uniform(0.0, 5.0, size=n)
+    rel = tuple(rng.choice(["<=", ">=", "="]) for _ in range(m))
+    slack = rng.uniform(0.0, 1.0, size=m)
+    sgn = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[r] for r in rel])
+    return LPInstance(
+        c=rng.normal(size=n),
+        A=A,
+        rel=rel,
+        b=A @ x0 + sgn * slack,
+        bounds=((0.0, 5.0),) * n,
+        maximize=maximize,
+    )
+
+
+def test_random_feasible(rng):
+    for _ in range(40):
+        lp = feasible_instance(rng, int(rng.integers(1, 12)), int(rng.integers(2, 15)), bool(rng.integers(0, 2)))
+        assert assert_matches_highs(lp).status == "optimal"
+
+
+def test_random_infeasible(rng):
+    for _ in range(30):
+        lp = feasible_instance(rng, int(rng.integers(1, 10)), int(rng.integers(2, 12)), False)
+        a = rng.normal(size=lp.n_vars)
+        t = float(rng.normal())
+        bad = LPInstance(
+            c=lp.c,
+            A=np.vstack([lp.A, a, a]),
+            rel=lp.rel + ("<=", ">="),
+            b=np.concatenate([lp.b, [t, t + 1.0]]),
+            bounds=lp.bounds,
+        )
+        assert assert_matches_highs(bad).status == "infeasible"
+
+
+def test_random_unbounded(rng):
+    # Two unboxed columns a and -a with costs -1 and 0.5: the direction
+    # (1, 1) keeps every row and lowers the objective forever.
+    for _ in range(30):
+        lp = feasible_instance(rng, int(rng.integers(1, 10)), int(rng.integers(2, 12)), False)
+        a = rng.normal(size=(lp.n_rows, 1))
+        unb = LPInstance(
+            c=np.concatenate([lp.c, [-1.0, 0.5]]),
+            A=np.hstack([lp.A, a, -a]),
+            rel=lp.rel,
+            b=lp.b,
+            bounds=lp.bounds + ((0.0, None), (0.0, None)),
+        )
+        assert assert_matches_highs(unb).status == "unbounded"
+
+
+def test_random_degenerate(rng):
+    # Most right-hand sides zero: many ties in the ratio test.
+    for _ in range(40):
+        m = int(rng.integers(3, 25))
+        n = int(rng.integers(m, 2 * m + 1))
+        b = np.where(rng.random(m) < 0.7, 0.0, rng.normal(size=m))
+        lp = LPInstance(
+            c=np.concatenate([rng.normal(size=n), np.abs(rng.normal(size=m)) + 0.1]),
+            A=np.hstack([rng.normal(size=(m, n)).round(0), np.diag(np.where(b < 0.0, -1.0, 1.0))]),
+            rel=("=",) * m,
+            b=b,
+        )
+        sol = assert_matches_highs(lp)
+        if sol.status == "optimal":
+            assert_dual_certificate(lp, sol)
+
+
+def test_unit_columns_with_cost_on_negative_rows(rng):
+    # Every row has a column equal to +-e_i, signed so that it is +e_i
+    # once a negative right-hand side is flipped; such columns carry a
+    # nonzero cost, of either sign, and form the initial basis.
+    for _ in range(60):
+        m = int(rng.integers(1, 12))
+        n = int(rng.integers(1, 10))
+        rel = tuple(rng.choice(["=", ">=", "<="]) for _ in range(m))
+        b = rng.normal(size=m)
+        b[rng.random(m) < 0.5] *= -1.0
+        flip = np.where(b < 0.0, -1.0, 1.0)
+        # Once flipped, a row is '=', '>=' or '<='; the unit column only
+        # stands in for a slack on the first two.
+        lp = LPInstance(
+            c=np.concatenate([rng.normal(size=n), rng.normal(size=m) + 0.5]),
+            A=np.hstack([rng.normal(size=(m, n)), np.diag(flip)]),
+            rel=rel,
+            b=b,
+        )
+        sol = assert_matches_highs(lp)
+        if sol.status == "optimal":
+            assert_dual_certificate(lp, sol)
+
+
+@pytest.mark.parametrize("closure", [260, 500])
+def test_tree_lps(closure):
+    rng = np.random.default_rng(closure)
+    x = random_tree_vector(rng, closure)
+    for M in (1.0, 3.0):
+        primal, dual = tree_lps(x, M)
+        assert primal.n_rows >= closure
+        sol = assert_matches_highs(primal, rel=1e-9)
+        assert_dual_certificate(primal, sol, tol=1e-9)
+        assert assert_matches_highs(dual, rel=1e-9).value == pytest.approx(sol.value, rel=1e-9)

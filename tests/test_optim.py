@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from approxconvex import optim
 from approxconvex.core import simplex_grid_array
 from approxconvex.optim import (
     ConvergenceError,
@@ -14,6 +15,7 @@ from approxconvex.optim import (
     min_smooth_over_simplex,
     project_to_simplex,
 )
+from conftest import random_tree_vector, tree_lps
 
 
 def brute_force_lp(lp: LPInstance):
@@ -162,6 +164,43 @@ class TestLPSolve:
                 continue
             assert sol.gap <= 1e-9 * (1.0 + abs(sol.value))
             assert float(lp.b @ sol.dual) == pytest.approx(sol.value, abs=1e-7)
+
+    def test_tree_lp_needs_no_phase_one(self):
+        # Every row of the decomposition LP starts on its y+ or y- column,
+        # so no pivot is spent driving artificials out of the basis.
+        lp, _ = tree_lps(random_tree_vector(np.random.default_rng(8), 260), 2.0)
+        assert lp.n_rows >= 260
+        sol = lp_solve(lp)
+        assert sol.status == "optimal"
+        assert sol.iterations < lp.n_rows
+
+    def test_degenerate_crash_start_switches_to_bland(self, monkeypatch):
+        # 35 equality rows, 30 with b_i = 0, each with a costed unit column:
+        # the crash basis is feasible but degenerate, and Dantzig pricing
+        # stalls long enough that Bland's rule must take over.
+        r = np.random.default_rng(36)
+        m = int(r.integers(20, 60))
+        n = int(r.integers(m, 3 * m))
+        A = r.normal(size=(m, n)).round(0)
+        b = np.where(r.random(m) < 0.8, 0.0, r.integers(-3, 4, size=m).astype(float))
+        c = np.concatenate([r.integers(-3, 4, size=n), r.integers(1, 4, size=m)]).astype(float)
+        lp = LPInstance(c=c, A=np.hstack([A, np.diag(np.where(b < 0.0, -1.0, 1.0))]), rel=("=",) * m, b=b)
+        phases = []
+        run = optim._Tableau.run
+
+        def recording_run(tab, phase, *args):
+            status = run(tab, phase, *args)
+            phases.append((phase, tab.bland))
+            return status
+
+        monkeypatch.setattr(optim._Tableau, "run", recording_run)
+        sol = lp_solve(lp)
+        assert phases == [(2, True)]
+        assert sol.status == "optimal"
+        # Certified optimum: dual feasible, and b.dual equals the value.
+        assert (lp.c - lp.A.T @ sol.dual).min() >= -1e-9
+        assert float(lp.b @ sol.dual) == pytest.approx(sol.value, abs=1e-9)
+        assert sol.value == pytest.approx(23.12003618261667, abs=1e-9)  # HiGHS
 
 
 class TestQuadraticKernel:
