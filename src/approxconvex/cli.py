@@ -24,6 +24,7 @@ import numpy as np
 from . import constructions, entropy, entropy_opt, hulls, simplexgeo, treespace
 from .core import NormSpec, SimplexPoint, Vector
 from .labels import leaf, pair
+from .optim import _affine_solve
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -271,18 +272,12 @@ def _cmd_simplex_face(cfg):
 
 
 def _random_interior_simplex(rng, n):
+    """Unit-sphere vertices whose barycentric coordinates of the origin
+    all exceed 1e-3."""
     while True:
         V = rng.standard_normal((n + 1, n))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
-        G = V @ V.T
-        K = np.zeros((n + 2, n + 2))
-        K[: n + 1, : n + 1] = 2.0 * G
-        K[: n + 1, n + 1] = 1.0
-        K[n + 1, : n + 1] = 1.0
-        rhs = np.zeros(n + 2)
-        rhs[n + 1] = 1.0
-        lam = np.linalg.lstsq(K, rhs, rcond=None)[0][: n + 1]
-        if lam.min() > 1e-3:
+        if _affine_solve(V.T, np.zeros(n)).min() > 1e-3:
             return V
 
 

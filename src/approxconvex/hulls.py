@@ -4,7 +4,7 @@ witness-based Hausdorff lower bounds for finite sampled sets.
 The Hausdorff distance from a set to its hull is bounded below here via
 explicit witnesses and above by analytic arguments elsewhere; no attempt
 is made to solve the inner max-min globally (it is a non-concave
-maximization).  Euclidean hull distances go through the Frank-Wolfe
+maximization).  Euclidean hull distances go through the minimum-norm-point
 quadratic kernel; l1, l-infinity and weighted-l1 distances are exact LP
 reformulations.
 """
@@ -131,10 +131,10 @@ def dist_to_set(x: Vector, A: SampledSet, norm: NormSpec) -> float:
 def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) -> float:
     """Distance from x to the convex hull of A, within tol.
 
-    Euclidean distances use the Frank-Wolfe quadratic kernel over the
-    full weight simplex (no Caratheodory reduction); l1, l-infinity and
-    weighted-l1 are solved as linear programs.  Other norms are
-    rejected.
+    Euclidean distances use Wolfe's minimum-norm-point kernel over the
+    full weight simplex, certified by its Frank-Wolfe gap; l1,
+    l-infinity and weighted-l1 are solved as linear programs.  Other
+    norms are rejected.
     """
     xv, P, indices = _embed(x, A)
     N, d = P.shape

@@ -38,11 +38,6 @@ class TreeLabel:
     def is_leaf(self) -> bool:
         return self.index is not None
 
-    def children(self) -> tuple["TreeLabel", "TreeLabel"] | None:
-        if self.is_leaf:
-            return None
-        return (self.left, self.right)
-
     def __repr__(self) -> str:
         return self._name
 

@@ -11,10 +11,10 @@ Three solvers used by every distance computation in the package:
   column is nonzero when at most a quarter of them are, and the whole
   tableau otherwise,
 * minimization of ``f(t) = ||c - L t||^2`` over the probability simplex
-  by Frank-Wolfe with exact line search and away steps (the away steps
-  restore linear convergence, which plain Frank-Wolfe lacks on the
-  boundary, so tight duality-gap certificates are reachable within the
-  iteration budget),
+  by Wolfe's minimum-norm-point algorithm, exact in finitely many steps.
+  Its affine steps are least-squares solves on edge vectors against the
+  current residual, and it stops on the Frank-Wolfe gap computed from the
+  weights it returns,
 * multi-start projected gradient descent for general smooth objectives
   over the simplex, whose result is only ever used as an upper bound.
 
@@ -403,167 +403,122 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Quadratics over the simplex: Frank-Wolfe with away steps
+# Quadratics over the simplex: Wolfe's minimum-norm-point algorithm
 # ---------------------------------------------------------------------------
 
 
-def _ls_polish(L, c, lam):
-    """Project onto the affine hull of the active vertices (KKT solve).
+def _affine_solve(L, c, lam=None):
+    """Affine weights (summing to one) of the point of the affine hull of
+    L's columns (at least two) nearest ``c``.
 
-    Returns an improved feasible point or None.  Near convergence the
-    active support is exact, so this step typically lands on the true
-    minimizer to machine precision.
+    Solved as least squares on the edge vectors ``L[:, 1:] - L[:, :1]``
+    against the residual ``L @ lam - c`` of a start ``lam`` summing to one
+    (default: the barycenter), so the result refines ``lam``.  Affinely
+    dependent columns get the minimum-norm correction.
     """
-    active = np.flatnonzero(lam > 1e-12)
-    if len(active) == 0:
-        return None
-    Ls = L[:, active]
-    k = len(active)
-    K = np.zeros((k + 1, k + 1))
-    K[:k, :k] = 2.0 * (Ls.T @ Ls)
-    K[:k, k] = 1.0
-    K[k, :k] = 1.0
-    rhs = np.concatenate([2.0 * (Ls.T @ c), [1.0]])
-    try:
-        sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return None
-    mu = sol[:k]
-    if mu.min() < -1e-10:
-        return None
-    mu = np.clip(mu, 0.0, None)
-    s = mu.sum()
-    if s <= 0.0:
-        return None
-    out = np.zeros_like(lam)
-    out[active] = mu / s
-    return out
+    if lam is None:
+        lam = np.full(L.shape[1], 1.0 / L.shape[1])
+    r = L @ lam - c
+    delta = np.linalg.lstsq(L[:, 1:] - L[:, :1], -r, rcond=None)[0]
+    return lam + np.concatenate(([-delta.sum()], delta))
 
 
-def _active_set_guess(L, c):
-    """Heuristic exact solve for small problems: equality-constrained
-    least squares on a shrinking support, dropping the most negative
-    coefficient until feasible.  Only ever used behind the Frank-Wolfe
-    gap certificate, so a wrong guess costs nothing."""
-    N = L.shape[1]
-    support = list(range(N))
-    for _ in range(N):
-        Ls = L[:, support]
-        k = len(Ls.T)
-        K = np.zeros((k + 1, k + 1))
-        K[:k, :k] = 2.0 * (Ls.T @ Ls)
-        K[:k, k] = 1.0
-        K[k, :k] = 1.0
-        rhs = np.concatenate([2.0 * (Ls.T @ c), [1.0]])
-        try:
-            sol = np.linalg.lstsq(K, rhs, rcond=None)[0]
-        except np.linalg.LinAlgError:
+def _certificate(L, c, lam):
+    """Residual, value, gradient and Frank-Wolfe gap of the weights lam."""
+    r = L @ lam - c
+    g = 2.0 * (L.T @ r)
+    return r, float(r @ r), g, float(g @ lam) - float(g.min())
+
+
+def _ulp_polish(L, c, lam, stop):
+    """Greedy one-ulp moves of single weights, for weights at which
+    Wolfe's iteration stopped lowering f.  There the residual sits at
+    rounding level and the gap computed from the weights depends on how
+    ``L @ lam`` rounds; each move keeps the smallest gap.  Returns
+    ``(lam, f, gap)`` once ``stop`` holds, else None."""
+    gap = _certificate(L, c, lam)[3]
+    while True:
+        best = None
+        for j in np.flatnonzero(lam):
+            for to in (np.inf, -np.inf):
+                mu = lam.copy()
+                mu[j] = np.nextafter(mu[j], to)
+                _, f_mu, _, gap_mu = _certificate(L, c, mu)
+                if best is None or gap_mu < best[0]:
+                    best = (gap_mu, f_mu, mu)
+        if best[0] >= gap:
             return None
-        mu = sol[:k]
-        if mu.min() >= -1e-12:
-            lam = np.zeros(N)
-            mu = np.clip(mu, 0.0, None)
-            s = mu.sum()
-            if s <= 0.0:
-                return None
-            lam[support] = mu / s
-            return lam
-        support.pop(int(np.argmin(mu)))
-        if not support:
-            return None
-    return None
+        gap, f, lam = best
+        if stop(f, gap):
+            return lam, f, gap
 
 
-def _afw(L, c, stop, max_iter):
-    """Away-step Frank-Wolfe core for f(lam) = ||c - L lam||^2.
+def _mnp(L, c, stop, max_iter):
+    """Wolfe's minimum-norm-point algorithm for f(lam) = ||c - L lam||^2.
 
-    ``stop(f, gap)`` decides termination from the current value and the
-    Frank-Wolfe gap (a valid bound on f - f_min for this convex f).
-    Returns (lam, f, gap, iterations).
+    The corral ``S`` is the current vertex set.  Each major iteration
+    takes one exact line-search step toward the vertex of least gradient
+    (which enters the corral), then moves to the corral's affine
+    minimizer, dropping vertices whose weight would turn negative.
+    ``stop(f, gap)`` decides termination from the value and the
+    Frank-Wolfe gap (a valid bound on f - f_min for this convex f), both
+    computed from the weights returned.  Returns (lam, f, gap, iterations).
     """
     L = np.asarray(L, dtype=float)
     c = np.asarray(c, dtype=float)
     d, N = L.shape
-    if N == 1:
-        r = L[:, 0] - c
-        return np.ones(1), float(r @ r), 0.0, 0
-
-    # Start from the best vertex, improved by an active-set guess when
-    # the problem is small; the gap check below certifies either way.
-    dists = ((L - c[:, None]) ** 2).sum(axis=0)
     lam = np.zeros(N)
-    lam[int(np.argmin(dists))] = 1.0
-    if N <= 32:
-        guess = _active_set_guess(L, c)
-        if guess is not None:
-            rg = L @ guess - c
-            if float(rg @ rg) < float(dists.min()):
-                lam = guess
-    r = L @ lam - c
-    f = float(r @ r)
-    gap = np.inf
+    if N <= d + 1:
+        S = list(range(N))
+        lam[:] = 1.0 / N
+    else:
+        S = [int(np.argmin(((L - c[:, None]) ** 2).sum(axis=0)))]
+        lam[S] = 1.0
     it = 0
-    while it < max_iter:
-        g = 2.0 * (L.T @ r)
-        glam = float(g @ lam)
-        s = int(np.argmin(g))
-        gap = glam - float(g[s])
+    f_before = np.inf
+    while True:
+        # Minor cycle: the corral's affine minimizer, or the furthest point
+        # toward it that keeps every weight nonnegative.
+        while len(S) > 1:
+            w = lam[S]
+            mu = _affine_solve(L[:, S], c, w)
+            if mu.min() > 0.0:
+                lam[S] = mu
+                break
+            neg = np.flatnonzero(mu <= 0.0)
+            ratios = w[neg] / (w[neg] - mu[neg])
+            w = w + ratios.min() * (mu - w)
+            w[neg[np.argmin(ratios)]] = 0.0
+            lam[S] = np.clip(w, 0.0, None)
+            S = [j for j in S if lam[j] > 0.0]
+        r, f, g, gap = _certificate(L, c, lam)
         if stop(f, gap):
             return lam, f, gap, it
-        active = np.flatnonzero(lam > 0.0)
-        v = int(active[np.argmax(g[active])])
-        use_away = (float(g[v]) - glam) > gap and lam[v] < 1.0
-        if use_away:
-            step_dir = (r + c) - L[:, v]
-            gamma_max = lam[v] / (1.0 - lam[v])
-        else:
-            step_dir = L[:, s] - (r + c)
-            gamma_max = 1.0
-        denom = float(step_dir @ step_dir)
-        if denom <= 0.0:
-            break
-        gamma = -float(r @ step_dir) / denom
-        gamma = min(max(gamma, 0.0), gamma_max)
-        if gamma == 0.0:
-            break
-        if use_away:
-            lam *= 1.0 + gamma
-            lam[v] -= gamma
-        else:
-            lam *= 1.0 - gamma
-            lam[s] += gamma
-        r = r + gamma * step_dir
-        it += 1
-        if it % 100 == 0:
-            # Periodic exact refresh against floating-point drift.
-            np.clip(lam, 0.0, None, out=lam)
-            lam /= lam.sum()
-            r = L @ lam - c
-        if it % 200 == 0:
-            polished = _ls_polish(L, c, lam)
+        if f >= f_before:
+            # Each exact iteration lowers f, so the residual has reached
+            # rounding level and later iterations would only jitter.
+            polished = _ulp_polish(L, c, lam, stop)
             if polished is not None:
-                rp = L @ polished - c
-                if float(rp @ rp) <= float(r @ r):
-                    lam, r = polished, rp
-        f = float(r @ r)
-
-    np.clip(lam, 0.0, None, out=lam)
-    lam /= lam.sum()
-    r = L @ lam - c
-    f = float(r @ r)
-    polished = _ls_polish(L, c, lam)
-    if polished is not None:
-        rp = L @ polished - c
-        fp = float(rp @ rp)
-        if fp <= f:
-            lam, r, f = polished, rp, fp
-    g = 2.0 * (L.T @ r)
-    gap = float(g @ lam) - float(g.min())
-    if stop(f, gap):
-        return lam, f, gap, it
-    raise ConvergenceError(
-        f"Frank-Wolfe gap {gap:.3e} after {it} iterations (budget {max_iter})"
-    )
+                return (*polished, it)
+            raise ConvergenceError(
+                f"Frank-Wolfe gap {gap:.3e} stalled at the rounding floor "
+                f"after {it} iterations"
+            )
+        if it >= max_iter:
+            raise ConvergenceError(
+                f"Frank-Wolfe gap {gap:.3e} after {it} iterations (budget {max_iter})"
+            )
+        it += 1
+        f_before = f
+        # Exact line search toward the vertex of least gradient, s;
+        # r @ u = -gap / 2 < 0.
+        s = int(np.argmin(g))
+        u = L[:, s] - (r + c)
+        gamma = min(0.5 * gap / float(u @ u), 1.0)
+        lam *= 1.0 - gamma
+        lam[s] += gamma
+        if s not in S:
+            S.append(s)
 
 
 def min_quadratic_over_simplex(
@@ -575,11 +530,12 @@ def min_quadratic_over_simplex(
     """Minimize ``||c - L t||^2`` over the probability simplex.
 
     Returns ``(t, value)`` with ``value - min <= tol``, certified by the
-    Frank-Wolfe duality gap; raises :class:`ConvergenceError` if the gap
-    cannot be certified within the iteration budget.
+    Frank-Wolfe duality gap of ``t`` itself; raises
+    :class:`ConvergenceError` if the gap cannot be certified within the
+    iteration budget, or once iterations stop lowering the value first.
     """
-    lam, f, _, _ = _afw(L, c, lambda f_, g_: g_ <= tol, max_iter)
-    return SimplexPoint.from_array(lam), f
+    lam, f, _, _ = _mnp(L, c, lambda f_, g_: g_ <= tol, max_iter)
+    return SimplexPoint(lam), f
 
 
 def min_distance_over_simplex(
@@ -601,8 +557,8 @@ def min_distance_over_simplex(
         # sqrt(gap), so it still pins the distance to ~3e-8 absolute.
         return gap <= max(tol * tol, 0.5 * tol * np.sqrt(max(f, 0.0)), 1e-15 * (1.0 + abs(f)))
 
-    lam, f, _, _ = _afw(L, c, stop, max_iter)
-    return SimplexPoint.from_array(lam), float(np.sqrt(max(f, 0.0)))
+    lam, f, _, _ = _mnp(L, c, stop, max_iter)
+    return SimplexPoint(lam), float(np.sqrt(max(f, 0.0)))
 
 
 # ---------------------------------------------------------------------------

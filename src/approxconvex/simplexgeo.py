@@ -6,9 +6,9 @@ interior, some k-face lies within alpha(n, k) = sqrt((n-k)/(n(k+1))) of
 the origin, with equality for the regular simplex.  The face is found
 constructively: take the nearest facet, recenter at its nearest point,
 rescale the facet back onto a unit sphere, and recurse one dimension
-down.  Nearest points on facets are computed by the Frank-Wolfe
-quadratic kernel so that the whole module shares one code path with the
-hull distances.
+down.  Nearest points on facets are computed by the minimum-norm-point
+quadratic kernel, and affine coordinates by its affine solve, so that the
+whole module shares one code path with the hull distances.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Vector, index_sort_key
-from .optim import min_distance_over_simplex, min_quadratic_over_simplex
+from .optim import _affine_solve, min_distance_over_simplex, min_quadratic_over_simplex
 
 __all__ = ["FaceResult", "alpha", "near_face", "face_chain", "best_subset"]
 
@@ -63,16 +63,7 @@ def _as_matrix(vertices) -> np.ndarray:
 def _origin_barycentric(V: np.ndarray) -> np.ndarray:
     """Affine coordinates of the origin; rejects degenerate input or an
     origin outside the affine hull."""
-    s, d = V.shape
-    G = V @ V.T
-    K = np.zeros((s + 1, s + 1))
-    K[:s, :s] = 2.0 * G
-    K[:s, s] = 1.0
-    K[s, :s] = 1.0
-    rhs = np.zeros(s + 1)
-    rhs[s] = 1.0
-    sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
-    lam = sol[:s]
+    lam = _affine_solve(V.T, np.zeros(V.shape[1]))
     resid = float(np.linalg.norm(V.T @ lam))
     if resid > 1e-7:
         raise ValueError(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from approxconvex.constructions import ConstructionSpec, build_entropy_set, critical_scale
 from approxconvex.core import NormSpec, Vector, simplex_grid_array
 from approxconvex.hulls import (
     SampledSet,
@@ -13,6 +14,7 @@ from approxconvex.hulls import (
     hausdorff_lb,
 )
 from approxconvex.labels import leaf, pair
+from approxconvex.optim import min_distance_over_simplex
 
 L2 = NormSpec.lp(2)
 L1 = NormSpec.lp(1)
@@ -96,6 +98,50 @@ class TestDistToHull:
             oracle = lambda_grid_distance(far, A, norm, mesh=25)
             assert d > 1e-6
             assert d <= oracle + 1e-6
+
+
+# Off-hull queries against the n=16, grid-3 Euclidean set at
+# critical_scale(16), each at distance >= 0.5, whose l2 distances
+# away-step Frank-Wolfe could not certify within its iteration budget.
+L2_HARD_QUERIES = [
+    [1.5792345096406344, 2.207912309460018, -1.8572535415177136, -2.725668939342129,
+     -2.459985331784483, 0.9881420613870153, -0.6739689059036689, 0.4279435397110003,
+     -2.0506328891514713, 0.4296502364126753, -2.556672292451047, -0.3151015137534051,
+     1.5395413993628773, -0.5300029972851874, 0.799274297855257, -0.6196756737552174,
+     0.4992769965692947],
+    [1.5720564825731878, 1.2084572311247832, 2.4168979888340596, -1.4416972711857254,
+     -2.301009210730529, 3.4389840736893285, 0.5705901374800239, -1.3763910626949813,
+     3.513857961958281, 0.09957679972372202, -1.0925382339254177, -0.20040005919994047,
+     2.0499019923755455, -1.4957877132275827, -0.3817320064431464, -1.1702249687589545,
+     -1.7561897400986122],
+    [1.582397213212349, -2.2138229924846864, 2.1123271555080327, 2.5669629546768142,
+     5.063096486401229, 5.339821580076617, 1.20577567001961, 3.647896762316174,
+     -1.4990138845150267, -0.5191744104240676, -1.781858991188075, 0.29938584857015993,
+     -0.4024136102921273, 2.1006976217093514, 1.5523689757090653, 0.4553051418334395,
+     -0.9669125398016762],
+]
+
+
+@pytest.fixture(scope="module")
+def euclid16():
+    return build_entropy_set(ConstructionSpec(space=L2, n=16, M=critical_scale(16), grid=3))
+
+
+@pytest.mark.parametrize("query", L2_HARD_QUERIES)
+def test_l2_hard_queries_certified(euclid16, query):
+    x = Vector.from_array(np.array(query))
+    dist = dist_to_hull(x, euclid16, L2)
+    # Weak duality: every unit u gives d >= <x, u> - max_a <a, u>; take
+    # u toward x from its nearest hull point.
+    X = euclid16.matrix
+    xv = x.to_array(euclid16.indices)
+    t, _ = min_distance_over_simplex(X.T, xv)
+    u = xv - X.T @ t.values
+    u /= np.linalg.norm(u)
+    lower = float(xv @ u - (X @ u).max())
+    assert dist >= 0.5
+    assert lower <= dist * (1.0 + 1e-14)
+    assert dist - lower <= 1e-12 * dist
 
 
 class TestConvexityDefect:

@@ -242,6 +242,23 @@ class TestQuadraticKernel:
         with pytest.raises(ConvergenceError):
             min_quadratic_over_simplex(L, np.zeros(3), tol=1e-12, max_iter=0)
 
+    def test_gap_recomputed_from_returned_weights(self, rng):
+        # Hull members: the residual sits at rounding level, so a gap taken
+        # from anything but the returned weights can fail the stop bound.
+        tol = 1e-9
+        for _ in range(200):
+            d = int(rng.integers(1, 5))
+            N = int(rng.integers(2, 7))
+            L = rng.normal(size=(d, N))
+            c = L @ rng.dirichlet(np.ones(N))
+            t, dist = min_distance_over_simplex(L, c, tol=tol)
+            r = L @ t.values - c
+            f = float(r @ r)
+            g = 2.0 * (L.T @ r)
+            gap = float(g @ t.values) - float(g.min())
+            assert gap <= max(tol * tol, 0.5 * tol * math.sqrt(f), 1e-15 * (1.0 + f))
+            assert dist == math.sqrt(f)
+
     def test_distance_mode_scale(self, rng):
         for _ in range(20):
             L = rng.normal(size=(3, 4)) + 5.0
