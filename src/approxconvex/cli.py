@@ -224,6 +224,9 @@ def _cmd_general_bound(cfg):
 def _cmd_lp_set(cfg):
     n = cfg.params["n"]
     p = cfg.params["p"]
+    if p not in (1.0, 2.0, math.inf):
+        # dist_to_hull, which the witness check needs, has no other norms.
+        raise UsageError(f"lp-set supports --p 1, 2 or inf, got {p:g}")
     M = cfg.params.get("M") or 4.0 * math.log2(n)
     grid = cfg.params.get("grid") or _auto_grid(n, cap=400)
     spec = constructions.ConstructionSpec(space=NormSpec.lp(p), n=n, M=M, grid=grid)

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 HULL_MEMBERSHIP_TOL = 1e-7
+DIAMETER_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,13 @@ def _embed(x: Vector, A: SampledSet) -> tuple[np.ndarray, np.ndarray, tuple]:
 
 
 def _dists_to_points(Z: np.ndarray, X: np.ndarray, norm: NormSpec, weights=None) -> np.ndarray:
-    """Pairwise distances (len(Z), len(X)) under an lp or weighted-l1 norm."""
+    """Pairwise distances (len(Z), len(X)) under an lp or weighted-l1 norm.
+
+    One pass per coordinate accumulates |z_k - x_k| (its maximum, its sum
+    or its p-th power) into a single (len(Z), len(X)) buffer, so no
+    (len(Z), len(X), d) temporary is built.  l2 takes differences the
+    same way, so a point of X is at distance exactly 0 from itself.
+    """
     if norm.kind == "weighted_l1":
         Z = Z * weights
         X = X * weights
@@ -108,17 +115,25 @@ def _dists_to_points(Z: np.ndarray, X: np.ndarray, norm: NormSpec, weights=None)
         p = norm.p
     else:
         raise ValueError(f"unsupported norm kind for dense distances: {norm.kind}")
+    out = np.zeros((len(Z), len(X)))
+    diff = np.empty_like(out)
+    for z, x in zip(Z.T, X.T):
+        np.subtract(z[:, None], x[None, :], out=diff)
+        if p == 2.0:
+            out += np.multiply(diff, diff, out=diff)
+            continue
+        np.abs(diff, out=diff)
+        if np.isinf(p):
+            np.maximum(out, diff, out=out)
+        elif p == 1.0:
+            out += diff
+        else:
+            out += np.power(diff, p, out=diff)
     if p == 2.0:
-        zz = (Z * Z).sum(axis=1)[:, None]
-        xx = (X * X).sum(axis=1)[None, :]
-        d2 = zz + xx - 2.0 * (Z @ X.T)
-        return np.sqrt(np.clip(d2, 0.0, None))
-    diff = np.abs(Z[:, None, :] - X[None, :, :])
-    if np.isinf(p):
-        return diff.max(axis=2)
-    if p == 1.0:
-        return diff.sum(axis=2)
-    return (diff**p).sum(axis=2) ** (1.0 / p)
+        np.sqrt(out, out=out)
+    elif not (p == 1.0 or np.isinf(p)):
+        out **= 1.0 / p
+    return out
 
 
 def dist_to_set(x: Vector, A: SampledSet, norm: NormSpec) -> float:
@@ -203,7 +218,13 @@ def convexity_defect(A: SampledSet, norm: NormSpec, t_grid: int) -> DefectReport
     """max over point pairs and grid t of d(tx + (1-t)y, A).
 
     A lower bound on sup_t H(tA + (1-t)A, A); the grid has `t_grid`
-    uniform values including both endpoints.
+    uniform values including both endpoints.  At t = 0 or 1 the point is
+    x or y, a member of A, so the endpoints count as exactly 0 and only
+    the interior values are scanned; when no interior value has a
+    positive defect (t_grid = 2 included) the result is 0 with witness
+    (A[0], A[0], 0.0).  Row i of the scan measures its N - i midpoints
+    against all N points in (N - i, N) buffers; no (N - i, N, d) temporary
+    is built.
     """
     if len(A) < 2:
         raise ValueError("convexity_defect needs at least two points")
@@ -211,8 +232,8 @@ def convexity_defect(A: SampledSet, norm: NormSpec, t_grid: int) -> DefectReport
         raise ValueError("t_grid must be at least 2")
     X = A.matrix
     w = _column_weights(A.indices, norm) if norm.kind == "weighted_l1" else None
-    ts = np.linspace(0.0, 1.0, t_grid)
-    best = -1.0
+    ts = np.linspace(0.0, 1.0, t_grid)[1:-1]
+    best = 0.0
     best_at = (0, 0, 0.0)
     n = len(A)
     for t in ts:
@@ -253,12 +274,17 @@ def hausdorff_lb(
 
 
 def diameter(A: SampledSet, norm: NormSpec) -> float:
-    """Exact max pairwise distance (O(n^2); sample sizes are capped
-    upstream accordingly)."""
+    """Exact max pairwise distance (O(n^2) time; sample sizes are capped
+    upstream accordingly).
+
+    Rows go in blocks of DIAMETER_BLOCK points against every later point,
+    so memory stays O(DIAMETER_BLOCK * n).  Distances are symmetric bit
+    for bit, so the pairs a block sees twice do not change the maximum.
+    """
     X = A.matrix
     w = _column_weights(A.indices, norm) if norm.kind == "weighted_l1" else None
     best = 0.0
-    for i in range(len(A)):
-        d = _dists_to_points(X[i : i + 1], X[i:], norm, w)
+    for i in range(0, len(A), DIAMETER_BLOCK):
+        d = _dists_to_points(X[i : i + DIAMETER_BLOCK], X[i:], norm, w)
         best = max(best, float(d.max()))
     return best

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from approxconvex import constructions
 from approxconvex.cli import main
 
 
@@ -82,6 +83,17 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "typep-bound", "--p", "2", "--d", "1")
         assert code == 1
         assert "d >= 2" in err
+
+    def test_unsupported_norm_rejected_before_work(self, capsys, monkeypatch):
+        def forbidden(spec):
+            raise AssertionError("lp-set built its sample before checking --p")
+
+        monkeypatch.setattr(constructions, "build_entropy_set", forbidden)
+        code, out, err = run_cli(capsys, "lp-set", "--n", "4", "--p", "3")
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+        assert "1, 2 or inf" in err
 
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "no-such-thing")

@@ -7,6 +7,7 @@ from approxconvex.constructions import ConstructionSpec, build_entropy_set, crit
 from approxconvex.core import NormSpec, Vector, simplex_grid_array
 from approxconvex.hulls import (
     SampledSet,
+    _dists_to_points,
     convexity_defect,
     diameter,
     dist_to_hull,
@@ -144,7 +145,86 @@ def test_l2_hard_queries_certified(euclid16, query):
     assert dist - lower <= 1e-12 * dist
 
 
+class TestDenseDistances:
+    @pytest.mark.parametrize("d", [1, 7, 8, 17])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_matches_per_pair_norm(self, rng, p, d):
+        Z = rng.normal(size=(5, d))
+        X = rng.normal(size=(9, d))
+        got = _dists_to_points(Z, X, NormSpec.lp(p))
+        ref = np.array([[np.linalg.norm(z - x, ord=p) for x in X] for z in Z])
+        assert got.shape == (5, 9)
+        if math.isinf(p):
+            assert np.array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("d", [1, 7, 8, 17])
+    def test_weighted_l1_matches_explicit_sum(self, rng, d):
+        Z = rng.normal(size=(4, d))
+        X = rng.normal(size=(6, d))
+        w = rng.choice([1.0, 3.0], size=d)
+        got = _dists_to_points(Z, X, NormSpec.weighted_l1(3.0), w)
+        ref = np.array([[sum(w[k] * abs(z[k] - x[k]) for k in range(d)) for x in X] for z in Z])
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    def test_rejects_tree_norm(self):
+        with pytest.raises(ValueError):
+            _dists_to_points(np.zeros((1, 2)), np.zeros((1, 2)), NormSpec.tree(2.0))
+
+
+def random_set(rng, npts, dim, scale=1.0):
+    return SampledSet(
+        points=tuple(Vector(dict(enumerate(scale * rng.normal(size=dim)))) for _ in range(npts))
+    )
+
+
+class TestExactZeros:
+    """A point of A is at distance exactly 0 from A, under every norm."""
+
+    @pytest.mark.parametrize("norm", [L1, L2, LINF])
+    def test_members_at_distance_zero(self, rng, norm):
+        for _ in range(5):
+            A = random_set(rng, 40, int(rng.integers(2, 18)), scale=float(rng.uniform(0.5, 20.0)))
+            assert all(dist_to_set(x, A, norm) == 0.0 for x in A.points)
+
+    @pytest.mark.parametrize("norm", [L1, L2, LINF])
+    def test_endpoint_grid_defect_is_zero(self, rng, norm):
+        for _ in range(5):
+            A = random_set(rng, 40, int(rng.integers(2, 18)), scale=float(rng.uniform(0.5, 20.0)))
+            rep = convexity_defect(A, norm, t_grid=2)
+            assert rep.sup_defect == 0.0
+            assert rep.witness[2] == 0.0
+
+    def test_euclid16_members(self, euclid16):
+        assert all(dist_to_set(x, euclid16, L2) == 0.0 for x in euclid16.points)
+
+
+def brute_force_defect(X, p, t_grid):
+    """max over ordered pairs and grid t of min_c ||t a + (1-t) b - c||_p."""
+    best = 0.0
+    for t in np.linspace(0.0, 1.0, t_grid):
+        for a in X:
+            for b in X:
+                mid = t * a + (1.0 - t) * b
+                best = max(best, min(float(np.linalg.norm(mid - c, ord=p)) for c in X))
+    return best
+
+
 class TestConvexityDefect:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_matches_brute_force(self, rng, p):
+        norm = NormSpec.lp(p)
+        for _ in range(6):
+            A = random_set(rng, int(rng.integers(2, 13)), int(rng.integers(1, 5)))
+            t_grid = int(rng.integers(2, 7))
+            rep = convexity_defect(A, norm, t_grid=t_grid)
+            ref = brute_force_defect(A.matrix, p, t_grid)
+            assert rep.sup_defect == pytest.approx(ref, rel=1e-12, abs=1e-12)
+            x, y, t = rep.witness
+            mid = t * x + (1.0 - t) * y
+            assert dist_to_set(mid, A, norm) == pytest.approx(rep.sup_defect, rel=1e-12, abs=1e-12)
+
     def test_dense_convex_sample_has_small_defect(self):
         # A fine sample of a segment: the defect is at most the mesh.
         pts = [[x] for x in np.linspace(0.0, 1.0, 101)]
@@ -231,3 +311,11 @@ class TestDiameter:
                     d = np.linalg.norm(X[i] - X[j], ord=p)
                     brute = max(brute, float(d))
             assert diameter(A, norm) == pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_several_row_blocks(self, rng, p):
+        # 150 points span three blocks of rows.
+        X = rng.normal(size=(150, 5))
+        A = SampledSet(points=tuple(Vector(dict(enumerate(x))) for x in X))
+        brute = max(float(np.linalg.norm(a - b, ord=p)) for a in X for b in X)
+        assert diameter(A, NormSpec.lp(p)) == pytest.approx(brute, rel=1e-14)
