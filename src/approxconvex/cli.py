@@ -5,9 +5,12 @@ the bound it reproduces.
 Reports are JSON lines {command, params, results, pass, elapsed_ms}
 with floats printed to 17 significant digits, so a rerun with the same
 config and seed is bit-identical except for the timing field.  Sweep
-variants emit one line (or CSV row) per parameter value.  With
+variants emit one line (or CSV row) per parameter value; non-finite
+floats are written as the strings "inf", "-inf" and "nan".  With
 --paper-check the exit code becomes 2 when any asserted bound fails;
-usage errors exit 1, everything else 0.
+usage errors exit 1, a solver that cannot certify its answer
+(optim.ConvergenceError) exits 3 with "numerical failure: ..." on
+stderr, everything else 0.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from . import constructions, entropy, entropy_opt, hulls, simplexgeo, treespace
 from .core import NormSpec, SimplexPoint, Vector
 from .labels import leaf, pair
-from .optim import _affine_solve
+from .optim import ConvergenceError, _affine_solve
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -81,7 +84,7 @@ def _json_token(v) -> str:
         return str(v)
     if isinstance(v, float):
         if not math.isfinite(v):
-            return "null"  # JSON has no inf/nan tokens
+            return f'"{v}"'  # JSON has no inf/nan tokens
         return format(v, ".17g")
     if isinstance(v, str):
         out = v.replace("\\", "\\\\").replace('"', '\\"')
@@ -598,6 +601,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except ConvergenceError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     _emit(reports, config.fmt)
     if config.paper_check and not all_pass:
         return 2

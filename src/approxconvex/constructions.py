@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import NormSpec, Vector, simplex_grid_array
 from .entropy import entropy_E_array, phi_prime
+from .hulls import SampledSet
 from .optim import min_smooth_over_simplex
 
 __all__ = [
@@ -92,33 +93,18 @@ def _sample_count(n: int, grid: int) -> int:
 def build_entropy_set(spec: ConstructionSpec):
     """Sample of the entropy-graph set over simplex_grid(n, grid).
 
-    Every sampled point has horizontal part M times the simplex
-    parameter (on axes 1..n or 1..n-1 depending on the variant) and
-    height equal to the entropy of the parameter on axis 0.
+    Row i holds the height, the entropy of simplex parameter t_i, in
+    column 0 and M times t_i's horizontal part in columns 1..n (or
+    1..n-1 for the anchored variant).
     """
-    from .hulls import SampledSet
-
-    if spec.space.kind != "lp":
-        raise ValueError("entropy-graph sets are built over lp spaces only")
     count = _sample_count(spec.n, spec.grid)
     if count > MAX_SAMPLE_POINTS:
         raise ValueError(
             f"grid would produce {count} points (cap {MAX_SAMPLE_POINTS})"
         )
     T = simplex_grid_array(spec.n, spec.grid)
-    heights = entropy_E_array(T)
     n_horiz = spec.n if spec.variant == "full" else spec.n - 1
-    points = []
-    for row, h in zip(T, heights):
-        entries = {i + 1: spec.M * row[i] for i in range(n_horiz) if row[i] != 0.0}
-        if h != 0.0:
-            entries[0] = h
-        points.append(Vector(entries))
-    prov = (
-        f"entropy-graph lp(p={spec.space.p:g}) n={spec.n} M={spec.M:g} "
-        f"grid={spec.grid} variant={spec.variant}"
-    )
-    return SampledSet(points=tuple(points), provenance=prov)
+    return SampledSet(np.column_stack([entropy_E_array(T), spec.M * T[:, :n_horiz]]))
 
 
 def witness(spec: ConstructionSpec) -> Vector:

@@ -2,15 +2,17 @@
 throughout (lp, weighted l1), and simplex grid generation.
 
 Coordinates are 64-bit floats and all comparisons elsewhere use explicit
-tolerances.  Vectors are sparse maps so that points of lp^n and points of
-the tree space share one representation.  Everything here is immutable
-after construction and safe to use concurrently.
+tolerances.  Vectors are sparse maps, the representation of the tree
+space, whose index set is open-ended; single points of lp^n (queries and
+witnesses) are Vectors over 0..d-1, and point sets in lp^n are dense
+arrays (hulls.SampledSet).  Everything here is immutable after
+construction and safe to use concurrently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -174,48 +176,27 @@ class SimplexPoint:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which norm a computation runs under.
+    """The lp norm, p in [1, inf], that a computation runs under.
 
-    kind is one of ``lp`` (with exponent ``p`` in [1, inf]),
-    ``weighted_l1`` (leaf weight ``M`` over tree labels) or ``tree``
-    (the decomposition norm with scale ``M``; evaluated in the treespace
-    module since it requires a linear program).
+    Every point set in lp^n is a dense array and every kernel reads only
+    ``p``.  The tree space's decomposition norm needs a linear program
+    and lives in the treespace module; the weighted l1 norm over tree
+    labels is :func:`weighted_l1_norm`.
     """
 
-    kind: str
-    p: float = float("nan")
-    M: float = float("nan")
-    dim: int | None = field(default=None, compare=False)
+    p: float
 
     def __post_init__(self):
-        if self.kind == "lp":
-            if not self.p >= 1.0:
-                raise ValueError(f"lp norm needs p >= 1, got {self.p}")
-        elif self.kind in ("weighted_l1", "tree"):
-            if not self.M > 0.0:
-                raise ValueError(f"{self.kind} norm needs M > 0, got {self.M}")
-        else:
-            raise ValueError(f"unknown norm kind {self.kind!r}")
+        if not self.p >= 1.0:
+            raise ValueError(f"lp norm needs p >= 1, got {self.p}")
 
     @classmethod
-    def lp(cls, p: float, dim: int | None = None) -> "NormSpec":
-        return cls(kind="lp", p=float(p), dim=dim)
-
-    @classmethod
-    def weighted_l1(cls, M: float) -> "NormSpec":
-        return cls(kind="weighted_l1", M=float(M))
-
-    @classmethod
-    def tree(cls, M: float) -> "NormSpec":
-        return cls(kind="tree", M=float(M))
+    def lp(cls, p: float) -> "NormSpec":
+        return cls(p=float(p))
 
     def norm_of(self, x: Vector) -> float:
-        """Evaluate the norm of a sparse vector (lp and weighted_l1 only)."""
-        if self.kind == "lp":
-            return lp_norm(x, self.p)
-        if self.kind == "weighted_l1":
-            return weighted_l1_norm(x, self.M)
-        raise ValueError("tree norm requires an LP; use treespace.tree_norm")
+        """Evaluate the norm of a sparse vector."""
+        return lp_norm(x, self.p)
 
 
 def lp_norm(x: Vector, p: float) -> float:

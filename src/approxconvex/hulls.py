@@ -1,11 +1,13 @@
 """Distances to convex hulls, convexity-defect estimation, and
-witness-based Hausdorff lower bounds for finite sampled sets.
+witness-based Hausdorff lower bounds for finite sampled sets in lp^d.
 
-The Hausdorff distance from a set to its hull is bounded below here via
+A sampled set is a dense (N, d) array: row i is point i and column j is
+coordinate j.  Query points and witnesses are Vectors over 0..d-1.  The
+Hausdorff distance from a set to its hull is bounded below here via
 explicit witnesses and above by analytic arguments elsewhere; no attempt
 is made to solve the inner max-min globally (it is a non-concave
 maximization).  Euclidean hull distances go through the minimum-norm-point
-quadratic kernel; l1, l-infinity and weighted-l1 distances are exact LP
+quadratic kernel; l1 and l-infinity distances are exact LP
 reformulations.
 """
 
@@ -13,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
-from .core import NormSpec, Vector, index_sort_key
-from .labels import TreeLabel
+from .core import NormSpec, Vector
 from .optim import LPInstance, lp_solve, min_distance_over_simplex
 
 __all__ = [
@@ -34,87 +36,55 @@ HULL_MEMBERSHIP_TOL = 1e-7
 DIAMETER_BLOCK = 64
 
 
-@dataclass(frozen=True)
 class SampledSet:
-    """A finite list of vectors tagged with the generator that made them."""
+    """A finite point set in lp^d, held as a read-only (N, d) float array.
 
-    points: tuple[Vector, ...]
-    provenance: str = ""
+    The array is copied at construction; one that is not 2-D, has no
+    rows or no columns, or holds a non-finite value is rejected.
+    Instances compare by identity.
+    """
 
-    def __post_init__(self):
-        pts = tuple(self.points)
-        if not pts:
-            raise ValueError("SampledSet needs at least one point")
-        object.__setattr__(self, "points", pts)
+    def __init__(self, array):
+        X = np.array(array, dtype=float)
+        if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
+            raise ValueError(f"SampledSet needs a non-empty (N, d) array, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("SampledSet coordinates must be finite")
+        X.setflags(write=False)
+        self._X = X
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    @cached_property
-    def indices(self) -> tuple:
-        universe = set()
-        for p in self.points:
-            universe.update(p.support())
-        return tuple(sorted(universe, key=index_sort_key))
+        return self._X.shape[0]
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense (n_points, dim) coordinate matrix over `indices`."""
-        idx = {k: i for i, k in enumerate(self.indices)}
-        out = np.zeros((len(self.points), len(self.indices)))
-        for r, p in enumerate(self.points):
-            for k, v in p.items():
-                out[r, idx[k]] = v
-        return out
+        """The (N, d) coordinate array (read-only)."""
+        return self._X
+
+    @cached_property
+    def points(self) -> tuple[Vector, ...]:
+        """The rows as Vectors over 0..d-1, built on first use; the
+        kernels here read only `matrix`."""
+        return tuple(Vector.from_array(row) for row in self._X)
 
 
-def _column_weights(indices, norm: NormSpec) -> np.ndarray:
-    """Per-coordinate weights that turn weighted-l1 into plain l1."""
-    w = np.empty(len(indices))
-    for i, idx in enumerate(indices):
-        if not isinstance(idx, TreeLabel):
-            raise ValueError("weighted_l1 distances need tree-label indices")
-        w[i] = norm.M if idx.is_leaf else 1.0
-    return w
+def _coords(x: Vector, d: int) -> np.ndarray:
+    """Coordinates of x over 0..d-1; any other index is rejected."""
+    for k in x.support():
+        if not (isinstance(k, Integral) and 0 <= k < d):
+            raise ValueError(f"query index {k!r} is not a coordinate of a {d}-dimensional set")
+    return x.to_array(range(d))
 
 
-def _embed(x: Vector, A: SampledSet) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Coordinates of x and of A's points over their joint index set."""
-    known = set(A.indices)
-    extra = [k for k in x.sorted_support() if k not in known]
-    if extra:
-        indices = tuple(sorted(A.indices + tuple(extra), key=index_sort_key))
-        idx = {k: i for i, k in enumerate(indices)}
-        P = np.zeros((len(A), len(indices)))
-        base = A.matrix
-        for c, k in enumerate(A.indices):
-            P[:, idx[k]] = base[:, c]
-    else:
-        indices = A.indices
-        idx = {k: i for i, k in enumerate(indices)}
-        P = A.matrix
-    xv = np.zeros(len(indices))
-    for k, v in x.items():
-        xv[idx[k]] = v
-    return xv, P, indices
-
-
-def _dists_to_points(Z: np.ndarray, X: np.ndarray, norm: NormSpec, weights=None) -> np.ndarray:
-    """Pairwise distances (len(Z), len(X)) under an lp or weighted-l1 norm.
+def _dists_to_points(Z: np.ndarray, X: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """Pairwise lp distances (len(Z), len(X)).
 
     One pass per coordinate accumulates |z_k - x_k| (its maximum, its sum
     or its p-th power) into a single (len(Z), len(X)) buffer, so no
     (len(Z), len(X), d) temporary is built.  l2 takes differences the
     same way, so a point of X is at distance exactly 0 from itself.
     """
-    if norm.kind == "weighted_l1":
-        Z = Z * weights
-        X = X * weights
-        p = 1.0
-    elif norm.kind == "lp":
-        p = norm.p
-    else:
-        raise ValueError(f"unsupported norm kind for dense distances: {norm.kind}")
+    p = norm.p
     out = np.zeros((len(Z), len(X)))
     diff = np.empty_like(out)
     for z, x in zip(Z.T, X.T):
@@ -138,67 +108,44 @@ def _dists_to_points(Z: np.ndarray, X: np.ndarray, norm: NormSpec, weights=None)
 
 def dist_to_set(x: Vector, A: SampledSet, norm: NormSpec) -> float:
     """Distance from a point to the finite set A (not its hull)."""
-    xv, P, indices = _embed(x, A)
-    w = _column_weights(indices, norm) if norm.kind == "weighted_l1" else None
-    return float(_dists_to_points(xv[None, :], P, norm, w).min())
+    X = A.matrix
+    return float(_dists_to_points(_coords(x, X.shape[1])[None, :], X, norm).min())
 
 
 def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) -> float:
     """Distance from x to the convex hull of A, within tol.
 
     Euclidean distances use Wolfe's minimum-norm-point kernel over the
-    full weight simplex, certified by its Frank-Wolfe gap; l1,
-    l-infinity and weighted-l1 are solved as linear programs.  Other
-    norms are rejected.
+    full weight simplex, certified by its Frank-Wolfe gap; l1 and
+    l-infinity are solved as linear programs.  Other norms are rejected.
     """
-    xv, P, indices = _embed(x, A)
+    P = A.matrix
     N, d = P.shape
-    if norm.kind == "lp" and norm.p == 2.0:
+    xv = _coords(x, d)
+    if norm.p == 2.0:
         _, dist = min_distance_over_simplex(P.T, xv, tol=tol)
         return dist
-    if norm.kind == "lp" and norm.p == 1.0:
-        coord_w = np.ones(d)
-    elif norm.kind == "weighted_l1":
-        coord_w = _column_weights(indices, norm)
-    elif norm.kind == "lp" and np.isinf(norm.p):
-        coord_w = None
+    if norm.p == 1.0:
+        U = np.eye(d)
+    elif np.isinf(norm.p):
+        U = np.ones((d, 1))
     else:
-        raise ValueError(f"dist_to_hull supports l1/l2/linf/weighted_l1, not {norm}")
-
-    if coord_w is not None:
-        # Variables (lam, u): minimize sum w_i u_i with u_i >= |x - P.T lam|_i.
-        n_vars = N + d
-        c = np.concatenate([np.zeros(N), coord_w])
-        rows, rel, rhs = [], [], []
-        for i in range(d):
-            r1 = np.zeros(n_vars)
-            r1[:N] = P[:, i]
-            r1[N + i] = 1.0
-            rows.append(r1), rel.append(">="), rhs.append(xv[i])
-            r2 = np.zeros(n_vars)
-            r2[:N] = -P[:, i]
-            r2[N + i] = 1.0
-            rows.append(r2), rel.append(">="), rhs.append(-xv[i])
-    else:
-        # Variables (lam, u): minimize u with u >= |x - P.T lam|_i for all i.
-        n_vars = N + 1
-        c = np.zeros(n_vars)
-        c[N] = 1.0
-        rows, rel, rhs = [], [], []
-        for i in range(d):
-            r1 = np.zeros(n_vars)
-            r1[:N] = P[:, i]
-            r1[N] = 1.0
-            rows.append(r1), rel.append(">="), rhs.append(xv[i])
-            r2 = np.zeros(n_vars)
-            r2[:N] = -P[:, i]
-            r2[N] = 1.0
-            rows.append(r2), rel.append(">="), rhs.append(-xv[i])
-    conv = np.zeros(n_vars)
-    conv[:N] = 1.0
-    rows.append(conv), rel.append("="), rhs.append(1.0)
+        raise ValueError(f"dist_to_hull supports l1/l2/linf, not {norm}")
+    # Variables (lam, u): minimize sum(u) with U u >= |x - P.T lam|, one
+    # pair of rows per coordinate (+P.T, then -P.T), and sum(lam) = 1.
+    k = U.shape[1]
+    G = np.zeros((2 * d + 1, N + k))
+    G[0:-1:2, :N] = P.T
+    G[1:-1:2, :N] = -P.T
+    G[:-1, N:] = np.repeat(U, 2, axis=0)
+    G[-1, :N] = 1.0
+    rhs = np.empty(2 * d + 1)
+    rhs[0:-1:2] = xv
+    rhs[1:-1:2] = -xv
+    rhs[-1] = 1.0
+    c = np.concatenate([np.zeros(N), np.ones(k)])
     sol = lp_solve(
-        LPInstance(c=c, A=np.array(rows), rel=tuple(rel), b=np.array(rhs)),
+        LPInstance(c=c, A=G, rel=(">=",) * (2 * d) + ("=",), b=rhs),
         tol=tol,
     )
     if sol.status != "optimal":
@@ -231,7 +178,6 @@ def convexity_defect(A: SampledSet, norm: NormSpec, t_grid: int) -> DefectReport
     if t_grid < 2:
         raise ValueError("t_grid must be at least 2")
     X = A.matrix
-    w = _column_weights(A.indices, norm) if norm.kind == "weighted_l1" else None
     ts = np.linspace(0.0, 1.0, t_grid)[1:-1]
     best = 0.0
     best_at = (0, 0, 0.0)
@@ -239,13 +185,13 @@ def convexity_defect(A: SampledSet, norm: NormSpec, t_grid: int) -> DefectReport
     for t in ts:
         for i in range(n):
             mids = t * X[i] + (1.0 - t) * X[i:]
-            dmin = _dists_to_points(mids, X, norm, w).min(axis=1)
+            dmin = _dists_to_points(mids, X, norm).min(axis=1)
             j_rel = int(np.argmax(dmin))
             if dmin[j_rel] > best:
                 best = float(dmin[j_rel])
                 best_at = (i, i + j_rel, float(t))
     i, j, t = best_at
-    return DefectReport(sup_defect=best, witness=(A.points[i], A.points[j], t))
+    return DefectReport(sup_defect=best, witness=(Vector.from_array(X[i]), Vector.from_array(X[j]), t))
 
 
 def hausdorff_lb(
@@ -257,11 +203,11 @@ def hausdorff_lb(
     """max over witnesses of d(w, A): a lower bound on H(A, Co(A)).
 
     Every witness must be certified to lie in the hull first; one that
-    is farther than `hull_tol` from Co(A) is rejected.
+    is farther than `hull_tol` from Co(A) is rejected.  The set distances
+    of all witnesses are then taken in one (len(witnesses), N) pass.
     """
     if not witnesses:
         raise ValueError("need at least one witness")
-    best = 0.0
     for w in witnesses:
         membership = dist_to_hull(w, A, norm, tol=min(hull_tol * 0.5, 1e-9))
         if membership > hull_tol:
@@ -269,8 +215,9 @@ def hausdorff_lb(
                 f"witness {w!r} is {membership:.3e} from the hull "
                 f"(tolerance {hull_tol:.1e}); not a valid lower-bound witness"
             )
-        best = max(best, dist_to_set(w, A, norm))
-    return best
+    X = A.matrix
+    W = np.array([_coords(w, X.shape[1]) for w in witnesses])
+    return float(_dists_to_points(W, X, norm).min(axis=1).max())
 
 
 def diameter(A: SampledSet, norm: NormSpec) -> float:
@@ -282,9 +229,8 @@ def diameter(A: SampledSet, norm: NormSpec) -> float:
     for bit, so the pairs a block sees twice do not change the maximum.
     """
     X = A.matrix
-    w = _column_weights(A.indices, norm) if norm.kind == "weighted_l1" else None
     best = 0.0
     for i in range(0, len(A), DIAMETER_BLOCK):
-        d = _dists_to_points(X[i : i + DIAMETER_BLOCK], X[i:], norm, w)
+        d = _dists_to_points(X[i : i + DIAMETER_BLOCK], X[i:], norm)
         best = max(best, float(d.max()))
     return best

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from approxconvex import constructions
+from approxconvex import constructions, hulls
 from approxconvex.cli import main
+from approxconvex.optim import ConvergenceError
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,13 @@ class TestReports:
         assert first == second
         assert praw1 == praw2
 
+    def test_infinite_p_is_a_string(self, capsys):
+        code, out, _ = run_cli(capsys, "lp-set", "--n", "3", "--p", "inf")
+        assert code == 0
+        (rep,) = parse_lines(out)
+        assert rep["params"]["p"] == "inf"
+        assert '"p":"inf"' in out
+
     def test_seventeen_digit_floats(self, capsys):
         _, out, _ = run_cli(capsys, "kappa", "--n", "2")
         assert "1.6666666666666667" in out
@@ -94,6 +102,17 @@ class TestExitCodes:
         assert out == ""
         assert "usage error" in err
         assert "1, 2 or inf" in err
+
+    def test_numerical_failure_is_three(self, capsys, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ConvergenceError("stalled in a test")
+
+        monkeypatch.setattr(hulls, "dist_to_hull", stalled)
+        code, out, err = run_cli(capsys, "lp-set", "--n", "3", "--p", "2", "--grid", "4")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: ")
+        assert "stalled in a test" in err
 
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "no-such-thing")

@@ -18,8 +18,8 @@ from approxconvex.constructions import (
     typep_bound,
     witness,
 )
-from approxconvex.core import NormSpec, simplex_grid_array
-from approxconvex.entropy import entropy_E_array, phi
+from approxconvex.core import NormSpec, SimplexPoint, simplex_grid_array
+from approxconvex.entropy import entropy_E, entropy_E_array, phi
 from approxconvex.hulls import convexity_defect, diameter, dist_to_hull, hausdorff_lb
 
 L2 = NormSpec.lp(2)
@@ -46,17 +46,27 @@ class TestBuildEntropySet:
     def test_anchored_variant_has_origin_vertex(self):
         A = build_entropy_set(spec_l2(3, 2.0, 1, variant="anchored"))
         assert any(len(p) == 0 for p in A.points)  # the t = e_n vertex is 0
-        assert len(A.indices) <= 3  # height axis + 2 horizontal axes
+        assert A.matrix.shape[1] <= 3  # height axis + 2 horizontal axes
+
+    @pytest.mark.parametrize("variant", ["full", "anchored"])
+    @pytest.mark.parametrize("n, grid", [(3, 1), (4, 3), (6, 5)])
+    def test_matrix_matches_reference(self, variant, n, grid):
+        M = 2.7
+        A = build_entropy_set(spec_l2(n, M, grid, variant))
+        n_horiz = n if variant == "full" else n - 1
+        T = simplex_grid_array(n, grid)
+        heights = [entropy_E(SimplexPoint(t)) for t in T]
+        horiz = [[M * t[i] for i in range(n_horiz)] for t in T]
+        ref = np.column_stack([heights, horiz])
+        assert A.matrix.shape == ref.shape == (len(T), n_horiz + 1)
+        assert A.matrix.tobytes() == ref.tobytes()
+        if grid == 1:
+            # Only vertices: the height column is kept, all zeros.
+            assert A.matrix[:, 0].tobytes() == np.zeros(len(T)).tobytes()
 
     def test_grid_overflow_rejected(self):
         with pytest.raises(ValueError, match="cap"):
             build_entropy_set(spec_l2(12, 1.0, 64))
-
-    def test_requires_lp_space(self):
-        with pytest.raises(ValueError):
-            build_entropy_set(
-                ConstructionSpec(space=NormSpec.tree(2.0), n=3, M=1.0, grid=2)
-            )
 
     def test_sampled_defect_with_mesh_allowance(self):
         # Approximate convexity survives sampling up to a mesh term:
@@ -305,7 +315,7 @@ class TestSampledSetConsistency:
         sp = spec_l2(n, M, grid)
         A = build_entropy_set(sp)
         X = A.matrix
-        h_col = A.indices.index(0)
+        h_col = 0  # the height axis
         for _ in range(100):
             w = rng.dirichlet(np.ones(len(A)))
             z = w @ X

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from approxconvex.hulls import (
     dist_to_set,
     hausdorff_lb,
 )
-from approxconvex.labels import leaf, pair
+from approxconvex.labels import leaf
 from approxconvex.optim import min_distance_over_simplex
 
 L2 = NormSpec.lp(2)
@@ -23,13 +24,13 @@ LINF = NormSpec.lp(math.inf)
 
 
 def setof(*arrays):
-    return SampledSet(points=tuple(Vector(dict(enumerate(a))) for a in arrays))
+    return SampledSet(np.array(arrays))
 
 
 def lambda_grid_distance(x, A, norm, mesh=60):
     """Brute-force oracle: min over a weight grid of ||x - sum w_i a_i||."""
     X = A.matrix
-    xv = x.to_array(A.indices)
+    xv = x.to_array(range(X.shape[1]))
     W = simplex_grid_array(len(A), mesh)
     pts = W @ X
     diff = pts - xv
@@ -40,6 +41,46 @@ def lambda_grid_distance(x, A, norm, mesh=60):
     else:
         d = np.abs(diff).max(axis=1)
     return float(d.min())
+
+
+class TestSampledSet:
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.array([1.0, 2.0]),
+            np.zeros((0, 3)),
+            np.zeros((3, 0)),
+            np.array([[0.0, 1.0], [np.nan, 0.0]]),
+            np.array([[0.0, np.inf]]),
+            np.array([[-np.inf, 1.0]]),
+        ],
+    )
+    def test_rejects_bad_arrays(self, array):
+        with pytest.raises(ValueError):
+            SampledSet(array)
+
+    def test_read_only_copy(self):
+        X = np.array([[1, 2], [3, 4]])
+        A = SampledSet(X)
+        X[0, 0] = 9
+        assert A.matrix.dtype == np.float64
+        assert A.matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert not A.matrix.flags.writeable
+        assert len(A) == 2
+
+    def test_points_are_rows(self):
+        A = setof([1.0, 0.0], [0.0, 2.5])
+        assert A.points == (Vector({0: 1.0}), Vector({1: 2.5}))
+
+    @pytest.mark.parametrize("norm", [L1, L2, LINF])
+    @pytest.mark.parametrize("index", [2, -1, leaf(1), "a"])
+    def test_queries_outside_the_coordinates_rejected(self, norm, index):
+        A = setof([1.0, 0.0], [0.0, 1.0])
+        x = Vector({0: 0.5, index: 1.0})
+        with pytest.raises(ValueError, match=re.escape(repr(index))):
+            dist_to_hull(x, A, norm)
+        with pytest.raises(ValueError, match=re.escape(repr(index))):
+            dist_to_set(x, A, norm)
 
 
 class TestDistToHull:
@@ -63,32 +104,17 @@ class TestDistToHull:
         A = setof([1.0, 0.0], [0.0, 1.0])
         assert dist_to_hull(Vector(), A, LINF) == pytest.approx(0.5, abs=1e-9)
 
-    def test_weighted_l1(self):
-        a, b = leaf(1), leaf(2)
-        p = pair(a, b)
-        A = SampledSet(points=(Vector({a: 1.0}), Vector({p: 1.0})))
-        # Distance from 0 to the segment: weights M on the leaf, 1 on the
-        # pair; minimized at the pure pair end.
-        d = dist_to_hull(Vector(), A, NormSpec.weighted_l1(3.0))
-        assert d == pytest.approx(1.0, abs=1e-8)
-
     def test_unsupported_norms_rejected(self):
         A = setof([1.0], [0.0])
         with pytest.raises(ValueError):
             dist_to_hull(Vector(), A, NormSpec.lp(3))
-        with pytest.raises(ValueError):
-            dist_to_hull(Vector(), A, NormSpec.tree(2.0))
 
     @pytest.mark.parametrize("norm", [L2, L1, LINF])
     def test_zero_iff_member_small_instances(self, rng, norm):
         for _ in range(25):
             n = int(rng.integers(1, 5))
             npts = int(rng.integers(2, 7))
-            A = SampledSet(
-                points=tuple(
-                    Vector(dict(enumerate(rng.normal(size=n)))) for _ in range(npts)
-                )
-            )
+            A = SampledSet(np.array([rng.normal(size=n) for _ in range(npts)]))
             # A hull member: random convex combination.
             w = rng.dirichlet(np.ones(npts))
             inside = Vector(dict(enumerate(w @ A.matrix)))
@@ -135,7 +161,7 @@ def test_l2_hard_queries_certified(euclid16, query):
     # Weak duality: every unit u gives d >= <x, u> - max_a <a, u>; take
     # u toward x from its nearest hull point.
     X = euclid16.matrix
-    xv = x.to_array(euclid16.indices)
+    xv = x.to_array(range(X.shape[1]))
     t, _ = min_distance_over_simplex(X.T, xv)
     u = xv - X.T @ t.values
     u /= np.linalg.norm(u)
@@ -159,24 +185,9 @@ class TestDenseDistances:
         else:
             np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("d", [1, 7, 8, 17])
-    def test_weighted_l1_matches_explicit_sum(self, rng, d):
-        Z = rng.normal(size=(4, d))
-        X = rng.normal(size=(6, d))
-        w = rng.choice([1.0, 3.0], size=d)
-        got = _dists_to_points(Z, X, NormSpec.weighted_l1(3.0), w)
-        ref = np.array([[sum(w[k] * abs(z[k] - x[k]) for k in range(d)) for x in X] for z in Z])
-        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
-
-    def test_rejects_tree_norm(self):
-        with pytest.raises(ValueError):
-            _dists_to_points(np.zeros((1, 2)), np.zeros((1, 2)), NormSpec.tree(2.0))
-
 
 def random_set(rng, npts, dim, scale=1.0):
-    return SampledSet(
-        points=tuple(Vector(dict(enumerate(scale * rng.normal(size=dim)))) for _ in range(npts))
-    )
+    return SampledSet(np.array([scale * rng.normal(size=dim) for _ in range(npts)]))
 
 
 class TestExactZeros:
@@ -285,6 +296,19 @@ class TestHausdorffLb:
         with pytest.raises(ValueError, match="from the hull"):
             hausdorff_lb(A, [Vector({0: 9.0})], L2)
 
+    def test_several_witnesses_match_set_distances(self, rng):
+        A = random_set(rng, 30, 4)
+        W = rng.dirichlet(np.ones(30), size=7) @ A.matrix
+        witnesses = [Vector.from_array(w) for w in W]
+        for norm in (L1, L2, LINF):
+            expected = max(dist_to_set(w, A, norm) for w in witnesses)
+            assert hausdorff_lb(A, witnesses, norm) == expected
+
+    def test_rejects_first_outside_witness(self):
+        A = setof([0.0], [4.0])
+        with pytest.raises(ValueError, match="witness Vector\\(\\{0: 9\\}\\)"):
+            hausdorff_lb(A, [Vector({0: 2.0}), Vector({0: 9.0}), Vector({0: -5.0})], L2)
+
     def test_never_exceeds_diameter(self, rng):
         for _ in range(20):
             pts = [rng.normal(size=3) for _ in range(5)]
@@ -292,7 +316,7 @@ class TestHausdorffLb:
             w = rng.dirichlet(np.ones(5))
             witness = Vector(dict(enumerate(w @ A.matrix)))
             lb = hausdorff_lb(A, [witness], L2)
-            everything = SampledSet(points=A.points + (witness,))
+            everything = SampledSet(np.vstack([A.matrix, w @ A.matrix]))
             assert lb <= diameter(everything, L2) + 1e-9
 
 
@@ -316,6 +340,6 @@ class TestDiameter:
     def test_several_row_blocks(self, rng, p):
         # 150 points span three blocks of rows.
         X = rng.normal(size=(150, 5))
-        A = SampledSet(points=tuple(Vector(dict(enumerate(x))) for x in X))
+        A = SampledSet(X)
         brute = max(float(np.linalg.norm(a - b, ord=p)) for a in X for b in X)
         assert diameter(A, NormSpec.lp(p)) == pytest.approx(brute, rel=1e-14)

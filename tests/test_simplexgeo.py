@@ -55,11 +55,7 @@ class TestNearFace:
                 assert res.distance <= alpha(n, k) + 1e-9
                 # FaceResult invariant: distance is reproduced by the
                 # generic hull-distance machinery on the chosen vertices.
-                A = SampledSet(
-                    points=tuple(
-                        Vector(dict(enumerate(V[i]))) for i in res.vertex_index_set
-                    )
-                )
+                A = SampledSet(V[list(res.vertex_index_set)])
                 check = dist_to_hull(Vector(), A, NormSpec.lp(2), tol=1e-11)
                 assert check == pytest.approx(res.distance, abs=1e-9)
 
