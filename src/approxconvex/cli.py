@@ -359,7 +359,9 @@ def _random_tree_vector(rng, max_labels=6, max_level=8, leaf_hi=64):
         lv = int(rng.integers(1, max_lv))
         return pair(rand_label(lv), rand_label(max_lv - lv))
 
-    labs = {rand_label(max_level) for _ in range(int(rng.integers(1, max_labels + 1)))}
+    # Labels hash by identity, so a set's order varies between processes;
+    # keep the distinct labels in draw order before drawing their values.
+    labs = dict.fromkeys(rand_label(max_level) for _ in range(int(rng.integers(1, max_labels + 1))))
     x = Vector({lab: float(rng.uniform(-2.0, 2.0)) for lab in labs})
     return x if x else Vector.unit(leaf(1))
 

@@ -7,8 +7,12 @@ Hausdorff distance from a set to its hull is bounded below here via
 explicit witnesses and above by analytic arguments elsewhere; no attempt
 is made to solve the inner max-min globally (it is a non-concave
 maximization).  Euclidean hull distances go through the minimum-norm-point
-quadratic kernel; l1 and l-infinity distances are exact LP
-reformulations.
+quadratic kernel.  l1 and l-infinity distances are exact LPs in equality
+form, P.T lam + s+ - s- = x with sum(lam) = 1, each built as one array.
+Under l1 every residual column s+_i, s-_i is a unit column of its
+coordinate row, so `lp_solve`'s crash basis covers every row but the
+convexity row.  The hull LP is always feasible and bounded, so a status
+other than optimal can only be numerical and raises `ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from numbers import Integral
 import numpy as np
 
 from .core import NormSpec, Vector
-from .optim import LPInstance, lp_solve, min_distance_over_simplex
+from .optim import ConvergenceError, LPInstance, lp_solve, min_distance_over_simplex
 
 __all__ = [
     "SampledSet",
@@ -116,8 +120,16 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
     """Distance from x to the convex hull of A, within tol.
 
     Euclidean distances use Wolfe's minimum-norm-point kernel over the
-    full weight simplex, certified by its Frank-Wolfe gap; l1 and
-    l-infinity are solved as linear programs.  Other norms are rejected.
+    full weight simplex, certified by its Frank-Wolfe gap.  l1 and
+    l-infinity are linear programs in equality form over (lam, s+, s-):
+    P.T lam + s+ - s- = x and sum(lam) = 1, all variables nonnegative,
+    so s+ - s- is the residual x - P.T lam.  l1 minimizes sum(s+ + s-);
+    l-infinity adds a variable u with rows s+_i + s-_i - u <= 0 and
+    minimizes u.  At an optimum s+_i * s-_i = 0 can be taken, so either
+    value is the exact distance.  Under l1, once `lp_solve` flips the rows
+    with x_i < 0, s-_i is the unit column e_i of coordinate row i there
+    and s+_i elsewhere, so the simplex starts on them and only the
+    convexity row needs an artificial.  Other norms are rejected.
     """
     P = A.matrix
     N, d = P.shape
@@ -126,30 +138,41 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
         _, dist = min_distance_over_simplex(P.T, xv, tol=tol)
         return dist
     if norm.p == 1.0:
-        U = np.eye(d)
+        n_u = 0
     elif np.isinf(norm.p):
-        U = np.ones((d, 1))
+        n_u = 1
     else:
         raise ValueError(f"dist_to_hull supports l1/l2/linf, not {norm}")
-    # Variables (lam, u): minimize sum(u) with U u >= |x - P.T lam|, one
-    # pair of rows per coordinate (+P.T, then -P.T), and sum(lam) = 1.
-    k = U.shape[1]
-    G = np.zeros((2 * d + 1, N + k))
-    G[0:-1:2, :N] = P.T
-    G[1:-1:2, :N] = -P.T
-    G[:-1, N:] = np.repeat(U, 2, axis=0)
-    G[-1, :N] = 1.0
-    rhs = np.empty(2 * d + 1)
-    rhs[0:-1:2] = xv
-    rhs[1:-1:2] = -xv
-    rhs[-1] = 1.0
-    c = np.concatenate([np.zeros(N), np.ones(k)])
+    # Columns lam (N), s+ (d), s- (d), then u under l-infinity; rows: the
+    # d coordinates, convexity, then under l-infinity the d rows
+    # s+_i + s-_i - u <= 0.
+    n_ub = d * n_u
+    n_cols = N + 2 * d + n_u
+    G = np.zeros((d + 1 + n_ub, n_cols))
+    G[:d, :N] = P.T
+    G[d, :N] = 1.0
+    eye = np.arange(d)
+    G[eye, N + eye] = 1.0
+    G[eye, N + d + eye] = -1.0
+    c = np.zeros(n_cols)
+    if n_ub:
+        G[d + 1 + eye, N + eye] = 1.0
+        G[d + 1 + eye, N + d + eye] = 1.0
+        G[d + 1 :, -1] = -1.0
+        c[-1] = 1.0
+    else:
+        c[N:] = 1.0
+    rhs = np.zeros(d + 1 + n_ub)
+    rhs[:d] = xv
+    rhs[d] = 1.0
     sol = lp_solve(
-        LPInstance(c=c, A=G, rel=(">=",) * (2 * d) + ("=",), b=rhs),
+        LPInstance(c=c, A=G, rel=("=",) * (d + 1) + ("<=",) * n_ub, b=rhs),
         tol=tol,
     )
     if sol.status != "optimal":
-        raise RuntimeError(f"hull-distance LP ended with status {sol.status}")
+        # The LP is feasible (any lam on the simplex) and bounded below
+        # by 0, so any other status is a numerical failure.
+        raise ConvergenceError(f"hull-distance LP ended with status {sol.status}")
     return max(float(sol.value), 0.0)
 
 

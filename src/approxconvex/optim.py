@@ -7,9 +7,12 @@ Three solvers used by every distance computation in the package:
   termination).  Its start is a crash basis: a row without a slack
   starts on a structural column equal to ``e_i``, and on an artificial
   only when it has none, so an LP such as the tree-norm decomposition
-  needs no phase 1.  A pivot updates only the rows where the pivot
-  column is nonzero when at most a quarter of them are, and the whole
-  tableau otherwise,
+  needs no phase 1, and the l1 hull-distance LP starts every coordinate
+  row on one of its residual columns ``s+``/``s-``.  The bookkeeping
+  around the tableau (bounds, standard form, crash, certificates) is
+  done on whole arrays, with no Python loop over variables.  A pivot
+  updates only the rows where the pivot column is nonzero when at most
+  a quarter of them are, and the whole tableau otherwise,
 * minimization of ``f(t) = ||c - L t||^2`` over the probability simplex
   by Wolfe's minimum-norm-point algorithm, exact in finitely many steps.
   Its affine steps are least-squares solves on edge vectors against the
@@ -62,7 +65,8 @@ class LPInstance:
     """A dense LP: optimize c.x subject to rows (a, rel, b) and bounds.
 
     ``bounds[j] = (lo, hi)`` with ``None`` for an unbounded side;
-    the default for every variable is ``(0, None)``.
+    the default for every variable is ``(0, None)``.  They are parsed
+    once into the float arrays ``lo`` and ``hi``, NaN for ``None``.
     """
 
     c: np.ndarray
@@ -71,6 +75,8 @@ class LPInstance:
     b: np.ndarray
     bounds: tuple[tuple[float | None, float | None], ...] = field(default=None)
     maximize: bool = False
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -86,17 +92,23 @@ class LPInstance:
         rel = tuple(self.rel)
         if len(rel) != A.shape[0] or any(r not in _RELATIONS for r in rel):
             raise ValueError(f"relations must be {_RELATIONS}, one per row")
-        bounds = self.bounds
-        if bounds is None:
-            bounds = ((0.0, None),) * len(c)
-        bounds = tuple((lo, hi) for lo, hi in bounds)
-        if len(bounds) != len(c):
-            raise ValueError("one bound pair per variable required")
+        n = len(c)
+        if self.bounds is None:
+            bounds = ((0.0, None),) * n
+            lo, hi = np.zeros(n), np.full(n, np.nan)
+        else:
+            bounds = tuple(map(tuple, self.bounds))
+            lohi = np.array(bounds, dtype=float)
+            if lohi.shape != (n, 2) and not (n == 0 and lohi.size == 0):
+                raise ValueError("one bound pair per variable required")
+            lo, hi = lohi.reshape(n, 2).T.copy()
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def n_vars(self) -> int:
@@ -131,8 +143,8 @@ class _Tableau:
     rank-1 update, which avoids gathering a copy of a wide tableau.
     """
 
-    def __init__(self, A, b, cost2, n_real, basis, tol):
-        self.T = np.array(A, dtype=float)  # copies: pivots must not alias inputs
+    def __init__(self, T, b, cost2, n_real, basis, tol):
+        self.T = T  # owned: pivots update it in place
         self.rhs = np.array(b, dtype=float)
         self.n_real = n_real  # columns that belong to the real LP
         self.basis = list(basis)
@@ -222,38 +234,36 @@ class _Tableau:
 def _standardize(lp: LPInstance):
     """Rewrite to min c.u, A u (rel) b with u >= 0 and b >= 0.
 
-    Returns the pieces plus the bookkeeping needed to map a standard-form
-    solution and its row duals back to the original instance.
+    A variable with a lower bound becomes ``lo + u``, one with only an
+    upper bound ``hi - u``, and a free one ``u+ - u-`` (two adjacent
+    columns); a boxed variable adds a row ``u <= hi - lo``.  Returns the
+    pieces plus the bookkeeping needed to map a standard-form solution
+    and its row duals back to the original instance, or None when some
+    bounds cross.
     """
-    n = lp.n_vars
+    lo, hi = lp.lo, lp.hi
+    has_lo, has_hi = ~np.isnan(lo), ~np.isnan(hi)
+    boxed = has_lo & has_hi
+    if (hi[boxed] < lo[boxed]).any():
+        return None  # trivially infeasible bounds
+    free = ~(has_lo | has_hi)
+    reps = np.where(free, 2, 1)
+    first = np.cumsum(reps) - reps  # each variable's first std column
+    idx = np.repeat(np.arange(lp.n_vars), reps)
+    sign = np.repeat(np.where(has_lo | free, 1.0, -1.0), reps)
+    sign[first[free] + 1] = -1.0
+    shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+    box_cols = first[boxed]
+    n_box = len(box_cols)
+    A_std = np.zeros((lp.n_rows + n_box, len(idx)))
+    # Gather straight into A_std (idx is in range, so "clip" changes
+    # nothing but skips take's buffered copy), then scale in place.
+    np.take(lp.A, idx, axis=1, out=A_std[: lp.n_rows], mode="clip")
+    A_std[: lp.n_rows] *= sign
+    A_std[lp.n_rows + np.arange(n_box), box_cols] = 1.0
+    b_std = np.concatenate([lp.b - lp.A @ shift, (hi - lo)[boxed]])
+    rel_std = list(lp.rel) + ["<="] * n_box
     c = -lp.c if lp.maximize else lp.c
-    shift = np.zeros(n)
-    cols = []  # (orig_index, sign)
-    extra_rows = []  # (col_in_std, rhs) for residual upper bounds
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None:
-            if hi is not None and hi < lo:
-                return None  # trivially infeasible bounds
-            shift[j] = lo
-            cols.append((j, 1.0))
-            if hi is not None:
-                extra_rows.append((len(cols) - 1, hi - lo))
-        elif hi is not None:
-            shift[j] = hi
-            cols.append((j, -1.0))
-        else:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-    n_std = len(cols)
-    idx = np.array([j for j, _ in cols], dtype=int)
-    sign = np.array([s for _, s in cols])
-    A_std = np.zeros((lp.n_rows + len(extra_rows), n_std))
-    A_std[: lp.n_rows] = lp.A[:, idx] * sign
-    b_std = np.concatenate([lp.b - lp.A @ shift, [r for _, r in extra_rows]])
-    rel_std = list(lp.rel)
-    for i, (k, _) in enumerate(extra_rows):
-        A_std[lp.n_rows + i, k] = 1.0
-        rel_std.append("<=")
     c_std = c[idx] * sign
     return A_std, b_std, rel_std, c_std, idx, sign, shift
 
@@ -279,56 +289,47 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None) -> 
         max_iter = 20_000 + 40 * (m + n_std)
 
     # Flip rows to make the rhs nonnegative, remembering the sign for duals.
+    # A is _standardize's own array, so it is flipped in place.
     row_sign = np.where(b < 0.0, -1.0, 1.0)
-    A = A * row_sign[:, None]
+    A *= row_sign[:, None]
     b = b * row_sign
-    rel = [
-        r if (r == "=" or s > 0) else ("<=" if r == ">=" else ">=")
-        for r, s in zip(rel, row_sign)
-    ]
+    rel = np.asarray(rel, dtype=str)
+    le = np.where(row_sign < 0.0, rel == ">=", rel == "<=")  # '<=' once flipped
 
-    # Slack / surplus columns; remember each row's initial identity column.
-    n_slack = sum(1 for r in rel if r != "=")
-    S = np.zeros((m, n_slack))
-    slack_of_row = {}
-    k = 0
-    for i, r in enumerate(rel):
-        if r == "<=":
-            S[i, k] = 1.0
-            slack_of_row[i] = n_std + k
-            k += 1
-        elif r == ">=":
-            S[i, k] = -1.0
-            k += 1
-    body = np.hstack([A, S])
-    n_real = n_std + n_slack
-    cost2 = np.concatenate([c, np.zeros(n_slack)])
+    # Slack / surplus columns, one per inequality row in row order; a
+    # '<=' row starts on its slack.
+    slack_rows = np.flatnonzero(rel != "=")
+    slack_cols = n_std + np.arange(len(slack_rows))
+    slack_le = le[slack_rows]
+    n_real = n_std + len(slack_rows)
+    cost2 = np.concatenate([c, np.zeros(len(slack_rows))])
+    identity_col = np.full(m, -1)  # each row's initial basic column, e_i
+    identity_col[slack_rows[slack_le]] = slack_cols[slack_le]
 
     # Crash: a row without a slack starts on a structural column equal to
-    # e_i (one nonzero, +1), the cheapest if several; only rows left
-    # without one get an artificial.
+    # e_i (one nonzero, +1), the cheapest if several (the first among
+    # equals); only rows left without one get an artificial.
     unit = (np.count_nonzero(A, axis=0) == 1) & (A.max(axis=0, initial=0.0) == 1.0)
     unit_cols = np.flatnonzero(unit)
-    crash_of_row = {}
     unit_rows, which = np.nonzero(A[:, unit_cols])
-    for i, j in zip(unit_rows.tolist(), unit_cols[which].tolist()):
-        if i not in slack_of_row and (i not in crash_of_row or c[j] < c[crash_of_row[i]]):
-            crash_of_row[i] = j
-    art_rows = [i for i in range(m) if i not in slack_of_row and i not in crash_of_row]
-    art = np.zeros((m, len(art_rows)))
-    identity_col = [0] * m  # the row's initial basic column, a unit column
-    for k, i in enumerate(art_rows):
-        art[i, k] = 1.0
-        identity_col[i] = n_real + k
-    for i, jcol in {**slack_of_row, **crash_of_row}.items():
-        identity_col[i] = jcol
+    keep = ~le[unit_rows]
+    unit_rows, unit_cols = unit_rows[keep], unit_cols[which[keep]]
+    order = np.lexsort((unit_cols, c[unit_cols], unit_rows))
+    crash_rows, first = np.unique(unit_rows[order], return_index=True)
+    identity_col[crash_rows] = unit_cols[order[first]]
+    art_rows = np.flatnonzero(identity_col < 0)
+    identity_col[art_rows] = n_real + np.arange(len(art_rows))
 
-    tab = _Tableau(np.hstack([body, art]), b, cost2, n_real, identity_col, tol)
+    T = np.zeros((m, n_real + len(art_rows)))
+    T[:, :n_std] = A
+    T[slack_rows, slack_cols] = np.where(slack_le, 1.0, -1.0)
+    T[art_rows, identity_col[art_rows]] = 1.0
+    tab = _Tableau(T, b, cost2, n_real, identity_col.tolist(), tol)
     n_all = tab.T.shape[1]
     allowed = np.ones(n_all, dtype=bool)
 
     feas_tol = tol * (1.0 + float(np.abs(b).sum()))
-    if art_rows:
+    if len(art_rows):
         status = tab.run(1, allowed, max_iter)
         if status == "unbounded":  # phase-1 objective is bounded below by 0
             raise ConvergenceError("phase 1 reported unbounded: numerical failure")
@@ -350,8 +351,7 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None) -> 
 
     # Recover the structural solution.
     x_std = np.zeros(n_all)
-    for i, j in enumerate(tab.basis):
-        x_std[j] = tab.rhs[i]
+    x_std[tab.basis] = tab.rhs
     x = np.array(shift, dtype=float)
     np.add.at(x, idx, sign * x_std[:n_std])  # in order: split columns add twice
 
@@ -369,24 +369,26 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None) -> 
     gap_tol = tol * (1.0 + abs(value_std) + abs(dual_std))
     value = float(np.dot(lp.c, x))
 
-    # Certify feasibility on the original instance before reporting.
-    resid = lp.A @ x - lp.b if lp.n_rows else np.zeros(0)
-    for i, r in enumerate(lp.rel):
-        scale = tol * (1.0 + abs(lp.b[i]))
-        ok = (
-            resid[i] <= scale
-            if r == "<="
-            else (resid[i] >= -scale if r == ">=" else abs(resid[i]) <= scale)
-        )
-        if not ok:
-            raise ConvergenceError(
-                f"optimal basis violates row {i} by {resid[i]:.3e}"
-            )
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and x[j] < lo - tol * (1 + abs(lo)):
-            raise ConvergenceError(f"variable {j} violates its lower bound")
-        if hi is not None and x[j] > hi + tol * (1 + abs(hi)):
-            raise ConvergenceError(f"variable {j} violates its upper bound")
+    # Certify feasibility on the original instance before reporting; a
+    # NaN fails every comparison, so it counts as a violation.
+    resid = lp.A @ x - lp.b
+    scale = tol * (1.0 + np.abs(lp.b))
+    rel_arr = np.asarray(lp.rel, dtype=str)
+    ok = np.where(
+        rel_arr == "<=",
+        resid <= scale,
+        np.where(rel_arr == ">=", resid >= -scale, np.abs(resid) <= scale),
+    )
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ConvergenceError(f"optimal basis violates row {i} by {resid[i]:.3e}")
+    below = x < lp.lo - tol * (1 + np.abs(lp.lo))  # False where lo is NaN
+    above = x > lp.hi + tol * (1 + np.abs(lp.hi))
+    bad = below | above
+    if bad.any():
+        j = int(np.argmax(bad))
+        side = "lower" if below[j] else "upper"
+        raise ConvergenceError(f"variable {j} violates its {side} bound")
     if gap > gap_tol:
         raise ConvergenceError(
             f"duality gap {gap:.3e} exceeds tolerance {gap_tol:.3e}"

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import Vector
 from .labels import TreeLabel, downward_closure, label_sort_key, leaf, pair
-from .optim import LPInstance, lp_solve
+from .optim import ConvergenceError, LPInstance, lp_solve
 
 __all__ = [
     "TreeLabel",
@@ -182,8 +182,8 @@ def _primal_lp(x: TreeVector, M: float, tol: float):
         LPInstance(c=c, A=A, rel=("=",) * N, b=b),
         tol=min(tol, 1e-9),
     )
-    if sol.status != "optimal":
-        raise RuntimeError(f"norm LP ended with status {sol.status}")
+    if sol.status != "optimal":  # y = x, w = 0 is feasible; values are >= 0
+        raise ConvergenceError(f"norm LP ended with status {sol.status}")
     return D, sol
 
 
@@ -217,7 +217,7 @@ def tree_norm(x: TreeVector, M: float, tol: float = DUALITY_TOL) -> tuple[float,
     dual = functional_eval(phi, x) if phi.values else 0.0
     gap = primal - dual
     if gap < -tol or gap > tol:
-        raise RuntimeError(
+        raise ConvergenceError(
             f"tree-norm duality gap {gap:.3e} exceeds tolerance {tol:.1e}"
         )
     return primal, dual
@@ -256,8 +256,8 @@ def tree_norm_dual_lp(x: TreeVector, M: float, tol: float = 1e-9) -> float:
         ),
         tol=tol,
     )
-    if sol.status != "optimal":
-        raise RuntimeError(f"dual norm LP ended with status {sol.status}")
+    if sol.status != "optimal":  # phi = 0 is feasible; the box bounds it
+        raise ConvergenceError(f"dual norm LP ended with status {sol.status}")
     return float(sol.value)
 
 

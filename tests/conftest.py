@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from approxconvex import treespace
+from approxconvex import hulls, treespace
 from approxconvex.core import Vector
 from approxconvex.labels import downward_closure, label_sort_key, leaf, pair
 
@@ -97,6 +97,21 @@ def tree_lps(x: Vector, M: float):
         treespace.tree_norm(x, M, tol=1e-7)
         treespace.tree_norm_dual_lp(x, M)
     return captured
+
+
+def hull_lps(x: Vector, A, norm):
+    """dist_to_hull(x, A, norm) and the LPs it passes to `lp_solve`,
+    captured at its call site."""
+    captured = []
+    solve = hulls.lp_solve
+
+    def record(lp, *args, **kwargs):
+        captured.append(lp)
+        return solve(lp, *args, **kwargs)
+
+    with mock.patch.object(hulls, "lp_solve", record):
+        value = hulls.dist_to_hull(x, A, norm)
+    return value, captured
 
 
 @pytest.fixture

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import approxconvex
 from approxconvex import constructions, hulls
 from approxconvex.cli import main
 from approxconvex.optim import ConvergenceError
@@ -59,6 +64,22 @@ class TestReports:
         second, praw2 = snap()
         assert first == second
         assert praw1 == praw2
+
+    def test_tree_norm_identical_across_processes(self):
+        # Tree labels hash by identity, so the iteration order of a label
+        # set depends on memory addresses, which differ between processes.
+        env = {**os.environ, "PYTHONPATH": str(Path(approxconvex.__file__).parents[1])}
+        argv = ["tree-norm", "--M", "2", "--samples", "25", "--seed", "0"]
+        prefixes = set()
+        for hashseed in range(8):
+            env["PYTHONHASHSEED"] = str(hashseed)
+            out = subprocess.run(
+                [sys.executable, "-m", "approxconvex", *argv],
+                env=env, capture_output=True, text=True, check=True,
+            ).stdout
+            assert json.loads(out)["pass"] is True
+            prefixes.add(out.split(',"elapsed_ms"')[0])
+        assert len(prefixes) == 1
 
     def test_infinite_p_is_a_string(self, capsys):
         code, out, _ = run_cli(capsys, "lp-set", "--n", "3", "--p", "inf")

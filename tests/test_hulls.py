@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from approxconvex import hulls
 from approxconvex.constructions import ConstructionSpec, build_entropy_set, critical_scale
 from approxconvex.core import NormSpec, Vector, simplex_grid_array
 from approxconvex.hulls import (
@@ -16,7 +17,7 @@ from approxconvex.hulls import (
     hausdorff_lb,
 )
 from approxconvex.labels import leaf
-from approxconvex.optim import min_distance_over_simplex
+from approxconvex.optim import ConvergenceError, LPSolution, min_distance_over_simplex
 
 L2 = NormSpec.lp(2)
 L1 = NormSpec.lp(1)
@@ -103,6 +104,15 @@ class TestDistToHull:
     def test_linf_segment(self):
         A = setof([1.0, 0.0], [0.0, 1.0])
         assert dist_to_hull(Vector(), A, LINF) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("norm", [L1, LINF])
+    def test_non_optimal_lp_is_a_numerical_failure(self, monkeypatch, norm):
+        # The hull LP is always feasible and bounded, so any other status
+        # can only be numerical.
+        monkeypatch.setattr(hulls, "lp_solve", lambda *a, **k: LPSolution(status="infeasible"))
+        A = setof([1.0, 0.0], [0.0, 1.0])
+        with pytest.raises(ConvergenceError, match="status infeasible"):
+            dist_to_hull(Vector(), A, norm)
 
     def test_unsupported_norms_rejected(self):
         A = setof([1.0], [0.0])

@@ -1,11 +1,15 @@
 """`lp_solve` against HiGHS (`scipy.optimize.linprog`), an independent
 LP solver used only as a test oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
+from approxconvex.core import NormSpec, Vector
+from approxconvex.hulls import SampledSet
 from approxconvex.optim import LPInstance, lp_solve
-from conftest import random_tree_vector, tree_lps
+from conftest import hull_lps, random_tree_vector, tree_lps
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -158,3 +162,59 @@ def test_tree_lps(closure):
         sol = assert_matches_highs(primal, rel=1e-9)
         assert_dual_certificate(primal, sol, tol=1e-9)
         assert assert_matches_highs(dual, rel=1e-9).value == pytest.approx(sol.value, rel=1e-9)
+
+
+def highs_hull_distance(P: np.ndarray, x: np.ndarray, p: float) -> float:
+    """min over lam in the simplex of ||x - P.T lam||_p, p = 1 or inf, by
+    HiGHS on its own formulation: variables (lam, u) with
+    +-(x - P.T lam) <= u coordinatewise (u one per coordinate for l1, a
+    single u for l-infinity) and minimize sum(u)."""
+    N, d = P.shape
+    U = np.eye(d) if p == 1.0 else np.ones((d, 1))
+    k = U.shape[1]
+    res = linprog(
+        np.concatenate([np.zeros(N), np.ones(k)]),
+        A_ub=np.block([[-P.T, -U], [P.T, -U]]),
+        b_ub=np.concatenate([-x, x]),
+        A_eq=np.concatenate([np.ones(N), np.zeros(k)])[None, :],
+        b_eq=[1.0],
+        bounds=(0.0, None),
+        method="highs",
+    )
+    assert res.status == 0
+    return float(res.fun)
+
+
+def hull_queries(rng, P: np.ndarray):
+    """Queries of every kind the hull LP meets: far off the hull, a
+    member, a point inside, and off-hull points with exactly zero
+    coordinates (rows with b = 0)."""
+    N, d = P.shape
+    off = P.mean(axis=0) + 3.0 * rng.normal(size=d)
+    zeroed = 3.0 * rng.normal(size=d)
+    zeroed[rng.random(d) < 0.5] = 0.0
+    return [
+        off,
+        P[int(rng.integers(N))],
+        rng.dirichlet(np.ones(N)) @ P,
+        zeroed,
+        np.zeros(d),
+    ]
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_hull_lps(d):
+    rng = np.random.default_rng(100 + d)
+    for N in (1, 2, 5, 17, 60):
+        P = rng.normal(size=(N, d))
+        P[rng.random((N, d)) < 0.2] = 0.0  # zero coordinates in the columns too
+        P = np.vstack([P, P[: max(1, N // 4)]])  # duplicated points
+        A = SampledSet(P)
+        for xq in hull_queries(rng, P):
+            for p, rows in ((1.0, d + 1), (math.inf, 2 * d + 1)):
+                value, (lp,) = hull_lps(Vector.from_array(xq), A, NormSpec.lp(p))
+                assert lp.n_rows == rows
+                sol = assert_matches_highs(lp)
+                assert_dual_certificate(lp, sol)
+                ref = highs_hull_distance(P, xq, p)
+                assert abs(value - ref) <= 1e-7 * max(1.0, ref)

@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxconvex import optim
 from approxconvex.core import simplex_grid_array
@@ -201,6 +203,144 @@ class TestLPSolve:
         assert (lp.c - lp.A.T @ sol.dual).min() >= -1e-9
         assert float(lp.b @ sol.dual) == pytest.approx(sol.value, abs=1e-9)
         assert sol.value == pytest.approx(23.12003618261667, abs=1e-9)  # HiGHS
+
+
+def loop_standardize(lp: LPInstance):
+    """Reference for `optim._standardize`: the same rewrite, one bound
+    pair at a time."""
+    n = lp.n_vars
+    c = -lp.c if lp.maximize else lp.c
+    shift = np.zeros(n)
+    cols = []  # (orig_index, sign)
+    extra_rows = []  # (col_in_std, rhs) for residual upper bounds
+    for j, (lo, hi) in enumerate(lp.bounds):
+        if lo is not None:
+            if hi is not None and hi < lo:
+                return None
+            shift[j] = lo
+            cols.append((j, 1.0))
+            if hi is not None:
+                extra_rows.append((len(cols) - 1, hi - lo))
+        elif hi is not None:
+            shift[j] = hi
+            cols.append((j, -1.0))
+        else:
+            cols.append((j, 1.0))
+            cols.append((j, -1.0))
+    idx = np.array([j for j, _ in cols], dtype=int)
+    sign = np.array([s for _, s in cols])
+    A_std = np.zeros((lp.n_rows + len(extra_rows), len(cols)))
+    A_std[: lp.n_rows] = lp.A[:, idx] * sign
+    b_std = np.concatenate([lp.b - lp.A @ shift, [r for _, r in extra_rows]])
+    rel_std = list(lp.rel)
+    for i, (k, _) in enumerate(extra_rows):
+        A_std[lp.n_rows + i, k] = 1.0
+        rel_std.append("<=")
+    c_std = c[idx] * sign
+    return A_std, b_std, rel_std, c_std, idx, sign, shift
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def bound_pair(draw):
+    kind = draw(st.sampled_from(["free", "lower", "upper", "boxed", "crossed"]))
+    a, b = draw(finite), draw(finite)
+    lo, hi = min(a, b), max(a, b)
+    if kind == "crossed" and lo == hi:
+        hi = lo + 1.0
+    return {
+        "free": (None, None),
+        "lower": (a, None),
+        "upper": (None, b),
+        "boxed": (lo, hi),
+        "crossed": (hi, lo),
+    }[kind]
+
+
+@st.composite
+def bounded_lps(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(0, 4))
+    vals = st.lists(finite, min_size=n, max_size=n)
+    return LPInstance(
+        c=draw(vals),
+        A=np.array([draw(vals) for _ in range(m)]).reshape(m, n),
+        rel=tuple(draw(st.sampled_from(["<=", "=", ">="])) for _ in range(m)),
+        b=draw(st.lists(finite, min_size=m, max_size=m)),
+        bounds=tuple(draw(bound_pair()) for _ in range(n)),
+        maximize=draw(st.booleans()),
+    )
+
+
+class TestStandardize:
+    @given(bounded_lps())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop(self, lp):
+        got, want = optim._standardize(lp), loop_standardize(lp)
+        if want is None:
+            assert got is None
+            return
+        for g, w in zip(got, want):
+            if isinstance(w, list):
+                assert g == w
+            else:
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert g.tobytes() == w.tobytes()
+
+    def test_crossed_bounds_are_infeasible(self):
+        lp = LPInstance(c=[1.0, 1.0], A=[[1.0, 1.0]], rel=("<=",), b=[3.0], bounds=((None, 2.0), (1.0, 0.5)))
+        assert optim._standardize(lp) is None
+        assert lp_solve(lp).status == "infeasible"
+
+    def test_bounds_stay_pairs(self):
+        lp = LPInstance(c=[1.0, 2.0], A=[[1.0, 1.0]], rel=("<=",), b=[3.0], bounds=[[None, 2.0], (1, None)])
+        assert lp.bounds == ((None, 2.0), (1, None))
+        assert np.array_equal(lp.lo, [np.nan, 1.0], equal_nan=True)
+        assert np.array_equal(lp.hi, [2.0, np.nan], equal_nan=True)
+        default = LPInstance(c=[1.0, 2.0], A=[[1.0, 1.0]], rel=("<=",), b=[3.0])
+        assert default.bounds == ((0.0, None), (0.0, None))
+        with pytest.raises(ValueError, match="one bound pair per variable"):
+            LPInstance(c=[1.0, 2.0], A=[[1.0, 1.0]], rel=("<=",), b=[3.0], bounds=((0.0, None),))
+
+
+class TestCertificates:
+    """A solution mapped back wrongly must be caught by the feasibility
+    certificate, which names the first violating row or variable."""
+
+    def shifted(self, monkeypatch, delta):
+        std = optim._standardize
+
+        def tampered(lp):
+            out = std(lp)
+            return out[:-1] + (out[-1] + np.asarray(delta),)
+
+        monkeypatch.setattr(optim, "_standardize", tampered)
+
+    def test_names_first_violated_row(self, monkeypatch):
+        # x = (1, 1) is optimal; moving x1 to -4 breaks rows 1 and 2.
+        lp = LPInstance(
+            c=[1.0, 1.0, 0.0], A=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+            rel=(">=", "=", ">="), b=[1.0, 1.0, 0.0],
+        )
+        self.shifted(monkeypatch, [0.0, -5.0, 0.0])
+        with pytest.raises(ConvergenceError, match=r"violates row 1 by -5\.000e\+00"):
+            lp_solve(lp)
+
+    @pytest.mark.parametrize("delta, message", [
+        ([0.0, -1.0, -1.0], "variable 1 violates its lower bound"),
+        ([0.0, 0.0, 9.0], "variable 2 violates its upper bound"),
+    ])
+    def test_names_first_violated_bound(self, monkeypatch, delta, message):
+        # Variables 1 and 2 appear in no row, so only their bounds see the shift.
+        lp = LPInstance(
+            c=[1.0, 1.0, 1.0], A=[[1.0, 0.0, 0.0]], rel=(">=",), b=[1.0],
+            bounds=((0.0, None), (0.0, None), (-1.0, 2.0)),
+        )
+        self.shifted(monkeypatch, delta)
+        with pytest.raises(ConvergenceError, match=message):
+            lp_solve(lp)
 
 
 class TestQuadraticKernel:

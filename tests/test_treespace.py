@@ -3,7 +3,9 @@ import concurrent.futures
 import numpy as np
 import pytest
 
+from approxconvex import treespace
 from approxconvex.core import Vector
+from approxconvex.optim import ConvergenceError, LPSolution
 from approxconvex.treespace import (
     DualFunctional,
     apply_S,
@@ -211,6 +213,22 @@ class TestTreeNorm:
 
     def test_zero_vector(self):
         assert tree_norm(Vector(), 2.0) == (0.0, 0.0)
+
+    def test_non_optimal_lps_are_numerical_failures(self, monkeypatch):
+        # Both LPs are always feasible and bounded, so a non-optimal
+        # status can only be numerical.
+        x = Vector.unit(pair(leaf(1), leaf(2)))
+        monkeypatch.setattr(treespace, "lp_solve", lambda *a, **k: LPSolution(status="unbounded"))
+        with pytest.raises(ConvergenceError, match="norm LP ended with status unbounded"):
+            tree_norm(x, 2.0)
+        with pytest.raises(ConvergenceError, match="dual norm LP ended with status unbounded"):
+            tree_norm_dual_lp(x, 2.0)
+
+    def test_duality_gap_is_a_numerical_failure(self, monkeypatch):
+        x = Vector.unit(pair(leaf(1), leaf(2)))
+        monkeypatch.setattr(treespace, "functional_eval", lambda phi, v: 0.0)
+        with pytest.raises(ConvergenceError, match="duality gap"):
+            tree_norm(x, 2.0)
 
     def test_functional_is_certificate(self, rng):
         for _ in range(10):
