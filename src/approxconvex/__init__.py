@@ -38,7 +38,6 @@ from .optim import (
     LPSolution,
     lp_solve,
     min_quadratic_over_simplex,
-    min_smooth_over_simplex,
 )
 from .simplexgeo import FaceResult, alpha, best_subset, face_chain, near_face
 from .treespace import (

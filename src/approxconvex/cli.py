@@ -167,7 +167,7 @@ def _cmd_euclid_set(cfg):
     grid = cfg.params.get("grid") or _auto_grid(n)
     crit = constructions.critical_scale(n)
     at_crit = abs(M - crit) <= 1e-9 * crit and n >= 4
-    numeric = constructions.euclid_witness_distance(n, M, mode="numeric", seed=cfg.seed)
+    numeric = constructions.euclid_witness_distance(n, M, mode="numeric")
     spec = constructions.ConstructionSpec(space=NormSpec.lp(2), n=n, M=M, grid=grid)
     sample = constructions.build_entropy_set(spec)
     diam = hulls.diameter(sample, NormSpec.lp(2))

@@ -20,15 +20,17 @@ them.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import NormSpec, Vector, simplex_grid_array
-from .entropy import entropy_E_array, phi_prime
+from .entropy import entropy_E_array, phi
 from .hulls import SampledSet
-from .optim import min_smooth_over_simplex
+from .optim import ConvergenceError
 
 __all__ = [
     "ConstructionSpec",
@@ -48,6 +50,11 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 MAX_SAMPLE_POINTS = 10**7
+# Split budget of min_smooth_over_simplex; n = 128 at the critical
+# scale takes about 31k splits.
+EUCLID_MAX_SPLITS = 100_000
+# Rounding margin of its lower bounds, relative to their scale.
+_ROUND = 2.0**-46
 
 
 @dataclass(frozen=True)
@@ -121,17 +128,108 @@ def critical_scale(n: int) -> float:
     return math.sqrt((2.0 / _LN2) * n * math.log2(n))
 
 
-def _g_objective(n: int, M: float):
+class _FamilyPoint(NamedTuple):
+    """g and its parts at the simplex point with j coordinates equal to
+    b, k equal to a = (1 - jb)/k and the rest 0; primes are d/db."""
+
+    b: float
+    g: float
+    Q: float
+    dQ: float
+    E: float
+    dE: float
+
+
+def _family_point(k: int, j: int, b: float, M2: float) -> _FamilyPoint:
+    a = (1.0 - j * b) / k
+    Q = k * a * a + j * b * b
+    E = k * phi(a) + j * phi(b)
+    dE = j * math.log(a / b) / _LN2 if b > 0.0 else math.inf
+    return _FamilyPoint(b, M2 * Q + E * E, Q, 2.0 * j * (b - a), E, dE)
+
+
+def _family_lower(
+    lo: _FamilyPoint, mid: _FamilyPoint, hi: _FamilyPoint, M2: float, n: int
+) -> float:
+    """Lower bound of g over the family segment [lo.b, hi.b], rounded
+    down; see :func:`min_smooth_over_simplex`."""
+    w = hi.b - lo.b
+    bound = M2 * hi.Q + lo.E * lo.E
+    slope = 0.0
+    if lo.dE < math.inf:
+        slope = max(
+            -(M2 * lo.dQ + 2.0 * lo.E * hi.dE), M2 * hi.dQ + 2.0 * hi.E * lo.dE, 0.0
+        )
+        bound = max(bound, mid.g - 0.5 * w * slope)
+    return bound - _ROUND * (M2 + hi.E * (hi.E + n + 2) + 0.5 * w * slope)
+
+
+def min_smooth_over_simplex(n: int, M: float, tol: float) -> tuple[float, float]:
+    """Certified bracket ``(lower, upper)`` of the minimum of
+    g(t) = M^2 ||t||^2 + E(t)^2 over the simplex, with
+    sqrt(upper - M^2/n) - sqrt(lower - M^2/n) <= tol.  ``upper`` is g at
+    an explicit simplex point.
+
+    Reduction.  E = 0 only at the vertices.  At a minimizer with E > 0
+    every positive coordinate solves 2M^2 t - (2E/ln 2)(ln t + 1) = mu,
+    whose left side is strictly convex in t, so the minimizer has at most
+    two distinct positive values: k coordinates equal to a and j equal to
+    b = (1 - ka)/j <= a, with k, j >= 1 and k + j <= n.  Each family
+    (k, j) is the segment b in [0, 1/(k+j)], whose right end is rounded
+    up one ulp so that it is covered; its ends b = 0 and b = a are the
+    points with one positive value (the vertices included).  On it
+    Q = k a^2 + j b^2 decreases (Q' = 2j(b - a)) and the concave E
+    increases (E' = (j/ln 2) ln(a/b)).
+
+    Search.  One best-first heap over the segments of every family,
+    split at midpoints (Lipschitz branch and bound; Piyavskii 1972,
+    Shubert 1972).  A segment of width w is bounded below by the larger of
+    M^2 Q(hi) + E(lo)^2 and the centered form g(mid) - (w/2) max(-G'_lo,
+    G'_hi, 0), where G' = M^2 Q' + 2 E E' is enclosed by the endpoint
+    values of the increasing Q', the decreasing E' and the increasing
+    E >= 0.  Near b = 0, where E' is unbounded, only the first applies.
+
+    Rounding.  Each bound combines nonnegative terms, each computed with
+    at most twenty operations of relative error at most u = 2^-53
+    (``math.log`` is faithful), so rounding costs at most 20u times the
+    sum of their magnitudes.  The one cancellation, a = (1 - jb)/k,
+    moves a by at most 3u/k, which moves M^2 Q by at most 6u M^2, E by
+    at most 3u (log2 n + 2) (|phi'| <= log2 n + 2 on [1/n, 1]), and the
+    slope term by at most 3u M^2 + 5u E n.  The one-ulp overshoot of the
+    right end moves Q and E only to second order.  So each computed
+    bound is within 2^-47 (M^2 + E(hi)(E(hi) + n + 2) + (w/2) slope) of
+    its exact value, and twice that is subtracted.
+
+    Raises :class:`ConvergenceError` if the bracket is not within ``tol``
+    after ``EUCLID_MAX_SPLITS`` splits.  The name is the module attribute
+    that the benchmark's tracer wraps.
+    """
     M2 = M * M
-
-    def g(t: np.ndarray) -> float:
-        return float(M2 * (t @ t) + entropy_E_array(t) ** 2)
-
-    def grad(t: np.ndarray) -> np.ndarray:
-        e = entropy_E_array(t)
-        return 2.0 * M2 * t + 2.0 * e * np.array([phi_prime(v) for v in t])
-
-    return g, grad
+    base = M2 / n
+    heap = []
+    upper = math.inf
+    for k in range(1, n):
+        for j in range(1, n - k + 1):
+            lo = _family_point(k, j, 0.0, M2)
+            hi = _family_point(k, j, math.nextafter(1.0 / (k + j), 1.0), M2)
+            mid = _family_point(k, j, 0.5 * hi.b, M2)
+            upper = min(upper, lo.g, mid.g, hi.g)
+            heap.append((_family_lower(lo, mid, hi, M2, n), k, j, lo, mid, hi))
+    heapq.heapify(heap)
+    for _ in range(EUCLID_MAX_SPLITS):
+        lower = min(heap[0][0], upper) if heap else upper
+        if math.sqrt(max(upper - base, 0.0)) - math.sqrt(max(lower - base, 0.0)) <= tol:
+            return lower, upper
+        _, k, j, lo, mid, hi = heapq.heappop(heap)
+        for left, right in ((lo, mid), (mid, hi)):
+            quarter = _family_point(k, j, 0.5 * (left.b + right.b), M2)
+            upper = min(upper, quarter.g)
+            bound = _family_lower(left, quarter, right, M2, n)
+            if bound < upper:
+                heapq.heappush(heap, (bound, k, j, left, quarter, right))
+    raise ConvergenceError(
+        f"witness distance bracket wider than {tol:.1e} after {EUCLID_MAX_SPLITS} splits"
+    )
 
 
 def euclid_witness_distance(
@@ -139,7 +237,6 @@ def euclid_witness_distance(
     M: float,
     mode: str = "auto",
     tol: float = 1e-9,
-    starts: int = 8,
     seed: int = 0,
 ) -> float:
     """Euclidean distance from the barycenter witness to the full
@@ -148,9 +245,11 @@ def euclid_witness_distance(
     The distance squared is min g - M^2/n with
     g(t) = M^2 sum t_i^2 + (sum phi(t_i))^2 over the simplex.  At the
     critical scale and n >= 4 the minimizer is the uniform point and the
-    distance is exactly log2 n ("analytic" mode); otherwise the minimum
-    is located numerically by multi-start projected gradient descent,
-    giving a certified upper bound on g ("numeric" mode).
+    distance is exactly log2 n ("analytic" mode).  "numeric" mode returns
+    sqrt(upper - M^2/n) for the certified bracket of
+    :func:`min_smooth_over_simplex`: the distance of an explicit simplex
+    point, within ``tol`` of the true distance.  ``seed`` is accepted for
+    compatibility and has no effect.
     """
     if mode not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -168,9 +267,8 @@ def euclid_witness_distance(
                 f"analytic mode requires the critical scale {crit:.12g}, got M={M}"
             )
         return math.log2(n)
-    g, grad = _g_objective(n, M)
-    _, gmin = min_smooth_over_simplex(g, grad, n, starts=starts, tol=tol, seed=seed)
-    radicand = gmin - M * M / n
+    _, upper = min_smooth_over_simplex(n, M, tol)
+    radicand = upper - M * M / n
     if radicand < -1e-9 * (1.0 + M * M / n):
         raise ArithmeticError(
             f"negative radicand {radicand:.3e}: numeric minimum below M^2/n"

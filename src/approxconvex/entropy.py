@@ -22,7 +22,6 @@ from .core import SimplexPoint
 
 __all__ = [
     "phi",
-    "phi_prime",
     "entropy_E",
     "affine_defect",
     "KappaReport",
@@ -41,11 +40,6 @@ def phi(t: float) -> float:
     if t == 0.0 or t == 1.0:
         return 0.0
     return -t * math.log(t) / _LN2
-
-def phi_prime(t: float) -> float:
-    """Derivative of phi for t > 0; capped near 0 where it diverges."""
-    t = max(t, 1e-300)
-    return -(math.log(t) + 1.0) / _LN2
 
 
 def _phi_array(t: np.ndarray) -> np.ndarray:

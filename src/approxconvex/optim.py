@@ -1,6 +1,6 @@
 """Self-contained optimization kernels.
 
-Three solvers used by every distance computation in the package:
+Two solvers used by every distance computation in the package:
 
 * a dense two-phase simplex LP solver (Dantzig pricing with a permanent
   switch to Bland's rule once degeneracy is detected, which guarantees
@@ -17,9 +17,7 @@ Three solvers used by every distance computation in the package:
   by Wolfe's minimum-norm-point algorithm, exact in finitely many steps.
   Its affine steps are least-squares solves on edge vectors against the
   current residual, and it stops on the Frank-Wolfe gap computed from the
-  weights it returns,
-* multi-start projected gradient descent for general smooth objectives
-  over the simplex, whose result is only ever used as an upper bound.
+  weights it returns.
 
 Instances are immutable and solver state is confined to one invocation,
 so concurrent solves of different instances are safe.
@@ -28,11 +26,10 @@ so concurrent solves of different instances are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .core import SimplexPoint, simplex_grid_array
+from .core import SimplexPoint
 
 __all__ = [
     "ConvergenceError",
@@ -41,12 +38,9 @@ __all__ = [
     "lp_solve",
     "min_quadratic_over_simplex",
     "min_distance_over_simplex",
-    "min_smooth_over_simplex",
-    "project_to_simplex",
 ]
 
 FW_MAX_ITER = 10_000
-PG_MAX_ITER = 2_000
 
 
 class ConvergenceError(RuntimeError):
@@ -561,93 +555,3 @@ def min_distance_over_simplex(
 
     lam, f, _, _ = _mnp(L, c, stop, max_iter)
     return SimplexPoint(lam), float(np.sqrt(max(f, 0.0)))
-
-
-# ---------------------------------------------------------------------------
-# Smooth minimization over the simplex: multi-start projected gradient
-# ---------------------------------------------------------------------------
-
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort method)."""
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.flatnonzero(u * np.arange(1, len(v) + 1) > (css - 1.0))[-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.clip(v - theta, 0.0, None)
-
-
-def _pg_descent(f, grad, t0, tol, max_iter):
-    t = np.array(t0, dtype=float)
-    fx = f(t)
-    # Scale the first trial step to the local gradient so that boundary
-    # starts (where capped entropy-type gradients are huge) do not get
-    # thrown onto a symmetric vertex in one jump.
-    g0 = float(np.linalg.norm(grad(t)))
-    step = 1.0 / (1.0 + g0)
-    for _ in range(max_iter):
-        g = grad(t)
-        moved = False
-        while step > 1e-18:
-            t_new = project_to_simplex(t - step * g)
-            delta = t_new - t
-            nd2 = float(delta @ delta)
-            if nd2 == 0.0:
-                break
-            f_new = f(t_new)
-            if f_new <= fx - 1e-4 * nd2 / step:
-                t, fx = t_new, f_new
-                step = min(step * 1.5, 1e6)
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-        if np.sqrt(nd2) <= max(tol, 1e-13):
-            break
-    return t, fx
-
-
-def min_smooth_over_simplex(
-    f: Callable[[np.ndarray], float],
-    grad: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    starts: int = 8,
-    tol: float = 1e-9,
-    max_iter: int = PG_MAX_ITER,
-    seed: int = 0,
-) -> tuple[SimplexPoint, float]:
-    """Best local minimizer found by multi-start projected gradient.
-
-    Starts from every vertex, the barycenter, coarse grid points,
-    asymmetric two-support edge points (symmetric edge midpoints can be
-    fixed points of the projected dynamics) and ``starts`` seeded
-    Dirichlet samples.  The returned value is an upper bound on the true
-    minimum; no global certificate is implied.
-    """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    if n == 1:
-        t = np.ones(1)
-        return SimplexPoint(t), float(f(t))
-    points = [np.eye(n)[i] for i in range(n)]
-    points.append(np.full(n, 1.0 / n))
-    if n <= 12:
-        points.extend(simplex_grid_array(n, 2))
-    if n <= 20:
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    t = np.zeros(n)
-                    t[i], t[j] = 0.9, 0.1
-                    points.append(t)
-    rng = np.random.default_rng(seed)
-    for _ in range(max(0, starts)):
-        points.append(rng.dirichlet(np.ones(n)))
-    best_t, best_f = None, np.inf
-    for t0 in points:
-        t, fx = _pg_descent(f, grad, t0, tol, max_iter)
-        if fx < best_f:
-            best_t, best_f = t, fx
-    return SimplexPoint.from_array(best_t), float(best_f)

@@ -200,7 +200,7 @@ def tree_norm_functional(x: TreeVector, M: float, tol: float = DUALITY_TOL):
     if not x:
         return 0.0, DualFunctional(values={}, scale=M)
     D, sol = _primal_lp(x, M, tol)
-    phi_vals = {lab: float(np.clip(sol.dual[i], -M, M)) for i, lab in enumerate(D)}
+    phi_vals = dict(zip(D, np.clip(sol.dual, -M, M).tolist()))
     phi = DualFunctional(values=phi_vals, scale=M).validate(tol=tol)
     return float(sol.value), phi
 

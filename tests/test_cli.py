@@ -40,6 +40,12 @@ class TestReports:
         assert rep["results"]["witness_distance"] == pytest.approx(4.0, abs=1e-9)
         assert rep["pass"] is True
 
+    def test_euclid_set_off_critical(self, capsys):
+        code, out, _ = run_cli(capsys, "euclid-set", "--n", "3", "--M", "0.5", "--grid", "2")
+        assert code == 0
+        (rep,) = parse_lines(out)
+        assert rep["results"]["witness_distance"] <= 0.40747914
+
     def test_tree_haus_example(self, capsys):
         code, out, _ = run_cli(capsys, "tree-haus", "--M", "2", "--N", "128")
         assert code == 0

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from approxconvex import constructions
 from approxconvex.constructions import (
     BoundReport,
     ConstructionSpec,
@@ -21,6 +24,7 @@ from approxconvex.constructions import (
 from approxconvex.core import NormSpec, SimplexPoint, simplex_grid_array
 from approxconvex.entropy import entropy_E, entropy_E_array, phi
 from approxconvex.hulls import convexity_defect, diameter, dist_to_hull, hausdorff_lb
+from approxconvex.optim import ConvergenceError
 
 L2 = NormSpec.lp(2)
 LN2 = math.log(2.0)
@@ -153,13 +157,22 @@ class TestEuclidWitnessDistance:
         assert numeric == pytest.approx(oracle, abs=1e-3)
 
     def test_numeric_agrees_with_analytic(self):
-        # The uniform point is a fixed point of the projected dynamics,
-        # so the multistart hits the analytic value far inside 1e-6.
-        for n in (4, 8):
+        for n in (4, 8, 16, 32):
             M = critical_scale(n)
             assert euclid_witness_distance(n, M, mode="numeric") == pytest.approx(
-                math.log2(n), abs=1e-6
+                math.log2(n), abs=1e-8
             )
+
+    def test_numeric_below_explicit_point(self):
+        # The minimizer lies near the vertex (1, 0, 0), off every grid
+        # the test could afford; this point pins the value from above.
+        n, M = 3, 0.5
+        t = np.array([0.99697, 0.00303, 0.0])
+        explicit = math.sqrt(g_values(t, M) - M * M / n)
+        assert explicit <= 0.40747914
+        numeric = euclid_witness_distance(n, M, mode="numeric", tol=1e-9)
+        assert numeric <= 0.40747914
+        assert numeric <= explicit + 1e-9
 
     def test_negative_radicand_reported(self, monkeypatch):
         import approxconvex.constructions as cons
@@ -175,6 +188,48 @@ class TestEuclidWitnessDistance:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             euclid_witness_distance(4, 1.0, mode="nonsense")
+
+
+def g_values(T, M):
+    """g(t) = M^2 ||t||^2 + E(t)^2, row-wise."""
+    return M * M * (T * T).sum(axis=-1) + entropy_E_array(T) ** 2
+
+
+class TestWitnessBracket:
+    @pytest.mark.parametrize(
+        "n,M", [(2, 1.0), (2, 0.05), (3, 0.5), (3, 4.0), (4, 1.0), (4, critical_scale(4))]
+    )
+    def test_against_grid(self, n, M):
+        tol = 1e-9
+        lower, upper = constructions.min_smooth_over_simplex(n, M, tol)
+        grid_min = float(g_values(simplex_grid_array(n, 100), M).min())
+        assert lower <= grid_min
+        assert upper <= grid_min + tol
+        base = M * M / n
+        assert math.sqrt(upper - base) - math.sqrt(max(lower - base, 0.0)) <= tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        M=st.floats(0.05, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lower_end_never_beaten(self, n, M, seed):
+        rng = np.random.default_rng(seed)
+        lower, upper = constructions.min_smooth_over_simplex(n, M, 1e-9)
+        assert lower <= upper
+        spread = rng.dirichlet(np.full(n, 0.3), size=2000)
+        # Near-vertex points: a vertex moved by 10^-12 .. 10^-1 toward
+        # a Dirichlet point.
+        s = 10.0 ** rng.uniform(-12.0, -1.0, size=(2000, 1))
+        vertices = np.eye(n)[rng.integers(n, size=2000)]
+        near = (1.0 - s) * vertices + s * rng.dirichlet(np.ones(n), size=2000)
+        assert g_values(np.vstack([spread, near]), M).min() >= lower
+
+    def test_split_budget(self, monkeypatch):
+        monkeypatch.setattr(constructions, "EUCLID_MAX_SPLITS", 3)
+        with pytest.raises(ConvergenceError, match="3 splits"):
+            constructions.min_smooth_over_simplex(8, 2.0, 1e-9)
 
 
 class TestBounds:

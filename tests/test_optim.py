@@ -14,8 +14,6 @@ from approxconvex.optim import (
     lp_solve,
     min_distance_over_simplex,
     min_quadratic_over_simplex,
-    min_smooth_over_simplex,
-    project_to_simplex,
 )
 from conftest import random_tree_vector, tree_lps
 
@@ -406,74 +404,3 @@ class TestQuadraticKernel:
             _, dist = min_distance_over_simplex(L, c, tol=1e-9)
             _, f = min_quadratic_over_simplex(L, c, tol=1e-12)
             assert dist == pytest.approx(math.sqrt(f), abs=1e-8)
-
-
-class TestSmoothKernel:
-    def test_sum_of_squares(self):
-        t, f = min_smooth_over_simplex(
-            lambda t: float(t @ t), lambda t: 2.0 * t, 3, starts=2
-        )
-        assert f == pytest.approx(1.0 / 3.0, abs=1e-9)
-        assert t.values == pytest.approx([1 / 3] * 3, abs=1e-6)
-
-    def test_entropy_squared_vanishes_at_vertex(self):
-        from approxconvex.entropy import entropy_E_array, phi_prime
-
-        def f(t):
-            return float(entropy_E_array(t) ** 2)
-
-        def grad(t):
-            e = entropy_E_array(t)
-            return 2.0 * e * np.array([phi_prime(v) for v in t])
-
-        _, val = min_smooth_over_simplex(f, grad, 2, starts=4)
-        assert val == pytest.approx(0.0, abs=1e-9)
-
-    def test_upper_bound_vs_quadratic(self, rng):
-        # Never below the certified quadratic optimum on the same problem.
-        for _ in range(15):
-            d = int(rng.integers(2, 4))
-            N = int(rng.integers(2, 5))
-            L = rng.normal(size=(d, N))
-            c = rng.normal(size=d)
-
-            def f(t):
-                r = L @ t - c
-                return float(r @ r)
-
-            def grad(t):
-                return 2.0 * (L.T @ (L @ t - c))
-
-            _, f_pg = min_smooth_over_simplex(f, grad, N, starts=4)
-            _, f_fw = min_quadratic_over_simplex(L, c, tol=1e-10)
-            assert f_pg >= f_fw - 1e-9
-
-    def test_gradient_failure_propagates(self):
-        def bad_grad(t):
-            raise FloatingPointError("boom")
-
-        with pytest.raises(FloatingPointError):
-            min_smooth_over_simplex(lambda t: float(t @ t), bad_grad, 3, starts=1)
-
-    def test_dimension_one(self):
-        t, f = min_smooth_over_simplex(lambda t: float(t @ t), lambda t: 2 * t, 1)
-        assert tuple(t) == (1.0,)
-        assert f == 1.0
-
-
-class TestSimplexProjection:
-    def test_inside_is_fixed(self):
-        v = np.array([0.2, 0.3, 0.5])
-        assert project_to_simplex(v) == pytest.approx(v, abs=1e-15)
-
-    def test_projection_optimality(self, rng):
-        for _ in range(200):
-            n = int(rng.integers(2, 8))
-            v = rng.normal(size=n) * 3.0
-            p = project_to_simplex(v)
-            assert p.min() >= 0.0
-            assert p.sum() == pytest.approx(1.0, abs=1e-9)
-            # Variational inequality against random feasible points.
-            for _ in range(5):
-                q = rng.dirichlet(np.ones(n))
-                assert float((v - p) @ (q - p)) <= 1e-9
