@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -32,7 +31,6 @@ from .optim import ConvergenceError, _affine_solve
 __all__ = ["ExperimentConfig", "run", "main"]
 
 DEFAULT_TOL = 1e-9
-TOL_ENV_VAR = "APPROXCONVEX_TOL"
 
 
 class UsageError(Exception):
@@ -516,9 +514,8 @@ def _parse_sweep(text: str) -> list[int]:
 
 
 def _build_parser() -> _Parser:
-    tol_default = float(os.environ.get(TOL_ENV_VAR, DEFAULT_TOL))
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=tol_default)
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument(

@@ -98,7 +98,7 @@ def _sample_count(n: int, grid: int) -> int:
 
 
 def build_entropy_set(spec: ConstructionSpec):
-    """Sample of the entropy-graph set over simplex_grid(n, grid).
+    """Sample of the entropy-graph set over simplex_grid_array(n, grid).
 
     Row i holds the height, the entropy of simplex parameter t_i, in
     column 0 and M times t_i's horizontal part in columns 1..n (or

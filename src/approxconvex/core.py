@@ -1,17 +1,18 @@
-"""Sparse vectors over arbitrary finite index sets, the norms used
-throughout (lp, weighted l1), and simplex grid generation.
+"""Sparse vectors over arbitrary finite index sets, simplex points and
+simplex grids, the lp norm spec and the weighted l1 norm of the tree
+space.
 
 Coordinates are 64-bit floats and all comparisons elsewhere use explicit
 tolerances.  Vectors are sparse maps, the representation of the tree
 space, whose index set is open-ended; single points of lp^n (queries and
-witnesses) are Vectors over 0..d-1, and point sets in lp^n are dense
-arrays (hulls.SampledSet).  Everything here is immutable after
-construction and safe to use concurrently.
+witnesses) are still Vectors over 0..d-1.  Point sets in lp^n, simplex
+grids included, are dense arrays, and every lp distance is computed on
+them (hulls).  Everything here is immutable after construction and safe
+to use concurrently.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
@@ -24,9 +25,7 @@ __all__ = [
     "Vector",
     "SimplexPoint",
     "NormSpec",
-    "lp_norm",
     "weighted_l1_norm",
-    "simplex_grid",
     "simplex_grid_array",
     "index_sort_key",
 ]
@@ -58,11 +57,9 @@ class Vector:
         return cls({index: 1.0})
 
     @classmethod
-    def from_array(cls, values, indices=None) -> "Vector":
-        values = np.asarray(values, dtype=float)
-        if indices is None:
-            indices = range(len(values))
-        return cls(zip(indices, values))
+    def from_array(cls, values) -> "Vector":
+        """The vector over 0..len(values)-1 with these coordinates."""
+        return cls(enumerate(np.asarray(values, dtype=float)))
 
     def get(self, index) -> float:
         return self._entries.get(index, 0.0)
@@ -72,9 +69,6 @@ class Vector:
 
     def support(self):
         return self._entries.keys()
-
-    def sorted_support(self) -> list:
-        return sorted(self._entries, key=index_sort_key)
 
     def to_array(self, indices) -> np.ndarray:
         return np.array([self._entries.get(i, 0.0) for i in indices])
@@ -124,7 +118,8 @@ class SimplexPoint:
 
     The sum is checked to within 1e-12 at construction; use
     :meth:`from_array` for numerically computed points that may need a
-    tiny cleanup (clipping of roundoff negatives, renormalisation).
+    tiny cleanup (clipping of roundoff negatives, renormalisation) of at
+    most 1e-9.
     """
 
     __slots__ = ("_t",)
@@ -143,10 +138,10 @@ class SimplexPoint:
         self._t = t
 
     @classmethod
-    def from_array(cls, values, tol: float = 1e-9) -> "SimplexPoint":
+    def from_array(cls, values) -> "SimplexPoint":
         t = np.asarray(values, dtype=float)
-        if np.any(t < -tol) or abs(float(t.sum()) - 1.0) > tol:
-            raise ValueError(f"not a simplex point within tolerance {tol}: {t}")
+        if np.any(t < -1e-9) or abs(float(t.sum()) - 1.0) > 1e-9:
+            raise ValueError(f"not a simplex point within tolerance 1e-9: {t}")
         t = np.clip(t, 0.0, None)
         return cls(t / t.sum())
 
@@ -194,28 +189,6 @@ class NormSpec:
     def lp(cls, p: float) -> "NormSpec":
         return cls(p=float(p))
 
-    def norm_of(self, x: Vector) -> float:
-        """Evaluate the norm of a sparse vector."""
-        return lp_norm(x, self.p)
-
-
-def lp_norm(x: Vector, p: float) -> float:
-    """The lp norm of a sparse vector, p in [1, inf]."""
-    p = float(p)
-    if not p >= 1.0:
-        raise ValueError(f"lp_norm needs p >= 1, got {p}")
-    vals = [abs(v) for v in dict(x.items()).values()]
-    if not vals:
-        return 0.0
-    if math.isinf(p):
-        return max(vals)
-    if p == 1.0:
-        return float(sum(vals))
-    if p == 2.0:
-        return float(math.sqrt(sum(v * v for v in vals)))
-    m = max(vals)
-    return float(m * sum((v / m) ** p for v in vals) ** (1.0 / p))
-
 
 def weighted_l1_norm(x: Vector, M: float) -> float:
     """Weighted l1 norm over tree labels: leaf entries carry weight M."""
@@ -229,19 +202,15 @@ def weighted_l1_norm(x: Vector, M: float) -> float:
     return total
 
 
-def simplex_grid(n: int, m: int) -> list[SimplexPoint]:
-    """All points of the standard simplex with coordinates k_i/m.
+def simplex_grid_array(n: int, m: int) -> np.ndarray:
+    """All points of the standard simplex with coordinates k_i/m, as the
+    rows of a (count, n) float array.
 
     Enumerates the compositions of m into n nonnegative parts; the count
     is C(m+n-1, n-1).
     """
-    return [SimplexPoint(row) for row in simplex_grid_array(n, m)]
-
-
-def simplex_grid_array(n: int, m: int) -> np.ndarray:
-    """Like :func:`simplex_grid` but returning a (count, n) float array."""
     if n < 1 or m < 1:
-        raise ValueError(f"simplex_grid needs n >= 1 and m >= 1, got n={n}, m={m}")
+        raise ValueError(f"simplex_grid_array needs n >= 1 and m >= 1, got n={n}, m={m}")
     if n == 1:
         return np.ones((1, 1))
     # Stars and bars: bar positions inside m+n-1 slots determine the counts.

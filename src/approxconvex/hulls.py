@@ -2,7 +2,8 @@
 witness-based Hausdorff lower bounds for finite sampled sets in lp^d.
 
 A sampled set is a dense (N, d) array: row i is point i and column j is
-coordinate j.  Query points and witnesses are Vectors over 0..d-1.  The
+coordinate j; it has no other representation.  Query points and
+witnesses are still Vectors over 0..d-1, converted to arrays on entry.  The
 Hausdorff distance from a set to its hull is bounded below here via
 explicit witnesses and above by analytic arguments elsewhere; no attempt
 is made to solve the inner max-min globally (it is a non-concave
@@ -64,12 +65,6 @@ class SampledSet:
     def matrix(self) -> np.ndarray:
         """The (N, d) coordinate array (read-only)."""
         return self._X
-
-    @cached_property
-    def points(self) -> tuple[Vector, ...]:
-        """The rows as Vectors over 0..d-1, built on first use; the
-        kernels here read only `matrix`."""
-        return tuple(Vector.from_array(row) for row in self._X)
 
 
 def _coords(x: Vector, d: int) -> np.ndarray:
@@ -217,26 +212,22 @@ def convexity_defect(A: SampledSet, norm: NormSpec, t_grid: int) -> DefectReport
     return DefectReport(sup_defect=best, witness=(Vector.from_array(X[i]), Vector.from_array(X[j]), t))
 
 
-def hausdorff_lb(
-    A: SampledSet,
-    witnesses: list[Vector],
-    norm: NormSpec,
-    hull_tol: float = HULL_MEMBERSHIP_TOL,
-) -> float:
+def hausdorff_lb(A: SampledSet, witnesses: list[Vector], norm: NormSpec) -> float:
     """max over witnesses of d(w, A): a lower bound on H(A, Co(A)).
 
-    Every witness must be certified to lie in the hull first; one that
-    is farther than `hull_tol` from Co(A) is rejected.  The set distances
-    of all witnesses are then taken in one (len(witnesses), N) pass.
+    Every witness must be certified to lie in the hull first, by a
+    distance solve to tol 1e-9; one that is farther than
+    HULL_MEMBERSHIP_TOL from Co(A) is rejected.  The set distances of all
+    witnesses are then taken in one (len(witnesses), N) pass.
     """
     if not witnesses:
         raise ValueError("need at least one witness")
     for w in witnesses:
-        membership = dist_to_hull(w, A, norm, tol=min(hull_tol * 0.5, 1e-9))
-        if membership > hull_tol:
+        membership = dist_to_hull(w, A, norm, tol=1e-9)
+        if membership > HULL_MEMBERSHIP_TOL:
             raise ValueError(
                 f"witness {w!r} is {membership:.3e} from the hull "
-                f"(tolerance {hull_tol:.1e}); not a valid lower-bound witness"
+                f"(tolerance {HULL_MEMBERSHIP_TOL:.1e}); not a valid lower-bound witness"
             )
     X = A.matrix
     W = np.array([_coords(w, X.shape[1]) for w in witnesses])

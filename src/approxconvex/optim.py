@@ -148,18 +148,13 @@ class _Tableau:
         self._stall = 0
         # Phase-2 reduced costs (artificials cost 0), priced out against
         # the initial basis; v2 is the negated objective.
-        self.r2 = np.concatenate([cost2, np.zeros(self.T.shape[1] - n_real)])
-        self.v2 = 0.0
-        for i, j in enumerate(self.basis):
-            cj = self.r2[j]
-            if cj != 0.0:
-                self.r2 = self.r2 - cj * self.T[i]
-                self.v2 -= cj * self.rhs[i]
+        cost = np.concatenate([cost2, np.zeros(self.T.shape[1] - n_real)])
+        c_B = cost[self.basis]
+        self.r2 = cost - c_B @ self.T
+        self.v2 = -float(c_B @ self.rhs)
         # Phase-1 reduced costs: cost 1 on artificials, priced out.
-        self.r1 = np.zeros(self.T.shape[1])
         art_rows = [i for i, j in enumerate(self.basis) if j >= n_real]
-        for i in art_rows:
-            self.r1 -= self.T[i]
+        self.r1 = -self.T[art_rows].sum(axis=0)
         self.r1[n_real:] += 1.0
         self.v1 = -float(self.rhs[art_rows].sum()) if art_rows else 0.0
 
@@ -262,12 +257,13 @@ def _standardize(lp: LPInstance):
     return A_std, b_std, rel_std, c_std, idx, sign, shift
 
 
-def lp_solve(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None) -> LPSolution:
+def lp_solve(lp: LPInstance, tol: float = 1e-9) -> LPSolution:
     """Two-phase dense simplex with a certified duality gap.
 
     Phase 1 runs only over the artificials that the crash basis could not
     avoid; row duals are read off the initial basic columns, whatever
-    their cost.
+    their cost.  A solve that needs more than 20,000 + 40 (rows +
+    standard-form columns) pivots raises :class:`ConvergenceError`.
 
     The reported optimum always comes with a dual vector whose objective
     agrees with the primal within ``tol`` (scaled); a numerical failure
@@ -279,8 +275,7 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, max_iter: int | None = None) -> 
         return LPSolution(status="infeasible")
     A, b, rel, c, idx, sign, shift = std
     m, n_std = A.shape
-    if max_iter is None:
-        max_iter = 20_000 + 40 * (m + n_std)
+    max_iter = 20_000 + 40 * (m + n_std)
 
     # Flip rows to make the rhs nonnegative, remembering the sign for duals.
     # A is _standardize's own array, so it is flipped in place.
@@ -449,7 +444,7 @@ def _ulp_polish(L, c, lam, stop):
             return lam, f, gap
 
 
-def _mnp(L, c, stop, max_iter):
+def _mnp(L, c, stop):
     """Wolfe's minimum-norm-point algorithm for f(lam) = ||c - L lam||^2.
 
     The corral ``S`` is the current vertex set.  Each major iteration
@@ -458,7 +453,9 @@ def _mnp(L, c, stop, max_iter):
     minimizer, dropping vertices whose weight would turn negative.
     ``stop(f, gap)`` decides termination from the value and the
     Frank-Wolfe gap (a valid bound on f - f_min for this convex f), both
-    computed from the weights returned.  Returns (lam, f, gap, iterations).
+    computed from the weights returned.  More than FW_MAX_ITER major
+    iterations raise :class:`ConvergenceError`.  Returns (lam, f, gap,
+    iterations).
     """
     L = np.asarray(L, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -500,9 +497,9 @@ def _mnp(L, c, stop, max_iter):
                 f"Frank-Wolfe gap {gap:.3e} stalled at the rounding floor "
                 f"after {it} iterations"
             )
-        if it >= max_iter:
+        if it >= FW_MAX_ITER:
             raise ConvergenceError(
-                f"Frank-Wolfe gap {gap:.3e} after {it} iterations (budget {max_iter})"
+                f"Frank-Wolfe gap {gap:.3e} after {it} iterations (budget {FW_MAX_ITER})"
             )
         it += 1
         f_before = f
@@ -518,10 +515,7 @@ def _mnp(L, c, stop, max_iter):
 
 
 def min_quadratic_over_simplex(
-    L: np.ndarray,
-    c: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = FW_MAX_ITER,
+    L: np.ndarray, c: np.ndarray, tol: float = 1e-9
 ) -> tuple[SimplexPoint, float]:
     """Minimize ``||c - L t||^2`` over the probability simplex.
 
@@ -530,15 +524,12 @@ def min_quadratic_over_simplex(
     :class:`ConvergenceError` if the gap cannot be certified within the
     iteration budget, or once iterations stop lowering the value first.
     """
-    lam, f, _, _ = _mnp(L, c, lambda f_, g_: g_ <= tol, max_iter)
+    lam, f, _, _ = _mnp(L, c, lambda f_, g_: g_ <= tol)
     return SimplexPoint(lam), f
 
 
 def min_distance_over_simplex(
-    L: np.ndarray,
-    c: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = FW_MAX_ITER,
+    L: np.ndarray, c: np.ndarray, tol: float = 1e-9
 ) -> tuple[SimplexPoint, float]:
     """Minimize ``||c - L t||`` (the distance itself) to accuracy ``tol``.
 
@@ -553,5 +544,5 @@ def min_distance_over_simplex(
         # sqrt(gap), so it still pins the distance to ~3e-8 absolute.
         return gap <= max(tol * tol, 0.5 * tol * np.sqrt(max(f, 0.0)), 1e-15 * (1.0 + abs(f)))
 
-    lam, f, _, _ = _mnp(L, c, stop, max_iter)
+    lam, f, _, _ = _mnp(L, c, stop)
     return SimplexPoint(lam), float(np.sqrt(max(f, 0.0)))

@@ -8,7 +8,8 @@ constructively: take the nearest facet, recenter at its nearest point,
 rescale the facet back onto a unit sphere, and recurse one dimension
 down.  Nearest points on facets are computed by the minimum-norm-point
 quadratic kernel, and affine coordinates by its affine solve, so that the
-whole module shares one code path with the hull distances.
+whole module shares one code path with the hull distances.  Vertices and
+points are the rows of a dense array.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Vector, index_sort_key
 from .optim import _affine_solve, min_distance_over_simplex, min_quadratic_over_simplex
 
 __all__ = ["FaceResult", "alpha", "near_face", "face_chain", "best_subset"]
@@ -47,19 +47,6 @@ def alpha(n: int, k: int) -> float:
     return math.sqrt((n - k) / (n * (k + 1)))
 
 
-def _as_matrix(vertices) -> np.ndarray:
-    if isinstance(vertices, np.ndarray):
-        return np.array(vertices, dtype=float)
-    rows = list(vertices)
-    if rows and isinstance(rows[0], Vector):
-        universe = set()
-        for v in rows:
-            universe.update(v.support())
-        indices = sorted(universe, key=index_sort_key)
-        return np.array([v.to_array(indices) for v in rows])
-    return np.array(rows, dtype=float)
-
-
 def _origin_barycentric(V: np.ndarray) -> np.ndarray:
     """Affine coordinates of the origin; rejects degenerate input or an
     origin outside the affine hull."""
@@ -77,7 +64,7 @@ def _origin_barycentric(V: np.ndarray) -> np.ndarray:
 
 
 def _validated(vertices) -> np.ndarray:
-    V = _as_matrix(vertices)
+    V = np.array(vertices, dtype=float)
     if V.ndim != 2 or V.shape[0] < 2:
         raise ValueError("need at least two vertices")
     norms = np.linalg.norm(V, axis=1)
@@ -127,8 +114,8 @@ def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
 def near_face(vertices, k: int) -> FaceResult:
     """A k-face within alpha(n, k) of the origin.
 
-    ``vertices`` are the n+1 simplex vertices (rows of an array, or
-    Vectors) on the unit sphere with the origin strictly inside; inputs
+    ``vertices`` are the n+1 simplex vertices, the rows of an (n+1, n)
+    array, on the unit sphere with the origin strictly inside; inputs
     on the boundary within 1e-10 are jittered by 1e-8 and retried.
     """
     V = _validated(vertices)
@@ -155,13 +142,14 @@ def face_chain(vertices) -> list[FaceResult]:
 
 def best_subset(points, j: int) -> FaceResult:
     """A j-element subset whose hull passes within sqrt((n+1-j)/(nj)) of
-    the origin, given n+1 points of the unit ball whose hull contains 0.
+    the origin, given n+1 points of the unit ball whose hull contains 0,
+    the rows of an (n+1, n) array.
 
     Normalizes the points onto the sphere, finds a near (j-1)-face there,
     and reports the distance for the original (un-normalized) subset,
     which can only be smaller.
     """
-    P = _as_matrix(points)
+    P = np.array(points, dtype=float)
     n = P.shape[0] - 1
     if not 1 <= j <= n:
         raise ValueError(f"best_subset needs 1 <= j <= n, got j={j} for n={n}")

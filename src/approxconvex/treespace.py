@@ -155,8 +155,20 @@ def functional_eval(phi: DualFunctional, x: TreeVector) -> float:
     return total
 
 
-def _closure_order(x: TreeVector) -> list[TreeLabel]:
-    return sorted(downward_closure(x.support()), key=label_sort_key)
+def _halving(x: TreeVector):
+    """(D, S, pairs): the downward closure D of supp(x) in label order,
+    S = I - T on it as an (N, N) array whose column j is S(e_D[j]), and
+    the positions in D of its pairs.
+
+    Each child gets its -1/2 from its own statement, so a pair (a, a)
+    puts -1 on a."""
+    D = sorted(downward_closure(x.support()), key=label_sort_key)
+    pos = {lab: i for i, lab in enumerate(D)}
+    pairs = [j for j, lab in enumerate(D) if not lab.is_leaf]
+    S = np.eye(len(D))
+    S[[pos[D[j].left] for j in pairs], pairs] -= 0.5
+    S[[pos[D[j].right] for j in pairs], pairs] -= 0.5
+    return D, S, pairs
 
 
 def _primal_lp(x: TreeVector, M: float, tol: float):
@@ -166,14 +178,8 @@ def _primal_lp(x: TreeVector, M: float, tol: float):
     M||y||_1 + ||w||_1' is exact after sign splitting.  The row duals of
     this LP are precisely a maximizing dual functional.
     """
-    D = _closure_order(x)
+    D, S, _ = _halving(x)
     N = len(D)
-    pos = {lab: i for i, lab in enumerate(D)}
-    S = np.eye(N)
-    for lab, j in pos.items():
-        if not lab.is_leaf:
-            S[pos[lab.left], j] -= 0.5
-            S[pos[lab.right], j] -= 0.5
     A = np.hstack([np.eye(N), -np.eye(N), S, -S])
     b = x.to_array(D)
     wprime = np.array([M if lab.is_leaf else 1.0 for lab in D])
@@ -230,28 +236,18 @@ def tree_norm_dual_lp(x: TreeVector, M: float, tol: float = 1e-9) -> float:
     _check_tree_indices(x)
     if not x:
         return 0.0
-    D = _closure_order(x)
-    N = len(D)
-    pos = {lab: i for i, lab in enumerate(D)}
-    rows, rhs = [], []
-    for lab, j in pos.items():
-        if not lab.is_leaf:
-            row = np.zeros(N)
-            row[j] = 1.0
-            row[pos[lab.left]] -= 0.5
-            row[pos[lab.right]] -= 0.5
-            rows.append(row)
-            rhs.append(1.0)
-            rows.append(-row)
-            rhs.append(1.0)
-    A = np.array(rows) if rows else np.zeros((0, N))
+    D, S, pairs = _halving(x)
+    # Rows +-(S e_d) . phi <= 1 for each pair d: its midpoint defect.
+    A = np.empty((2 * len(pairs), len(D)))
+    A[0::2] = S[:, pairs].T
+    A[1::2] = -A[0::2]
     sol = lp_solve(
         LPInstance(
             c=x.to_array(D),
             A=A,
-            rel=("<=",) * len(rhs),
-            b=np.array(rhs),
-            bounds=((-M, M),) * N,
+            rel=("<=",) * len(A),
+            b=np.ones(len(A)),
+            bounds=((-M, M),) * len(D),
             maximize=True,
         ),
         tol=tol,
@@ -269,7 +265,9 @@ def extend_phi(
     E must be closed under children and phi0 must satisfy the dual-ball
     constraints on it.  New leaves default to -M; new pairs take the
     exact midpoint of their children (defect zero), processed upward by
-    level.
+    level.  Only the extension is validated: the new values can break no
+    constraint, and E's labels come first, so a violation on E raises
+    the same error it would on phi0 alone.
     """
     M = phi0.scale
     E = set(E)
@@ -278,7 +276,6 @@ def extend_phi(
             raise ValueError(f"{lab!r} is in E but its children are not")
         if lab not in phi0.values:
             raise ValueError(f"phi0 is undefined on {lab!r} in E")
-    DualFunctional(values={l: phi0.values[l] for l in E}, scale=M).validate()
     values = {l: phi0.values[l] for l in E}
     domain = downward_closure(set(universe) | E)
     for lab in sorted(domain - E, key=label_sort_key):

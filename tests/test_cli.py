@@ -176,19 +176,13 @@ class TestFormats:
         assert code == 1
 
 
-class TestEnvironment:
-    def test_tol_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("APPROXCONVEX_TOL", "1e-6")
-        code, out, _ = run_cli(capsys, "kappa", "--n", "3")
-        assert code == 0
-        (rep,) = parse_lines(out)
-        assert rep["params"]["tol"] == pytest.approx(1e-6)
-
-    def test_tol_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("APPROXCONVEX_TOL", "1e-6")
-        code, out, _ = run_cli(capsys, "kappa", "--n", "3", "--tol", "1e-12")
-        (rep,) = parse_lines(out)
-        assert rep["params"]["tol"] == pytest.approx(1e-12)
+class TestTolerance:
+    def test_tol_flag(self, capsys):
+        for argv, tol in (((), 1e-9), (("--tol", "1e-12"), 1e-12)):
+            code, out, _ = run_cli(capsys, "kappa", "--n", "3", *argv)
+            assert code == 0
+            (rep,) = parse_lines(out)
+            assert rep["params"]["tol"] == pytest.approx(tol)
 
 
 class TestCommandSweepCoverage:

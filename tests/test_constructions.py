@@ -37,19 +37,19 @@ def spec_l2(n, M, grid, variant="full"):
 class TestBuildEntropySet:
     def test_vertex_sample(self):
         A = build_entropy_set(spec_l2(3, 5.0, 1))
-        pts = {tuple(sorted(p.items())) for p in A.points}
+        pts = {tuple(row) for row in A.matrix.tolist()}
         # Vertices of the parameter simplex map to M e_i with zero height.
-        assert pts == {((1, 5.0),), ((2, 5.0),), ((3, 5.0),)}
+        assert pts == {(0.0, 5.0, 0.0, 0.0), (0.0, 0.0, 5.0, 0.0), (0.0, 0.0, 0.0, 5.0)}
 
     def test_midpoint_height(self):
         A = build_entropy_set(spec_l2(2, 2.0, 2))
         assert len(A) == 3
-        heights = sorted(p.get(0) for p in A.points)
+        heights = sorted(A.matrix[:, 0])
         assert heights == pytest.approx([0.0, 0.0, 1.0])
 
     def test_anchored_variant_has_origin_vertex(self):
         A = build_entropy_set(spec_l2(3, 2.0, 1, variant="anchored"))
-        assert any(len(p) == 0 for p in A.points)  # the t = e_n vertex is 0
+        assert any(not row.any() for row in A.matrix)  # the t = e_n vertex is 0
         assert A.matrix.shape[1] <= 3  # height axis + 2 horizontal axes
 
     @pytest.mark.parametrize("variant", ["full", "anchored"])
@@ -114,7 +114,7 @@ class TestWitness:
         for n in (2, 5, 9):
             M = 3.0
             w = witness(spec_l2(n, M, 2))
-            assert NormSpec.lp(2).norm_of(w) == pytest.approx(M / math.sqrt(n), abs=1e-12)
+            assert np.linalg.norm(w.to_array(range(n + 1))) == pytest.approx(M / math.sqrt(n), abs=1e-12)
 
     def test_membership(self):
         sp = spec_l2(4, 2.5, 4)

@@ -9,11 +9,10 @@ from approxconvex.core import (
     NormSpec,
     SimplexPoint,
     Vector,
-    lp_norm,
-    simplex_grid,
     simplex_grid_array,
     weighted_l1_norm,
 )
+from approxconvex.hulls import SampledSet, dist_to_set
 from approxconvex.labels import leaf, pair
 
 
@@ -21,22 +20,13 @@ def vec(*vals):
     return Vector(dict(enumerate(vals)))
 
 
-class TestLpNorm:
-    def test_pythagorean(self):
-        assert lp_norm(vec(3.0, 4.0), 2) == pytest.approx(5.0, abs=1e-12)
+ORIGIN = SampledSet(np.zeros((1, 6)))
 
-    def test_l1(self):
-        assert lp_norm(vec(1.0, -1.0, 1.0), 1) == pytest.approx(3.0, abs=1e-12)
 
-    def test_linf(self):
-        assert lp_norm(vec(1.0, -2.0), math.inf) == pytest.approx(2.0, abs=1e-12)
-
-    def test_rejects_p_below_one(self):
-        with pytest.raises(ValueError):
-            lp_norm(vec(1.0), 0.5)
-
-    def test_zero_vector(self):
-        assert lp_norm(Vector(), 3.0) == 0.0
+def dense_norm(x, p):
+    """||x||_p of a vector over 0..5 by the dense distance kernel: its
+    distance from the origin."""
+    return dist_to_set(x, ORIGIN, NormSpec.lp(p))
 
 
 class TestWeightedL1:
@@ -61,11 +51,11 @@ class TestWeightedL1:
 
 class TestSimplexGrid:
     def test_n2_m2(self):
-        pts = {tuple(p) for p in simplex_grid(2, 2)}
+        pts = {tuple(p) for p in simplex_grid_array(2, 2).tolist()}
         assert pts == {(1.0, 0.0), (0.5, 0.5), (0.0, 1.0)}
 
     def test_vertices(self):
-        pts = {tuple(p) for p in simplex_grid(3, 1)}
+        pts = {tuple(p) for p in simplex_grid_array(3, 1).tolist()}
         assert pts == {(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)}
 
     def test_count_n3_m4(self):
@@ -75,21 +65,22 @@ class TestSimplexGrid:
             for a in range(5)
             for b in range(5 - a)
         }
-        pts = {tuple(p) for p in simplex_grid(3, 4)}
+        pts = {tuple(p) for p in simplex_grid_array(3, 4).tolist()}
         assert len(oracle) == 15
         assert pts == oracle
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("m", range(1, 11))
     def test_cardinality_and_validity(self, n, m):
-        pts = simplex_grid(n, m)
-        assert len(pts) == math.comb(m + n - 1, n - 1)
-        for p in pts:
-            assert isinstance(p, SimplexPoint)  # constructor enforced invariants
+        pts = simplex_grid_array(n, m)
+        assert pts.shape == (math.comb(m + n - 1, n - 1), n)
+        # The invariants the SimplexPoint constructor enforces.
+        assert (pts >= 0.0).all()
+        assert np.abs(pts.sum(axis=1) - 1.0).max() <= SimplexPoint.SUM_TOL
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            simplex_grid(0, 3)
+            simplex_grid_array(0, 3)
         with pytest.raises(ValueError):
             simplex_grid_array(3, 0)
 
@@ -105,18 +96,18 @@ class TestNormAxioms:
     @given(sparse_vectors, sparse_vectors, st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
     @settings(max_examples=300, deadline=None)
     def test_triangle_inequality_lp(self, x, y, p):
-        assert lp_norm(x + y, p) <= lp_norm(x, p) + lp_norm(y, p) + 1e-10
+        assert dense_norm(x + y, p) <= dense_norm(x, p) + dense_norm(y, p) + 1e-10
 
     @given(sparse_vectors, st.floats(-5, 5, allow_nan=False), st.sampled_from([1.0, 2.0, math.inf]))
     @settings(max_examples=300, deadline=None)
     def test_homogeneity_lp(self, x, a, p):
-        assert lp_norm(a * x, p) == pytest.approx(abs(a) * lp_norm(x, p), abs=1e-10)
+        assert dense_norm(a * x, p) == pytest.approx(abs(a) * dense_norm(x, p), abs=1e-10)
 
     @given(sparse_vectors)
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_p(self, x):
         ps = [1.0, 1.5, 2.0, 3.0, 7.0, math.inf]
-        norms = [lp_norm(x, p) for p in ps]
+        norms = [dense_norm(x, p) for p in ps]
         for a, b in zip(norms, norms[1:]):
             assert b <= a + 1e-10
 
@@ -158,4 +149,3 @@ class TestTypes:
     def test_normspec_validation(self):
         with pytest.raises(ValueError):
             NormSpec.lp(0.5)
-        assert NormSpec.lp(2).norm_of(vec(3.0, 4.0)) == pytest.approx(5.0)

@@ -28,6 +28,11 @@ def setof(*arrays):
     return SampledSet(np.array(arrays))
 
 
+def rows(A):
+    """The points of A as query Vectors."""
+    return [Vector.from_array(row) for row in A.matrix]
+
+
 def lambda_grid_distance(x, A, norm, mesh=60):
     """Brute-force oracle: min over a weight grid of ||x - sum w_i a_i||."""
     X = A.matrix
@@ -69,10 +74,6 @@ class TestSampledSet:
         assert not A.matrix.flags.writeable
         assert len(A) == 2
 
-    def test_points_are_rows(self):
-        A = setof([1.0, 0.0], [0.0, 2.5])
-        assert A.points == (Vector({0: 1.0}), Vector({1: 2.5}))
-
     @pytest.mark.parametrize("norm", [L1, L2, LINF])
     @pytest.mark.parametrize("index", [2, -1, leaf(1), "a"])
     def test_queries_outside_the_coordinates_rejected(self, norm, index):
@@ -87,7 +88,7 @@ class TestSampledSet:
 class TestDistToHull:
     def test_member_is_zero(self):
         A = setof([1.0, 0.0], [0.0, 1.0])
-        assert dist_to_hull(A.points[0], A, L2) == pytest.approx(0.0, abs=1e-8)
+        assert dist_to_hull(rows(A)[0], A, L2) == pytest.approx(0.0, abs=1e-8)
 
     def test_l2_segment(self):
         A = setof([1.0, 0.0], [0.0, 1.0])
@@ -207,7 +208,7 @@ class TestExactZeros:
     def test_members_at_distance_zero(self, rng, norm):
         for _ in range(5):
             A = random_set(rng, 40, int(rng.integers(2, 18)), scale=float(rng.uniform(0.5, 20.0)))
-            assert all(dist_to_set(x, A, norm) == 0.0 for x in A.points)
+            assert all(dist_to_set(x, A, norm) == 0.0 for x in rows(A))
 
     @pytest.mark.parametrize("norm", [L1, L2, LINF])
     def test_endpoint_grid_defect_is_zero(self, rng, norm):
@@ -218,7 +219,7 @@ class TestExactZeros:
             assert rep.witness[2] == 0.0
 
     def test_euclid16_members(self, euclid16):
-        assert all(dist_to_set(x, euclid16, L2) == 0.0 for x in euclid16.points)
+        assert all(dist_to_set(x, euclid16, L2) == 0.0 for x in rows(euclid16))
 
 
 def brute_force_defect(X, p, t_grid):
@@ -295,7 +296,7 @@ class TestConvexityDefect:
 class TestHausdorffLb:
     def test_witness_in_set(self):
         A = setof([0.0], [4.0])
-        assert hausdorff_lb(A, [A.points[0]], L2) == pytest.approx(0.0)
+        assert hausdorff_lb(A, rows(A)[:1], L2) == pytest.approx(0.0)
 
     def test_midpoint_witness(self):
         A = setof([0.0], [4.0])

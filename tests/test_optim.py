@@ -372,13 +372,14 @@ class TestQuadraticKernel:
             assert f <= f_grid + 1e-10
             assert f >= f_grid - 1e-4
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
         # Large enough to bypass the small-problem fast path; with no
         # iterations allowed, the gap cannot be certified.
+        monkeypatch.setattr(optim, "FW_MAX_ITER", 0)
         rng = np.random.default_rng(5)
         L = rng.normal(size=(3, 50))
-        with pytest.raises(ConvergenceError):
-            min_quadratic_over_simplex(L, np.zeros(3), tol=1e-12, max_iter=0)
+        with pytest.raises(ConvergenceError, match="budget 0"):
+            min_quadratic_over_simplex(L, np.zeros(3), tol=1e-12)
 
     def test_gap_recomputed_from_returned_weights(self, rng):
         # Hull members: the residual sits at rounding level, so a gap taken

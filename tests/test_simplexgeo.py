@@ -118,12 +118,6 @@ class TestNearFace:
         res = near_face(V, 0)
         assert res.distance <= 1.0 + 1e-9
 
-    def test_vector_input(self):
-        V = regular_simplex(2)
-        vecs = [Vector(dict(enumerate(row))) for row in V]
-        res = near_face(vecs, 1)
-        assert res.distance == pytest.approx(alpha(2, 1), abs=1e-9)
-
     def test_tie_break_is_lexicographic(self):
         # On the regular simplex all facets tie, so the descent must pick
         # the lexicographically smallest vertex set at every level.

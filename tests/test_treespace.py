@@ -159,12 +159,13 @@ class TestTreeNorm:
 
     @pytest.mark.parametrize("M", [1.0, 2.0, 5.0])
     def test_S_of_pair_has_unit_norm(self, M):
-        v = Vector.unit(pair(leaf(1), leaf(2))) - 0.5 * (
-            Vector.unit(leaf(1)) + Vector.unit(leaf(2))
-        )
-        pr, du = tree_norm(v, M)
-        assert pr == pytest.approx(1.0, abs=1e-9)
-        assert du == pytest.approx(1.0, abs=1e-9)
+        # (1, 1) has a repeated child: S(e_(a,a)) = e_(a,a) - e_a.
+        for b, c in ((leaf(1), leaf(2)), (leaf(1), leaf(1))):
+            v = Vector.unit(pair(b, c)) - 0.5 * (Vector.unit(b) + Vector.unit(c))
+            pr, du = tree_norm(v, M)
+            assert pr == pytest.approx(1.0, abs=1e-9)
+            assert du == pytest.approx(1.0, abs=1e-9)
+            assert tree_norm_dual_lp(v, M) == pytest.approx(1.0, abs=1e-9)
 
     def test_sandwich(self, rng):
         for _ in range(40):
