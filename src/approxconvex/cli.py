@@ -350,16 +350,22 @@ def _cmd_typep_bound(cfg):
     return results, passed
 
 
-def _random_tree_vector(rng, max_labels=6, max_level=8, leaf_hi=64):
-    def rand_label(max_lv):
-        if max_lv <= 1 or rng.random() < 0.4:
-            return leaf(int(rng.integers(1, leaf_hi)))
-        lv = int(rng.integers(1, max_lv))
-        return pair(rand_label(lv), rand_label(max_lv - lv))
+def _rand_label(rng, max_lv, p_leaf, leaf_hi):
+    """A random tree label of level at most max_lv: with probability
+    p_leaf (always once max_lv <= 1) a leaf numbered below leaf_hi, else
+    a pair of random labels whose levels add up to max_lv."""
+    if max_lv <= 1 or rng.random() < p_leaf:
+        return leaf(int(rng.integers(1, leaf_hi)))
+    lv = int(rng.integers(1, max_lv))
+    return pair(_rand_label(rng, lv, p_leaf, leaf_hi), _rand_label(rng, max_lv - lv, p_leaf, leaf_hi))
 
+
+def _random_tree_vector(rng, max_labels=6, max_level=8):
     # Labels hash by identity, so a set's order varies between processes;
     # keep the distinct labels in draw order before drawing their values.
-    labs = dict.fromkeys(rand_label(max_level) for _ in range(int(rng.integers(1, max_labels + 1))))
+    labs = dict.fromkeys(
+        _rand_label(rng, max_level, 0.4, 64) for _ in range(int(rng.integers(1, max_labels + 1)))
+    )
     x = Vector({lab: float(rng.uniform(-2.0, 2.0)) for lab in labs})
     return x if x else Vector.unit(leaf(1))
 
@@ -396,17 +402,10 @@ def _cmd_tree_jensen(cfg):
     pairs_n = cfg.params["pairs"]
     max_level = cfg.params["level"]
     rng = np.random.default_rng(cfg.seed)
-
-    def rand_label(max_lv):
-        if max_lv <= 1 or rng.random() < 0.45:
-            return leaf(int(rng.integers(1, 40)))
-        lv = int(rng.integers(1, max_lv))
-        return pair(rand_label(lv), rand_label(max_lv - lv))
-
     worst = 0.0
     for _ in range(pairs_n):
-        b = rand_label(max_level)
-        c = rand_label(max_level)
+        b = _rand_label(rng, max_level, 0.45, 40)
+        c = _rand_label(rng, max_level, 0.45, 40)
         worst = max(worst, treespace.jensen_defect(b, c, float(M)))
     results = {"pairs": pairs_n, "max_defect": worst}
     return results, worst <= 1.0 + 1e-9

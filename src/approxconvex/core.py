@@ -13,8 +13,9 @@ to use concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -214,7 +215,12 @@ def simplex_grid_array(n: int, m: int) -> np.ndarray:
     if n == 1:
         return np.ones((1, 1))
     # Stars and bars: bar positions inside m+n-1 slots determine the counts.
-    bars = np.array(list(combinations(range(m + n - 1), n - 1)), dtype=np.int64)
+    count = math.comb(m + n - 1, n - 1)
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(m + n - 1), n - 1)),
+        dtype=np.int64,
+        count=count * (n - 1),
+    ).reshape(count, n - 1)
     first = bars[:, 0:1]
     gaps = np.diff(bars, axis=1) - 1
     last = (m + n - 2) - bars[:, -1:]

@@ -10,6 +10,12 @@ down.  Nearest points on facets are computed by the minimum-norm-point
 quadratic kernel, and affine coordinates by its affine solve, so that the
 whole module shares one code path with the hull distances.  Vertices and
 points are the rows of a dense array.
+
+At each level one pseudo-inverse of the edge matrix gives every
+barycentric gradient (Wolfe's affine step for all facets at once), and
+with it a certified lower bound on each facet's distance.  The kernel
+runs only on the facets whose bound does not rule them out of a tie with
+the nearest.
 """
 
 from __future__ import annotations
@@ -83,24 +89,69 @@ def _validated(vertices) -> np.ndarray:
     return V
 
 
+def _facet_bounds(C: np.ndarray) -> np.ndarray:
+    """Lower bounds on the distance from the origin to the hull of each
+    facet of the simplex with vertex rows C; entry a is for the facet
+    without vertex a.
+
+    The pseudo-inverse of the edge matrix gives the barycentric gradients
+    (that of lambda_0 is minus the sum of the others).  With nu the unit
+    vector along -grad lambda_a, every point y of facet a has ||y|| >=
+    <nu, y> >= min over the facet's vertices of <nu, v> (Cauchy-Schwarz),
+    however inaccurate the pseudo-inverse.  The bound subtracts twice the
+    worst-case rounding, with u = eps/2 in dimension d: d u ||v|| in each
+    product and (d + 3) u |<nu, v>| from the norm of nu.  Non-finite or negative
+    bounds become 0.  For an origin inside the simplex, the least bound
+    is the distance to the nearest facet's hyperplane, whose foot lies in
+    that facet.
+    """
+    d = C.shape[1]
+    grads = np.linalg.pinv(C[1:] - C[0]).T
+    grads = np.vstack([-grads.sum(axis=0), grads])
+    nu = -grads / np.linalg.norm(grads, axis=1, keepdims=True)
+    dots = C @ nu.T
+    np.fill_diagonal(dots, np.inf)
+    lo = dots.min(axis=0)
+    eps = np.finfo(float).eps
+    bounds = lo - eps * (d * np.linalg.norm(C, axis=1).max() + (d + 3) * np.abs(lo))
+    return np.where(np.isfinite(bounds) & (bounds > 0.0), bounds, 0.0)
+
+
+def _nearest_on_facet(C: np.ndarray, a: int) -> tuple[float, np.ndarray]:
+    """Squared distance from the origin to the facet of C without vertex
+    a, and the facet's nearest point, by the min-norm-point kernel."""
+    Lf = C[[r for r in range(C.shape[0]) if r != a]].T
+    t, f = min_quadratic_over_simplex(Lf, np.zeros(Lf.shape[0]), tol=1e-13)
+    return f, Lf @ t.values
+
+
 def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
     """Nearest-facet descent; returns the vertex index sets of every
-    visited simplex, largest first, down to dimension stop_dim."""
+    visited simplex, largest first, down to dimension stop_dim.
+
+    At each level the facets are ordered so that the lexicographically
+    smallest vertex set (drop the largest index) comes first, and the
+    first facet whose squared distance f is within _TIE_TOL of the least
+    wins.  The kernel solves the facet of least bound first, with value
+    U, and then every facet whose squared bound is at most U + _TIE_TOL;
+    any other facet has f > U + _TIE_TOL, so it can neither be nearest
+    nor tie with the nearest.
+    """
     idx = list(range(V.shape[0]))
     coords = V.copy()
     chain = [tuple(idx)]
     while len(idx) - 1 > stop_dim:
-        # Iterate facets so that on ties the lexicographically smallest
-        # vertex set (drop the largest index) wins.
         order = sorted(range(len(idx)), key=lambda a: -idx[a])
-        best_d2, best_a, best_q = np.inf, None, None
+        bounds = _facet_bounds(coords)
+        first = int(np.argmin(bounds))
+        solved = {first: _nearest_on_facet(coords, first)}
+        cutoff = solved[first][0] + _TIE_TOL
         for a in order:
-            rows = [r for r in range(len(idx)) if r != a]
-            Lf = coords[rows].T
-            t, f = min_quadratic_over_simplex(Lf, np.zeros(Lf.shape[0]), tol=1e-13)
-            if f < best_d2 - _TIE_TOL:
-                best_d2, best_a = f, a
-                best_q = Lf @ t.values
+            if a not in solved and bounds[a] ** 2 <= cutoff:
+                solved[a] = _nearest_on_facet(coords, a)
+        f_min = min(f for f, _ in solved.values())
+        best_a = next(a for a in order if a in solved and solved[a][0] <= f_min + _TIE_TOL)
+        best_q = solved[best_a][1]
         rows = [r for r in range(len(idx)) if r != best_a]
         coords = coords[rows] - best_q
         norms = np.linalg.norm(coords, axis=1, keepdims=True)
@@ -161,8 +212,7 @@ def best_subset(points, j: int) -> FaceResult:
     _, hull_dist = min_distance_over_simplex(P.T, np.zeros(P.shape[1]), tol=1e-9)
     if hull_dist > 1e-7:
         raise ValueError(f"origin is {hull_dist:.3e} from the hull of the points")
-    Y = P / norms[:, None]
-    face = near_face(Y, j - 1)
-    subset = list(face.vertex_index_set)
+    V = _validated(P / norms[:, None])
+    subset = sorted(_descend(V, j - 1)[-1])
     _, dist = min_distance_over_simplex(P[subset].T, np.zeros(P.shape[1]), tol=1e-11)
     return FaceResult(vertex_index_set=tuple(subset), distance=dist)

@@ -2,7 +2,7 @@
 
 ``perfbench/run.py`` counts a task as failed when its inline check
 raises, when its oracle disagrees, or when a later pass returns a
-different result.  These tests run a short prefix of each workload at
+different result.  These tests run a short selection of each workload at
 seed 1 the same way, so a library change that breaks a benchmark task
 fails here too.  ``perfbench/workloads.py`` and ``perfbench/oracle.py``
 are loaded from their files and only read.
@@ -44,8 +44,16 @@ def _hull_scan_prefix(tasks):
     return picked + [t for t in tasks if t.kind.startswith("dist_to_hull")][:6]
 
 
+def _face_descent_selection(tasks):
+    """The first 60 tasks (non-regular chains, n = 3 and 4), every
+    regular-simplex chain, where all facets tie, and every 8th
+    best_subset task."""
+    regular = [t for t in tasks if t.kind == "face_chain_regular"]
+    return tasks[:60] + regular + [t for t in tasks if t.kind == "best_subset"][::8]
+
+
 SELECTIONS = {
-    "face-descent": (lambda tasks: tasks[:60], False),
+    "face-descent": (_face_descent_selection, False),
     "tree-lp": (lambda tasks: tasks[:40], True),
     "hull-scan": (_hull_scan_prefix, True),
 }

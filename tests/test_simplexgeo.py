@@ -4,10 +4,17 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import exact_simplex_distance, random_interior_simplex, regular_simplex
+from conftest import (
+    exact_simplex_distance,
+    origin_barycentric,
+    random_interior_simplex,
+    regular_simplex,
+)
 
+from approxconvex import simplexgeo
 from approxconvex.core import NormSpec, Vector
 from approxconvex.hulls import SampledSet, dist_to_hull
+from approxconvex.optim import min_quadratic_over_simplex
 from approxconvex.simplexgeo import alpha, best_subset, face_chain, near_face
 
 
@@ -174,3 +181,110 @@ class TestBestSubset:
             best_subset(V, 0)
         with pytest.raises(ValueError):
             best_subset(V, 4)
+
+
+def _reference_descend(V, stop_dim, on_level=None):
+    """The sequential all-facet descent: every facet goes through the
+    kernel in order (drop the largest index first), and a facet replaces
+    the best so far only when it is nearer by more than _TIE_TOL.
+    ``on_level(coords, values)`` sees each level's vertices and the
+    squared distance of every facet."""
+    idx = list(range(V.shape[0]))
+    coords = V.copy()
+    chain = [tuple(idx)]
+    while len(idx) - 1 > stop_dim:
+        order = sorted(range(len(idx)), key=lambda a: -idx[a])
+        values = {}
+        best_d2, best_a, best_q = np.inf, None, None
+        for a in order:
+            rows = [r for r in range(len(idx)) if r != a]
+            Lf = coords[rows].T
+            t, f = min_quadratic_over_simplex(Lf, np.zeros(Lf.shape[0]), tol=1e-13)
+            values[a] = f
+            if f < best_d2 - simplexgeo._TIE_TOL:
+                best_d2, best_a, best_q = f, a, Lf @ t.values
+        if on_level is not None:
+            on_level(coords, values)
+        rows = [r for r in range(len(idx)) if r != best_a]
+        coords = coords[rows] - best_q
+        norms = np.linalg.norm(coords, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        coords = coords / norms
+        idx = [idx[r] for r in rows]
+        chain.append(tuple(idx))
+    return chain
+
+
+def _interior_simplex(rng, n, margin=1e-2):
+    """Unit vertices with the origin inside: n random unit vectors and the
+    one opposite a random positive combination of them."""
+    while True:
+        V = rng.standard_normal((n + 1, n))
+        V[0] = -rng.dirichlet(np.ones(n)) @ V[1:]
+        V /= np.linalg.norm(V, axis=1, keepdims=True)
+        if origin_barycentric(V).min() > margin:
+            return V
+
+
+class TestPrunedDescent:
+    def _assert_matches_reference(self, V, k):
+        W = simplexgeo._validated(V)
+        chain = _reference_descend(W, 0)
+        expected = [tuple(sorted(sub)) for sub in reversed(chain[1:])]
+        assert [res.vertex_index_set for res in face_chain(V)] == expected
+        assert near_face(V, k).vertex_index_set == expected[k]
+
+    def test_same_chains_as_sequential_reference(self):
+        rng = np.random.default_rng(20)
+        for i in range(304):
+            n = 2 + i % 8
+            self._assert_matches_reference(_interior_simplex(rng, n), int(rng.integers(0, n)))
+
+    def test_same_chains_on_regular_and_jittered_input(self):
+        for n in range(2, 10):
+            for k in range(n):
+                self._assert_matches_reference(regular_simplex(n), k)
+        jittered = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        for k in range(2):
+            self._assert_matches_reference(jittered, k)
+
+    def test_bounds_below_every_facet_and_tight_at_the_least(self):
+        rng = np.random.default_rng(21)
+        levels = []
+
+        def check(coords, values):
+            bounds = simplexgeo._facet_bounds(coords)
+            for a, f in values.items():
+                assert bounds[a] <= math.sqrt(f)
+            # The least bound is the nearest facet's exact distance, to
+            # 1e-12 of the unit circumradius (deep levels reach distances
+            # near 1e-5, where the allowance of a few ulps of 1 is no
+            # longer small relative to the distance itself).
+            a = int(np.argmin(bounds))
+            assert abs(bounds[a] - math.sqrt(values[a])) <= 1e-12
+            levels.append(len(values))
+
+        for i in range(120):
+            _reference_descend(_interior_simplex(rng, 2 + i % 8), 0, check)
+        assert len(levels) == sum(2 + i % 8 for i in range(120))
+
+    def _count_solves(self, monkeypatch, V):
+        calls = []
+        kernel = simplexgeo.min_quadratic_over_simplex
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(simplexgeo, "min_quadratic_over_simplex", counted)
+        face_chain(V)
+        return len(calls)
+
+    def test_prunes_most_solves_off_the_regular_simplex(self, monkeypatch):
+        # The full descent of an 8-simplex has sum(m) = 44 facets.
+        V = _interior_simplex(np.random.default_rng(22), 8)
+        assert self._count_solves(monkeypatch, V) <= 22
+
+    def test_regular_simplex_solves_every_facet(self, monkeypatch):
+        # Every facet ties at every level, so none can be skipped.
+        assert self._count_solves(monkeypatch, regular_simplex(8)) == 44
