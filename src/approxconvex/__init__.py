@@ -20,7 +20,7 @@ from .constructions import (
     typep_bound,
     witness,
 )
-from .core import NormSpec, SimplexPoint, Vector, simplex_grid_array, weighted_l1_norm
+from .core import NormSpec, Vector, simplex_grid_array, weighted_l1_norm
 from .entropy import KappaReport, affine_defect, entropy_E, kappa, phi, power2_condition
 from .entropy_opt import I_eval, StepFunction, minimize_I
 from .hulls import (

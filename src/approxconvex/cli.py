@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constructions, entropy, entropy_opt, hulls, simplexgeo, treespace
-from .core import NormSpec, SimplexPoint, Vector
+from .core import NormSpec, Vector
 from .labels import leaf, pair
 from .optim import ConvergenceError, _affine_solve
 
@@ -39,12 +39,11 @@ class UsageError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    """A parsed experiment: command name, numeric parameters, tolerance,
-    seed and output format."""
+    """A parsed experiment: command name, numeric parameters, seed and
+    output format."""
 
     command: str
     params: dict = field(default_factory=dict)
-    tol: float = DEFAULT_TOL
     seed: int = 0
     fmt: str = "json"
     paper_check: bool = False
@@ -136,6 +135,8 @@ def _cmd_kappa(cfg):
 
 def _cmd_entropy_defect(cfg):
     n = cfg.params["n"]
+    if n < 1:
+        raise UsageError(f"entropy-defect needs --n >= 1 (two simplex vertices), got {n}")
     samples = cfg.params["samples"]
     rng = np.random.default_rng(cfg.seed)
     X = rng.dirichlet(np.ones(n + 1), size=samples)
@@ -147,8 +148,7 @@ def _cmd_entropy_defect(cfg):
         - ts * entropy.entropy_E_array(X)
         - (1.0 - ts) * entropy.entropy_E_array(Y)
     )
-    e1 = SimplexPoint([1.0] + [0.0] * n)
-    e2 = SimplexPoint([0.0, 1.0] + [0.0] * (n - 1))
+    e1, e2 = np.eye(n + 1)[:2]
     half = entropy.affine_defect(e1, e2, 0.5)
     results = {
         "max_defect": float(defects.max()),
@@ -304,7 +304,7 @@ def _cmd_best_subset(cfg):
 def _cmd_opt_entropy(cfg):
     n = cfg.params["n"]
     M = cfg.params.get("M") or constructions.critical_scale(n)
-    y, value = entropy_opt.minimize_I(n, M, tol=cfg.tol)
+    y, value = entropy_opt.minimize_I(n, M, tol=cfg.params["tol"])
     crit = constructions.critical_scale(n)
     at_crit = abs(M - crit) <= 1e-9 * crit and n >= 4
     levels = [v for _, v in y.pieces if v > 0.0]
@@ -449,7 +449,6 @@ def run(config: ExperimentConfig) -> tuple[list[dict], bool]:
         cfg = ExperimentConfig(
             command=config.command,
             params=params,
-            tol=config.tol,
             seed=config.seed,
             fmt=config.fmt,
             paper_check=config.paper_check,
@@ -458,7 +457,6 @@ def run(config: ExperimentConfig) -> tuple[list[dict], bool]:
         results, passed = handler(cfg)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
         shown = dict(params)
-        shown["tol"] = config.tol
         shown["seed"] = config.seed
         reports.append(
             {
@@ -514,7 +512,6 @@ def _parse_sweep(text: str) -> list[int]:
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument(
@@ -554,7 +551,7 @@ def _build_parser() -> _Parser:
     )
     add("simplex-face", n=(int, None, True), trials=(int, 50, False))
     add("best-subset", n=(int, None, True), trials=(int, 20, False))
-    add("opt-entropy", n=(int, None, True), M=(float, None, False))
+    add("opt-entropy", n=(int, None, True), M=(float, None, False), tol=(float, DEFAULT_TOL, False))
     p = add("lowbound3", n=(int, None, False))
     p.add_argument("--sweep", type=str, default=None)
     add(
@@ -577,7 +574,7 @@ def main(argv=None) -> int:
         params = {
             k: v
             for k, v in vars(ns).items()
-            if k not in ("tol", "seed", "format", "paper_check", "command")
+            if k not in ("seed", "format", "paper_check", "command")
             and v is not None
         }
         if "sweep" in params:
@@ -587,7 +584,6 @@ def main(argv=None) -> int:
         config = ExperimentConfig(
             command=ns.command,
             params=params,
-            tol=ns.tol,
             seed=ns.seed,
             fmt=ns.format,
             paper_check=ns.paper_check,

@@ -1,14 +1,15 @@
-"""Sparse vectors over arbitrary finite index sets, simplex points and
-simplex grids, the lp norm spec and the weighted l1 norm of the tree
-space.
+"""Sparse vectors over arbitrary finite index sets, simplex grids, the
+lp norm spec and the weighted l1 norm of the tree space.
 
 Coordinates are 64-bit floats and all comparisons elsewhere use explicit
 tolerances.  Vectors are sparse maps, the representation of the tree
 space, whose index set is open-ended; single points of lp^n (queries and
 witnesses) are still Vectors over 0..d-1.  Point sets in lp^n, simplex
 grids included, are dense arrays, and every lp distance is computed on
-them (hulls).  Everything here is immutable after construction and safe
-to use concurrently.
+them (hulls).  Probability vectors, the kernels' weights and the
+arguments of the entropy, are plain (n,) float arrays, checked where they
+are made or received (optim, entropy).  Everything here is immutable
+after construction and safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .labels import TreeLabel, label_sort_key
 
 __all__ = [
     "Vector",
-    "SimplexPoint",
     "NormSpec",
     "weighted_l1_norm",
     "simplex_grid_array",
@@ -112,62 +112,6 @@ class Vector:
             f"{k!r}: {v:g}" for k, v in sorted(self._entries.items(), key=lambda kv: index_sort_key(kv[0]))
         )
         return f"Vector({{{inner}}})"
-
-
-class SimplexPoint:
-    """Probability vector: nonnegative coordinates summing to one.
-
-    The sum is checked to within 1e-12 at construction; use
-    :meth:`from_array` for numerically computed points that may need a
-    tiny cleanup (clipping of roundoff negatives, renormalisation) of at
-    most 1e-9.
-    """
-
-    __slots__ = ("_t",)
-
-    SUM_TOL = 1e-12
-
-    def __init__(self, values: Iterable[float]):
-        t = np.array(list(values), dtype=float)
-        if t.ndim != 1 or len(t) == 0:
-            raise ValueError("SimplexPoint needs a non-empty 1-d coordinate sequence")
-        if np.any(t < 0.0):
-            raise ValueError(f"negative coordinate in simplex point: {t}")
-        if abs(float(t.sum()) - 1.0) > self.SUM_TOL:
-            raise ValueError(f"coordinates sum to {t.sum()!r}, not 1")
-        t.setflags(write=False)
-        self._t = t
-
-    @classmethod
-    def from_array(cls, values) -> "SimplexPoint":
-        t = np.asarray(values, dtype=float)
-        if np.any(t < -1e-9) or abs(float(t.sum()) - 1.0) > 1e-9:
-            raise ValueError(f"not a simplex point within tolerance 1e-9: {t}")
-        t = np.clip(t, 0.0, None)
-        return cls(t / t.sum())
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._t
-
-    @property
-    def dim(self) -> int:
-        return len(self._t)
-
-    def __len__(self) -> int:
-        return len(self._t)
-
-    def __getitem__(self, i: int) -> float:
-        return float(self._t[i])
-
-    def __iter__(self):
-        return iter(self._t.tolist())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SimplexPoint) and np.array_equal(self._t, other._t)
-
-    def __repr__(self) -> str:
-        return f"SimplexPoint({self._t.tolist()})"
 
 
 @dataclass(frozen=True)

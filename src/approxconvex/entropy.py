@@ -3,7 +3,10 @@ simplex, approximate-affineness defects, and the sharp stability
 constants kappa(n).
 
 ``entropy_E`` is concave and approximately affine: mixing two simplex
-points moves its value by at most phi(t) + phi(1-t) <= 1.  The constant
+points moves its value by at most phi(t) + phi(1-t) <= 1.  Simplex
+points are probability vectors given as 1-d sequences or arrays, which
+``entropy_E`` and ``affine_defect`` check; ``entropy_E_array`` takes
+rows it trusts.  The constant
 kappa(n) is the worst interior value of an approximately convex function
 on the standard n-simplex that vanishes at the vertices; the closed
 formula implemented here is exact at arguments of the form 2^k - 1 and
@@ -17,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .core import SimplexPoint
 
 __all__ = [
     "phi",
@@ -51,14 +52,27 @@ def _phi_array(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def entropy_E(t: SimplexPoint | np.ndarray) -> float:
-    """Entropy of a probability vector, in bits.
+def _probability_vector(t) -> np.ndarray:
+    """t as a float array, checked to be a probability vector: non-empty
+    and 1-d, no negative entry, entries summing to one within 1e-12."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or len(t) == 0:
+        raise ValueError(f"a probability vector needs a non-empty 1-d sequence, got shape {t.shape}")
+    if not t.min() >= 0.0:
+        raise ValueError(f"negative coordinate in probability vector: {t}")
+    if not abs(float(t.sum()) - 1.0) <= 1e-12:
+        raise ValueError(f"coordinates sum to {t.sum()!r}, not 1")
+    return t
+
+
+def entropy_E(t) -> float:
+    """Entropy of a probability vector (a 1-d sequence or array), in bits.
 
     Ranges over [0, log2(dim)]: zero exactly at the vertices, maximal at
-    the uniform point.
+    the uniform point.  Raises ValueError unless t is a probability
+    vector: non-empty and 1-d, no negative entry, sum within 1e-12 of one.
     """
-    values = t.values if isinstance(t, SimplexPoint) else SimplexPoint(t).values
-    return float(_phi_array(values).sum())
+    return float(_phi_array(_probability_vector(t)).sum())
 
 
 def entropy_E_array(points: np.ndarray) -> np.ndarray:
@@ -66,8 +80,9 @@ def entropy_E_array(points: np.ndarray) -> np.ndarray:
     return _phi_array(points).sum(axis=-1)
 
 
-def affine_defect(x: SimplexPoint, y: SimplexPoint, t: float) -> float:
-    """|E(tx + (1-t)y) - tE(x) - (1-t)E(y)|.
+def affine_defect(x, y, t: float) -> float:
+    """|E(tx + (1-t)y) - tE(x) - (1-t)E(y)| for probability vectors x, y
+    (1-d sequences or arrays, validated as in :func:`entropy_E`).
 
     Bounded by min(1, phi(t) + phi(1-t)) for simplex points of any
     dimension; equality 1 requires t = 1/2 and disjointly supported
@@ -75,10 +90,13 @@ def affine_defect(x: SimplexPoint, y: SimplexPoint, t: float) -> float:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {t}")
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    mix = SimplexPoint.from_array(t * x.values + (1.0 - t) * y.values)
-    return abs(entropy_E(mix) - t * entropy_E(x) - (1.0 - t) * entropy_E(y))
+    x, y = _probability_vector(x), _probability_vector(y)
+    if len(x) != len(y):
+        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
+    # A mix of two probability vectors is nonnegative exactly and sums to
+    # one within rounding, so it needs no check of its own.
+    mix = t * x + (1.0 - t) * y
+    return abs(float(entropy_E_array(mix) - t * entropy_E_array(x) - (1.0 - t) * entropy_E_array(y)))
 
 
 @dataclass(frozen=True)

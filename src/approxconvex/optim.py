@@ -17,7 +17,9 @@ Two solvers used by every distance computation in the package:
   by Wolfe's minimum-norm-point algorithm, exact in finitely many steps.
   Its affine steps are least-squares solves on edge vectors against the
   current residual, and it stops on the Frank-Wolfe gap computed from the
-  weights it returns.
+  weights it returns.  Those weights are returned as the plain ``(N,)``
+  array the gap was computed from; weights off the simplex void the gap
+  and raise :class:`ConvergenceError`.
 
 Instances are immutable and solver state is confined to one invocation,
 so concurrent solves of different instances are safe.
@@ -28,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .core import SimplexPoint
 
 __all__ = [
     "ConvergenceError",
@@ -444,6 +444,19 @@ def _ulp_polish(L, c, lam, stop):
             return lam, f, gap
 
 
+def _check_simplex(lam):
+    """Raise :class:`ConvergenceError` unless every weight is nonnegative
+    and the weights sum to one within 1e-12.  The gap g.lam - min g bounds
+    f - f_min only for lam in the simplex, so this check is part of the
+    certificate of every weight vector :func:`_mnp` returns, on each of
+    its exits."""
+    total = float(lam.sum())
+    if not (lam.min() >= 0.0 and abs(total - 1.0) <= 1e-12):
+        raise ConvergenceError(
+            f"weights leave the simplex: min {lam.min():.3e}, sum - 1 = {total - 1.0:.3e}"
+        )
+
+
 def _mnp(L, c, stop):
     """Wolfe's minimum-norm-point algorithm for f(lam) = ||c - L lam||^2.
 
@@ -455,7 +468,7 @@ def _mnp(L, c, stop):
     Frank-Wolfe gap (a valid bound on f - f_min for this convex f), both
     computed from the weights returned.  More than FW_MAX_ITER major
     iterations raise :class:`ConvergenceError`.  Returns (lam, f, gap,
-    iterations).
+    iterations); the callers check lam with :func:`_check_simplex`.
     """
     L = np.asarray(L, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -516,27 +529,31 @@ def _mnp(L, c, stop):
 
 def min_quadratic_over_simplex(
     L: np.ndarray, c: np.ndarray, tol: float = 1e-9
-) -> tuple[SimplexPoint, float]:
+) -> tuple[np.ndarray, float]:
     """Minimize ``||c - L t||^2`` over the probability simplex.
 
-    Returns ``(t, value)`` with ``value - min <= tol``, certified by the
-    Frank-Wolfe duality gap of ``t`` itself; raises
+    Returns ``(t, value)``: ``t`` is the ``(N,)`` weight array the
+    certificate was computed from, and ``value - min <= tol``, certified
+    by the Frank-Wolfe duality gap of ``t`` itself.  Raises
     :class:`ConvergenceError` if the gap cannot be certified within the
-    iteration budget, or once iterations stop lowering the value first.
+    iteration budget, once iterations stop lowering the value first, or
+    if ``t`` leaves the simplex (a negative entry, or a sum more than
+    1e-12 from one).
     """
     lam, f, _, _ = _mnp(L, c, lambda f_, g_: g_ <= tol)
-    return SimplexPoint(lam), f
+    _check_simplex(lam)
+    return lam, f
 
 
 def min_distance_over_simplex(
     L: np.ndarray, c: np.ndarray, tol: float = 1e-9
-) -> tuple[SimplexPoint, float]:
+) -> tuple[np.ndarray, float]:
     """Minimize ``||c - L t||`` (the distance itself) to accuracy ``tol``.
 
-    Same kernel as :func:`min_quadratic_over_simplex` but with the gap
-    threshold adapted to the distance scale, so the returned distance is
-    within ``tol`` of the true minimum even when the optimum is far from
-    zero.
+    Same kernel, weights and errors as :func:`min_quadratic_over_simplex`
+    but with the gap threshold adapted to the distance scale, so the
+    returned ``(t, distance)`` has the distance within ``tol`` of the true
+    minimum even when the optimum is far from zero.
     """
 
     def stop(f, gap):
@@ -545,4 +562,5 @@ def min_distance_over_simplex(
         return gap <= max(tol * tol, 0.5 * tol * np.sqrt(max(f, 0.0)), 1e-15 * (1.0 + abs(f)))
 
     lam, f, _, _ = _mnp(L, c, stop)
-    return SimplexPoint(lam), float(np.sqrt(max(f, 0.0)))
+    _check_simplex(lam)
+    return lam, float(np.sqrt(max(f, 0.0)))

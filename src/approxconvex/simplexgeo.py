@@ -122,7 +122,7 @@ def _nearest_on_facet(C: np.ndarray, a: int) -> tuple[float, np.ndarray]:
     a, and the facet's nearest point, by the min-norm-point kernel."""
     Lf = C[[r for r in range(C.shape[0]) if r != a]].T
     t, f = min_quadratic_over_simplex(Lf, np.zeros(Lf.shape[0]), tol=1e-13)
-    return f, Lf @ t.values
+    return f, Lf @ t
 
 
 def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:

@@ -28,7 +28,7 @@ from approxconvex.constructions import (
     lowbound3,
     typep_bound,
 )
-from approxconvex.core import NormSpec, SimplexPoint, Vector
+from approxconvex.core import NormSpec, Vector
 from approxconvex.entropy import affine_defect, entropy_E_array, kappa, kappa_table
 from approxconvex.entropy_opt import I_eval, StepFunction, minimize_I
 from approxconvex.hulls import diameter
@@ -89,8 +89,8 @@ def test_criterion_2_approximate_affineness():
                 - (1.0 - ts) * entropy_E_array(Y)
             )
             assert defect.max() <= 1.0 + 1e-12
-        e1 = SimplexPoint([1.0, 0.0])
-        e2 = SimplexPoint([0.0, 1.0])
+        e1 = np.array([1.0, 0.0])
+        e2 = np.array([0.0, 1.0])
         assert abs(affine_defect(e1, e2, 0.5) - 1.0) <= 1e-12
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import approxconvex
-from approxconvex import constructions, hulls
+from approxconvex import constructions, hulls, optim
 from approxconvex.cli import main
 from approxconvex.optim import ConvergenceError
 
@@ -119,6 +119,12 @@ class TestExitCodes:
         assert code == 1
         assert "d >= 2" in err
 
+    def test_entropy_defect_needs_two_vertices(self, capsys):
+        code, out, err = run_cli(capsys, "entropy-defect", "--n", "0", "--samples", "10")
+        assert code == 1
+        assert out == ""
+        assert "--n >= 1" in err
+
     def test_unsupported_norm_rejected_before_work(self, capsys, monkeypatch):
         def forbidden(spec):
             raise AssertionError("lp-set built its sample before checking --p")
@@ -140,6 +146,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("numerical failure: ")
         assert "stalled in a test" in err
+
+    def test_kernel_weights_off_the_simplex_are_numerical(self, capsys, monkeypatch):
+        mnp = optim._mnp
+
+        def off_simplex(L, c, stop):
+            lam, f, gap, it = mnp(L, c, stop)
+            return lam * (1.0 + 1e-11), f, gap, it
+
+        monkeypatch.setattr(optim, "_mnp", off_simplex)
+        code, out, err = run_cli(capsys, "simplex-face", "--n", "3", "--trials", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: ")
 
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "no-such-thing")
@@ -179,10 +198,17 @@ class TestFormats:
 class TestTolerance:
     def test_tol_flag(self, capsys):
         for argv, tol in (((), 1e-9), (("--tol", "1e-12"), 1e-12)):
-            code, out, _ = run_cli(capsys, "kappa", "--n", "3", *argv)
+            code, out, _ = run_cli(capsys, "opt-entropy", "--n", "4", *argv)
             assert code == 0
             (rep,) = parse_lines(out)
             assert rep["params"]["tol"] == pytest.approx(tol)
+        # Only opt-entropy reads a tolerance; elsewhere --tol is rejected.
+        code, out, err = run_cli(capsys, "kappa", "--n", "3", "--tol", "1e-12")
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err
+        code, out, _ = run_cli(capsys, "kappa", "--n", "3")
+        assert "tol" not in parse_lines(out)[0]["params"]
 
 
 class TestCommandSweepCoverage:

@@ -21,7 +21,7 @@ from approxconvex.constructions import (
     typep_bound,
     witness,
 )
-from approxconvex.core import NormSpec, SimplexPoint, simplex_grid_array
+from approxconvex.core import NormSpec, simplex_grid_array
 from approxconvex.entropy import entropy_E, entropy_E_array, phi
 from approxconvex.hulls import convexity_defect, diameter, dist_to_hull, hausdorff_lb
 from approxconvex.optim import ConvergenceError
@@ -59,7 +59,7 @@ class TestBuildEntropySet:
         A = build_entropy_set(spec_l2(n, M, grid, variant))
         n_horiz = n if variant == "full" else n - 1
         T = simplex_grid_array(n, grid)
-        heights = [entropy_E(SimplexPoint(t)) for t in T]
+        heights = [entropy_E(t) for t in T]
         horiz = [[M * t[i] for i in range(n_horiz)] for t in T]
         ref = np.column_stack([heights, horiz])
         assert A.matrix.shape == ref.shape == (len(T), n_horiz + 1)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxconvex.core import SimplexPoint
 from approxconvex.entropy import (
     affine_defect,
     entropy_E,
@@ -47,13 +46,33 @@ class TestPhi:
 
 class TestEntropy:
     def test_two_point_half(self):
-        assert entropy_E(SimplexPoint([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
+        assert entropy_E(np.array([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
 
     def test_vertex(self):
-        assert entropy_E(SimplexPoint([0.0, 1.0, 0.0])) == 0.0
+        assert entropy_E(np.array([0.0, 1.0, 0.0])) == 0.0
 
     def test_barycenter_of_four(self):
-        assert entropy_E(SimplexPoint([0.25] * 4)) == pytest.approx(2.0, abs=1e-12)
+        assert entropy_E(np.array([0.25] * 4)) == pytest.approx(2.0, abs=1e-12)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="negative"):
+            entropy_E(np.array([-0.1, 1.1]))
+
+    def test_rejects_bad_sum(self):
+        with pytest.raises(ValueError, match="sum"):
+            entropy_E(np.array([0.5, 0.6]))
+        with pytest.raises(ValueError, match="sum"):
+            entropy_E(np.array([0.5, 0.5 + 2e-12]))
+
+    def test_rejects_empty_and_2d(self):
+        with pytest.raises(ValueError, match="1-d"):
+            entropy_E(np.array([]))
+        with pytest.raises(ValueError, match="1-d"):
+            entropy_E(np.array([[0.5, 0.5]]))
+
+    def test_accepts_plain_lists(self):
+        assert entropy_E([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
+        assert affine_defect([1.0, 0.0], [0.0, 1.0], 0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_range(self, rng):
         for _ in range(200):
@@ -74,26 +93,26 @@ class TestEntropy:
 
 class TestAffineDefect:
     def test_disjoint_vertices_at_half(self):
-        x = SimplexPoint([1.0, 0.0])
-        y = SimplexPoint([0.0, 1.0])
+        x = np.array([1.0, 0.0])
+        y = np.array([0.0, 1.0])
         assert affine_defect(x, y, 0.5) == pytest.approx(1.0, abs=1e-15)
 
     def test_t_zero(self):
-        x = SimplexPoint([0.3, 0.7])
-        y = SimplexPoint([0.6, 0.4])
+        x = np.array([0.3, 0.7])
+        y = np.array([0.6, 0.4])
         assert affine_defect(x, y, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_equal_points(self):
-        x = SimplexPoint([0.3, 0.7])
+        x = np.array([0.3, 0.7])
         assert affine_defect(x, x, 0.37) == pytest.approx(0.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            affine_defect(SimplexPoint([1.0]), SimplexPoint([0.5, 0.5]), 0.5)
+            affine_defect(np.array([1.0]), np.array([0.5, 0.5]), 0.5)
 
     def test_t_out_of_range(self):
         with pytest.raises(ValueError):
-            affine_defect(SimplexPoint([1.0]), SimplexPoint([1.0]), 1.5)
+            affine_defect(np.array([1.0]), np.array([1.0]), 1.5)
 
     def test_random_defect_bound(self, rng):
         # Vectorized version of the proposition chain over 10^4 samples.

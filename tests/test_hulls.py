@@ -174,7 +174,7 @@ def test_l2_hard_queries_certified(euclid16, query):
     X = euclid16.matrix
     xv = x.to_array(range(X.shape[1]))
     t, _ = min_distance_over_simplex(X.T, xv)
-    u = xv - X.T @ t.values
+    u = xv - X.T @ t
     u /= np.linalg.norm(u)
     lower = float(xv @ u - (X @ u).max())
     assert dist >= 0.5

@@ -345,7 +345,7 @@ class TestQuadraticKernel:
     def test_target_inside(self):
         t, f = min_quadratic_over_simplex(np.eye(2), np.array([0.3, 0.7]), tol=1e-12)
         assert f == pytest.approx(0.0, abs=1e-12)
-        assert t.values == pytest.approx([0.3, 0.7], abs=1e-9)
+        assert t == pytest.approx([0.3, 0.7], abs=1e-9)
 
     def test_target_outside_1d_oracle(self):
         # Segment (s, 1-s): f(s) = (s-2)^2 + (1-s)^2, minimized on a grid.
@@ -353,12 +353,12 @@ class TestQuadraticKernel:
         oracle = ((s - 2.0) ** 2 + (1.0 - s) ** 2).min()
         t, f = min_quadratic_over_simplex(np.eye(2), np.array([2.0, 0.0]), tol=1e-12)
         assert f == pytest.approx(oracle, abs=1e-9)
-        assert t.values == pytest.approx([1.0, 0.0], abs=1e-9)
+        assert t == pytest.approx([1.0, 0.0], abs=1e-9)
 
     def test_symmetric_barycenter(self):
         t, f = min_quadratic_over_simplex(np.eye(3), np.zeros(3), tol=1e-12)
         assert f == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert t.values == pytest.approx([1 / 3] * 3, abs=1e-9)
+        assert t == pytest.approx([1 / 3] * 3, abs=1e-9)
 
     def test_against_grid_search(self, rng):
         for _ in range(40):
@@ -371,6 +371,13 @@ class TestQuadraticKernel:
             f_grid = ((L @ grid.T - c[:, None]) ** 2).sum(axis=0).min()
             assert f <= f_grid + 1e-10
             assert f >= f_grid - 1e-4
+
+    def test_weights_off_the_simplex_raise(self):
+        # The gap certifies the value only for weights in the simplex.
+        for lam in (np.array([1.5, -0.5]), np.array([0.5, 0.5 + 1e-11])):
+            with pytest.raises(ConvergenceError, match="leave the simplex"):
+                optim._check_simplex(lam)
+        optim._check_simplex(np.array([0.25, 0.75]))
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         # Large enough to bypass the small-problem fast path; with no
@@ -391,10 +398,10 @@ class TestQuadraticKernel:
             L = rng.normal(size=(d, N))
             c = L @ rng.dirichlet(np.ones(N))
             t, dist = min_distance_over_simplex(L, c, tol=tol)
-            r = L @ t.values - c
+            r = L @ t - c
             f = float(r @ r)
             g = 2.0 * (L.T @ r)
-            gap = float(g @ t.values) - float(g.min())
+            gap = float(g @ t) - float(g.min())
             assert gap <= max(tol * tol, 0.5 * tol * math.sqrt(f), 1e-15 * (1.0 + f))
             assert dist == math.sqrt(f)
 

@@ -202,7 +202,7 @@ def _reference_descend(V, stop_dim, on_level=None):
             t, f = min_quadratic_over_simplex(Lf, np.zeros(Lf.shape[0]), tol=1e-13)
             values[a] = f
             if f < best_d2 - simplexgeo._TIE_TOL:
-                best_d2, best_a, best_q = f, a, Lf @ t.values
+                best_d2, best_a, best_q = f, a, Lf @ t
         if on_level is not None:
             on_level(coords, values)
         rows = [r for r in range(len(idx)) if r != best_a]
