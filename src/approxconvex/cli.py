@@ -119,6 +119,10 @@ def _csv_cell(v) -> str:
 
 
 def _auto_grid(n: int, cap: int = 3000) -> int:
+    """The smallest g >= 1 with comb(g + n, n - 1) > cap.  Needs n >= 2:
+    for n = 1 that count is 1 for every g, so no g would do."""
+    if n < 2:
+        raise ValueError(f"an automatic grid needs n >= 2, got {n}")
     g = 1
     while math.comb(g + n, n - 1) <= cap:
         g += 1
@@ -138,6 +142,8 @@ def _cmd_entropy_defect(cfg):
     if n < 1:
         raise UsageError(f"entropy-defect needs --n >= 1 (two simplex vertices), got {n}")
     samples = cfg.params["samples"]
+    if samples < 1:
+        raise UsageError(f"entropy-defect needs --samples >= 1, got {samples}")
     rng = np.random.default_rng(cfg.seed)
     X = rng.dirichlet(np.ones(n + 1), size=samples)
     Y = rng.dirichlet(np.ones(n + 1), size=samples)
@@ -225,6 +231,8 @@ def _cmd_general_bound(cfg):
 def _cmd_lp_set(cfg):
     n = cfg.params["n"]
     p = cfg.params["p"]
+    if n < 2:
+        raise UsageError(f"lp-set needs --n >= 2, got {n}")
     if p not in (1.0, 2.0, math.inf):
         # dist_to_hull, which the witness check needs, has no other norms.
         raise UsageError(f"lp-set supports --p 1, 2 or inf, got {p:g}")
@@ -287,6 +295,8 @@ def _random_interior_simplex(rng, n):
 
 def _cmd_best_subset(cfg):
     n = cfg.params["n"]
+    if n < 1:
+        raise UsageError(f"best-subset needs --n >= 1 (a simplex with two vertices), got {n}")
     trials = cfg.params["trials"]
     rng = np.random.default_rng(cfg.seed)
     worst_ratio = 0.0
@@ -303,8 +313,11 @@ def _cmd_best_subset(cfg):
 
 def _cmd_opt_entropy(cfg):
     n = cfg.params["n"]
+    tol = cfg.params["tol"]
+    if not tol > 0.0:
+        raise UsageError(f"opt-entropy needs --tol > 0, got {tol:g}")
     M = cfg.params.get("M") or constructions.critical_scale(n)
-    y, value = entropy_opt.minimize_I(n, M, tol=cfg.params["tol"])
+    y, value = entropy_opt.minimize_I(n, M, tol=tol)
     crit = constructions.critical_scale(n)
     at_crit = abs(M - crit) <= 1e-9 * crit and n >= 4
     levels = [v for _, v in y.pieces if v > 0.0]
@@ -390,6 +403,8 @@ def _cmd_tree_norm(cfg):
 
 def _cmd_tree_haus(cfg):
     M, N = cfg.params["M"], cfg.params["N"]
+    if N < 1:
+        raise UsageError(f"tree-haus needs --N >= 1 (the number of leaves averaged), got {N}")
     formula = 2.0 * M - 2.0 ** (2 * M + 1) * M / N
     measured = treespace.haus_experiment(M, N)
     certified = measured >= formula - 1e-12 and measured <= 2.0 * M + 1e-12

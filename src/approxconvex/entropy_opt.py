@@ -132,6 +132,8 @@ def minimize_I(n: int, M: float, tol: float = 1e-9) -> tuple[StepFunction, float
         raise ValueError(f"need n >= 1, got {n}")
     if not M > 0.0:
         raise ValueError(f"need M > 0, got {M}")
+    if not tol > 0.0:
+        raise ValueError(f"need tol > 0, got {tol}")
 
     def envelope(x: float) -> tuple[float, float]:
         k, v = _best_k(np.array([x]), M, n)

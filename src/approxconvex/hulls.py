@@ -9,11 +9,11 @@ explicit witnesses and above by analytic arguments elsewhere; no attempt
 is made to solve the inner max-min globally (it is a non-concave
 maximization).  Euclidean hull distances go through the minimum-norm-point
 quadratic kernel.  l1 and l-infinity distances are exact LPs in equality
-form, P.T lam + s+ - s- = x with sum(lam) = 1, each built as one array.
-Under l1 every residual column s+_i, s-_i is a unit column of its
-coordinate row, so `lp_solve`'s crash basis covers every row but the
-convexity row.  The hull LP is always feasible and bounded, so a status
-other than optimal can only be numerical and raises `ConvergenceError`.
+form, P.T lam + s+ - s- = x with sum(lam) = 1, each built as one array
+and started on a feasible basis in closed form from the sample point
+nearest x, so `lp_solve` needs no phase 1.  The hull LP is always
+feasible and bounded, so a status other than optimal can only be
+numerical and raises `ConvergenceError`.
 """
 
 from __future__ import annotations
@@ -121,10 +121,14 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
     so s+ - s- is the residual x - P.T lam.  l1 minimizes sum(s+ + s-);
     l-infinity adds a variable u with rows s+_i + s-_i - u <= 0 and
     minimizes u.  At an optimum s+_i * s-_i = 0 can be taken, so either
-    value is the exact distance.  Under l1, once `lp_solve` flips the rows
-    with x_i < 0, s-_i is the unit column e_i of coordinate row i there
-    and s+_i elsewhere, so the simplex starts on them and only the
-    convexity row needs an artificial.  Other norms are rejected.
+    value is the exact distance.  The simplex starts on a feasible basis
+    built from the sample point P_j nearest x in the same norm, r = x -
+    P_j: lam_j = 1 covers the convexity row, s+_i = r_i or s-_i = -r_i by
+    the sign of r_i covers coordinate row i, and under l-infinity u =
+    ||r||_inf with the slacks u - |r_i| of every `<=` row but one row
+    attaining the maximum covers the rest.  That basis is nonsingular
+    (its `<=` block [u | e_k, k != i*] has determinant +-1), so phase 1
+    is skipped.  Other norms are rejected.
     """
     P = A.matrix
     N, d = P.shape
@@ -160,9 +164,16 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
     rhs = np.zeros(d + 1 + n_ub)
     rhs[:d] = xv
     rhs[d] = 1.0
+    # The closed-form feasible start described above.
+    j = int(np.argmin(_dists_to_points(xv[None, :], P, norm)))
+    r = xv - P[j]
+    basis = np.concatenate(([j], N + eye + d * (r < 0.0)))
+    if n_ub:
+        basis = np.concatenate((basis, [n_cols - 1], n_cols + np.delete(eye, np.argmax(np.abs(r)))))
     sol = lp_solve(
         LPInstance(c=c, A=G, rel=("=",) * (d + 1) + ("<=",) * n_ub, b=rhs),
         tol=tol,
+        basis=basis,
     )
     if sol.status != "optimal":
         # The LP is feasible (any lam on the simplex) and bounded below

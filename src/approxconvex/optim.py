@@ -4,13 +4,16 @@ Two solvers used by every distance computation in the package:
 
 * a dense two-phase simplex LP solver (Dantzig pricing with a permanent
   switch to Bland's rule once degeneracy is detected, which guarantees
-  termination).  Its start is a crash basis: a row without a slack
-  starts on a structural column equal to ``e_i``, and on an artificial
-  only when it has none, so an LP such as the tree-norm decomposition
-  needs no phase 1, and the l1 hull-distance LP starts every coordinate
-  row on one of its residual columns ``s+``/``s-``.  The bookkeeping
-  around the tableau (bounds, standard form, crash, certificates) is
-  done on whole arrays, with no Python loop over variables.  A pivot
+  termination).  By default it starts on a crash basis: a row without a
+  slack starts on a structural column equal to ``e_i``, and on an
+  artificial only when it has none, so an LP such as the tree-norm
+  decomposition needs no phase 1.  A caller that knows a feasible basis
+  passes it instead (the l1 and l-infinity hull-distance LPs build one
+  in closed form): it is checked before any pivot, the tableau becomes
+  B^-1 T, formed in column blocks, and phase 2 starts at once.  The
+  bookkeeping around the tableau (bounds, standard form, crash,
+  certificates) is done on whole arrays, with no Python loop over
+  variables.  A pivot
   updates only the rows where the pivot column is nonzero when at most
   a quarter of them are, and the whole tableau otherwise,
 * minimization of ``f(t) = ||c - L t||^2`` over the probability simplex
@@ -129,9 +132,10 @@ class LPSolution:
 class _Tableau:
     """Dense simplex tableau with two cost rows (phase 1 and phase 2).
 
-    The initial basis is any identity basis: slack, artificial or crash
-    columns, each a unit column ``e_i`` of its row.  Phase-2 costs are
-    priced out against it, so a crash start may carry nonzero cost.
+    The initial basis is any set of columns that are the identity in T:
+    slack, artificial or crash columns, or the columns of a caller's
+    basis once T holds B^-1 T.  Phase-2 costs are priced out against it,
+    so a start may carry nonzero cost.
     A pivot updates only the rows where the pivot column is nonzero when
     at most a quarter of them are; a denser column gets one full
     rank-1 update, which avoids gathering a copy of a wide tableau.
@@ -204,7 +208,10 @@ class _Tableau:
             pos = colvals > piv_tol
             if not pos.any():
                 return "unbounded"
-            ratios = np.where(pos, self.rhs / np.where(pos, colvals, 1.0), np.inf)
+            # A basic value below zero is rounding: it takes a zero step,
+            # never a negative one that would push the entering column
+            # below its bound.
+            ratios = np.where(pos, np.maximum(self.rhs, 0.0) / np.where(pos, colvals, 1.0), np.inf)
             best = ratios.min()
             ties = np.flatnonzero(ratios <= best + 1e-12)
             row = int(min(ties, key=lambda i: self.basis[i]))
@@ -257,13 +264,94 @@ def _standardize(lp: LPInstance):
     return A_std, b_std, rel_std, c_std, idx, sign, shift
 
 
-def lp_solve(lp: LPInstance, tol: float = 1e-9) -> LPSolution:
+def _basis_columns(lp: LPInstance, basis, idx, n_std: int, slack_rows) -> np.ndarray:
+    """Tableau columns of a caller's basis, one entry per row of ``lp``.
+
+    Entry ``j < lp.n_vars`` names variable j (its first standard-form
+    column: ``u+`` of a free variable); ``lp.n_vars + k`` names the slack
+    or surplus of the k-th inequality row.  The bound rows that
+    :func:`_standardize` appends for boxed variables start on their own
+    slacks.  A basis of the wrong length, or with an entry that names no
+    column, raises ``ValueError``.
+    """
+    basis = np.asarray(basis)
+    n_ineq = int(np.count_nonzero(slack_rows < lp.n_rows))
+    n_cols = lp.n_vars + n_ineq
+    if basis.shape != (lp.n_rows,):
+        raise ValueError(f"basis needs one column per row, {lp.n_rows} entries; got shape {basis.shape}")
+    if basis.size and (
+        not np.issubdtype(basis.dtype, np.integer) or basis.min() < 0 or basis.max() >= n_cols
+    ):
+        raise ValueError(
+            f"basis entries must be integers in [0, {n_cols}): the {lp.n_vars} variables, "
+            f"then the slacks of the {n_cols - lp.n_vars} inequality rows"
+        )
+    is_var = basis < lp.n_vars
+    cols = n_std + basis - lp.n_vars
+    cols[is_var] = np.searchsorted(idx, basis[is_var])
+    return np.concatenate([cols, n_std + np.arange(n_ineq, len(slack_rows))])
+
+
+_BLOCK_CELLS = 1 << 14  # cells of B^-1 T formed at a time
+
+
+def _start_on_basis(T, rhs, start, feas_tol):
+    """Turn the columns ``start`` of T into the identity in place, T :=
+    B^-1 T for B = T[:, start], and return the basic values B^-1 rhs.
+
+    Raises ``ValueError`` before any pivot if B is numerically singular
+    or if a basic value is below ``-feas_tol``; values above that but
+    below zero are rounding and start at zero.  Singular means a 1-norm
+    condition number of at least 1 / (m eps) once the rows and then the
+    columns of B are scaled to unit max-norm, so the test judges the basis
+    and not the scale of the data.  B^-1 T is formed in column blocks of
+    about ``_BLOCK_CELLS`` cells, so no second copy of a wide tableau is
+    built.
+    """
+    m = len(start)
+    B = T[:, start]
+    tiny = np.finfo(float).tiny
+    row = np.maximum(np.abs(B).max(axis=1, initial=0.0), tiny)
+    col = np.maximum(np.abs(B / row[:, None]).max(axis=0, initial=0.0), tiny)
+    B_scaled = B / row[:, None] / col
+    try:
+        inv_scaled = np.linalg.inv(B_scaled)
+        cond = np.abs(B_scaled).sum(axis=0).max(initial=0.0) * np.abs(inv_scaled).sum(axis=0).max(initial=0.0)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not cond * m * np.finfo(float).eps < 1.0:  # NaN counts as singular
+        raise ValueError(f"basis is singular: its scaled 1-norm condition number is {cond:.3e}")
+    B_inv = inv_scaled / col[:, None] / row
+    x_B = B_inv @ rhs
+    low = np.flatnonzero(x_B < -feas_tol)
+    if len(low):
+        i = int(low[0])
+        raise ValueError(
+            f"basis is infeasible: its basic variable in row {i} is {x_B[i]:.3e} "
+            f"(tolerance {-feas_tol:.3e})"
+        )
+    step = max(1, _BLOCK_CELLS // max(m, 1))
+    for k in range(0, T.shape[1], step):
+        T[:, k : k + step] = B_inv @ T[:, k : k + step]
+    T[:, start] = np.eye(m)
+    return np.maximum(x_B, 0.0)
+
+
+def lp_solve(lp: LPInstance, tol: float = 1e-9, basis=None) -> LPSolution:
     """Two-phase dense simplex with a certified duality gap.
 
-    Phase 1 runs only over the artificials that the crash basis could not
-    avoid; row duals are read off the initial basic columns, whatever
-    their cost.  A solve that needs more than 20,000 + 40 (rows +
-    standard-form columns) pivots raises :class:`ConvergenceError`.
+    Without ``basis``, the simplex starts on the crash basis and phase 1
+    runs only over the artificials that it could not avoid.  ``basis``
+    names a feasible basis, one column per row of ``lp``: entry ``j <
+    lp.n_vars`` is variable j, entry ``lp.n_vars + k`` the slack or
+    surplus of the k-th inequality row (the bound rows of boxed variables
+    add their own slacks).  It is checked before any pivot: a basis of the
+    wrong length, a numerically singular one, or one whose basic values
+    B^-1 b fall below ``-tol (1 + ||b||_1)`` raises ``ValueError``.
+    Otherwise the tableau becomes B^-1 T and phase 2 starts at once.
+    Either way row duals are read off the initial identity columns,
+    whatever their cost.  A solve that needs more than 20,000 + 40 (rows
+    + standard-form columns) pivots raises :class:`ConvergenceError`.
 
     The reported optimum always comes with a dual vector whose objective
     agrees with the primal within ``tol`` (scaled); a numerical failure
@@ -292,33 +380,43 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9) -> LPSolution:
     slack_le = le[slack_rows]
     n_real = n_std + len(slack_rows)
     cost2 = np.concatenate([c, np.zeros(len(slack_rows))])
-    identity_col = np.full(m, -1)  # each row's initial basic column, e_i
-    identity_col[slack_rows[slack_le]] = slack_cols[slack_le]
 
-    # Crash: a row without a slack starts on a structural column equal to
-    # e_i (one nonzero, +1), the cheapest if several (the first among
-    # equals); only rows left without one get an artificial.
-    unit = (np.count_nonzero(A, axis=0) == 1) & (A.max(axis=0, initial=0.0) == 1.0)
-    unit_cols = np.flatnonzero(unit)
-    unit_rows, which = np.nonzero(A[:, unit_cols])
-    keep = ~le[unit_rows]
-    unit_rows, unit_cols = unit_rows[keep], unit_cols[which[keep]]
-    order = np.lexsort((unit_cols, c[unit_cols], unit_rows))
-    crash_rows, first = np.unique(unit_rows[order], return_index=True)
-    identity_col[crash_rows] = unit_cols[order[first]]
-    art_rows = np.flatnonzero(identity_col < 0)
-    identity_col[art_rows] = n_real + np.arange(len(art_rows))
+    if basis is None:
+        identity_col = np.full(m, -1)  # each row's initial basic column, e_i
+        identity_col[slack_rows[slack_le]] = slack_cols[slack_le]
+        # Crash: a row without a slack starts on a structural column equal
+        # to e_i (one nonzero, +1), the cheapest if several (the first
+        # among equals); only rows left without one get an artificial.
+        unit = (np.count_nonzero(A, axis=0) == 1) & (A.max(axis=0, initial=0.0) == 1.0)
+        unit_cols = np.flatnonzero(unit)
+        unit_rows, which = np.nonzero(A[:, unit_cols])
+        keep = ~le[unit_rows]
+        unit_rows, unit_cols = unit_rows[keep], unit_cols[which[keep]]
+        order = np.lexsort((unit_cols, c[unit_cols], unit_rows))
+        crash_rows, first = np.unique(unit_rows[order], return_index=True)
+        identity_col[crash_rows] = unit_cols[order[first]]
+        art_rows = np.flatnonzero(identity_col < 0)
+        identity_col[art_rows] = n_real + np.arange(len(art_rows))
+        start = identity_col
+    else:
+        start = _basis_columns(lp, basis, idx, n_std, slack_rows)
+        # Every row gets an artificial that may never enter.  After
+        # T := B^-1 T their block holds the basis inverse, so the row duals
+        # are read off it exactly as on the crash start.
+        art_rows = np.arange(m)
+        identity_col = n_real + art_rows
 
     T = np.zeros((m, n_real + len(art_rows)))
     T[:, :n_std] = A
     T[slack_rows, slack_cols] = np.where(slack_le, 1.0, -1.0)
     T[art_rows, identity_col[art_rows]] = 1.0
-    tab = _Tableau(T, b, cost2, n_real, identity_col.tolist(), tol)
+    feas_tol = tol * (1.0 + float(np.abs(b).sum()))
+    x_B = b if basis is None else _start_on_basis(T, b, start, feas_tol)
+    tab = _Tableau(T, x_B, cost2, n_real, start.tolist(), tol)
     n_all = tab.T.shape[1]
     allowed = np.ones(n_all, dtype=bool)
 
-    feas_tol = tol * (1.0 + float(np.abs(b).sum()))
-    if len(art_rows):
+    if (start >= n_real).any():
         status = tab.run(1, allowed, max_iter)
         if status == "unbounded":  # phase-1 objective is bounded below by 0
             raise ConvergenceError("phase 1 reported unbounded: numerical failure")

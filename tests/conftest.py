@@ -100,18 +100,29 @@ def tree_lps(x: Vector, M: float):
 
 
 def hull_lps(x: Vector, A, norm):
-    """dist_to_hull(x, A, norm) and the LPs it passes to `lp_solve`,
-    captured at its call site."""
+    """dist_to_hull(x, A, norm) and the (LP, basis) pairs it passes to
+    `lp_solve`, captured at its call site."""
     captured = []
     solve = hulls.lp_solve
 
     def record(lp, *args, **kwargs):
-        captured.append(lp)
+        captured.append((lp, kwargs.get("basis")))
         return solve(lp, *args, **kwargs)
 
     with mock.patch.object(hulls, "lp_solve", record):
         value = hulls.dist_to_hull(x, A, norm)
     return value, captured
+
+
+def assert_dual_certificate(lp, sol, tol: float = 1e-7):
+    """For min c.x, A x (rel) b, x >= 0: y = sol.dual has the sign its
+    row relation requires, c - A.T y >= 0, and b.y equals the value."""
+    assert not lp.maximize and all(bd == (0.0, None) for bd in lp.bounds)
+    y = sol.dual
+    for yi, r in zip(y, lp.rel):
+        assert (r != "<=" or yi <= tol) and (r != ">=" or yi >= -tol)
+    assert (lp.c - lp.A.T @ y).min() >= -tol * (1.0 + np.abs(lp.c).max())
+    assert float(lp.b @ y) == pytest.approx(sol.value, abs=tol * (1.0 + abs(sol.value)))
 
 
 @pytest.fixture

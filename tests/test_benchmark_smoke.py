@@ -39,9 +39,12 @@ finally:
 
 
 def _hull_scan_prefix(tasks):
-    """The 816-point build, its diameter and the first 6 off-hull queries."""
+    """The 816-point build, its diameter and the first 10 off-hull queries
+    under each of l1 and l-infinity."""
     picked = [t for t in tasks if t.kind in ("euclid_build", "diameter")]
-    return picked + [t for t in tasks if t.kind.startswith("dist_to_hull")][:6]
+    for kind in ("dist_to_hull[l1]", "dist_to_hull[linf]"):
+        picked += [t for t in tasks if t.kind == kind][:10]
+    return picked
 
 
 def _face_descent_selection(tasks):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import approxconvex
-from approxconvex import constructions, hulls, optim
+from approxconvex import cli, constructions, hulls, optim
 from approxconvex.cli import main
 from approxconvex.optim import ConvergenceError
 
@@ -135,6 +135,36 @@ class TestExitCodes:
         assert out == ""
         assert "usage error" in err
         assert "1, 2 or inf" in err
+
+    def test_lp_set_needs_two_coordinates(self):
+        # The automatic grid used to loop forever for n = 1, so the
+        # command runs in its own process under a timeout.
+        env = {**os.environ, "PYTHONPATH": str(Path(approxconvex.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "approxconvex", "lp-set", "--n", "1", "--p", "2"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "lp-set needs --n >= 2, got 1" in proc.stderr
+
+    def test_auto_grid_rejects_one_coordinate(self):
+        with pytest.raises(ValueError, match="n >= 2, got 1"):
+            cli._auto_grid(1)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("tree-haus", "--N", "0"), "tree-haus needs --N >= 1"),
+        (("entropy-defect", "--samples", "0"), "entropy-defect needs --samples >= 1"),
+        (("best-subset", "--n", "0"), "best-subset needs --n >= 1"),
+        (("opt-entropy", "--n", "4", "--tol", "0"), "opt-entropy needs --tol > 0, got 0"),
+        (("opt-entropy", "--n", "4", "--tol", "-1"), "opt-entropy needs --tol > 0, got -1"),
+    ])
+    def test_out_of_domain_input_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert message in err
 
     def test_numerical_failure_is_three(self, capsys, monkeypatch):
         def stalled(*args, **kwargs):

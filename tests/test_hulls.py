@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxconvex import hulls
 from approxconvex.constructions import ConstructionSpec, build_entropy_set, critical_scale
@@ -115,6 +117,16 @@ class TestDistToHull:
         with pytest.raises(ConvergenceError, match="status infeasible"):
             dist_to_hull(Vector(), A, norm)
 
+    @pytest.mark.parametrize("norm", [L1, LINF])
+    @pytest.mark.parametrize("scale", [1e-8, 1e8, 1e10])
+    def test_lp_distance_scales_with_the_data(self, rng, norm, scale):
+        # The LP basis start must not read large or small coordinates as
+        # a singular basis: d(s x, s A) = s d(x, A).
+        P, x = rng.normal(size=(6, 3)), 3.0 * rng.normal(size=3)
+        want = dist_to_hull(Vector.from_array(x), SampledSet(P), norm)
+        got = dist_to_hull(Vector.from_array(scale * x), SampledSet(scale * P), norm)
+        assert got == pytest.approx(scale * want, rel=1e-9)
+
     def test_unsupported_norms_rejected(self):
         A = setof([1.0], [0.0])
         with pytest.raises(ValueError):
@@ -136,6 +148,37 @@ class TestDistToHull:
             oracle = lambda_grid_distance(far, A, norm, mesh=25)
             assert d > 1e-6
             assert d <= oracle + 1e-6
+
+
+# Sample coordinates are multiples of 1/8 in [-10, 10], like the grid
+# points the library's sets are built from.  Samples that mix magnitudes
+# far apart (entries near 1e-7 next to entries near 10) are outside this
+# property: there the dense tableau can lose its certificate and raise
+# ConvergenceError, from the crash start as well (see ROADMAP item 8).
+coordinates = st.integers(-80, 80).map(lambda k: k / 8.0)
+weights = st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=False))
+
+
+@st.composite
+def hull_members(draw):
+    """A sample P (repeated points and zero coordinates allowed) and a
+    random convex combination x of its rows.  Zero weights put x on a
+    face or at a sample point, where the closed-form LP basis starts
+    degenerate (r_i = 0)."""
+    N, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    P = np.array(draw(st.lists(st.lists(coordinates, min_size=d, max_size=d), min_size=N, max_size=N)))
+    w = np.array(draw(st.lists(weights, min_size=N, max_size=N)))
+    if w.sum() == 0.0:
+        w[draw(st.integers(0, N - 1))] = 1.0
+    return P, (w / w.sum()) @ P
+
+
+@given(hull_members(), st.sampled_from([L1, LINF]))
+@settings(max_examples=300, deadline=None)
+def test_convex_combinations_are_in_the_hull(member, norm):
+    P, x = member
+    dist = dist_to_hull(Vector.from_array(x), SampledSet(P), norm)
+    assert dist <= 1e-9 * (1.0 + np.abs(x).sum())
 
 
 # Off-hull queries against the n=16, grid-3 Euclidean set at

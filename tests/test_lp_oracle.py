@@ -9,7 +9,7 @@ import pytest
 from approxconvex.core import NormSpec, Vector
 from approxconvex.hulls import SampledSet
 from approxconvex.optim import LPInstance, lp_solve
-from conftest import hull_lps, random_tree_vector, tree_lps
+from conftest import assert_dual_certificate, hull_lps, random_tree_vector, tree_lps
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -36,24 +36,13 @@ def highs(lp: LPInstance):
     return status, -res.fun if lp.maximize else res.fun
 
 
-def assert_matches_highs(lp: LPInstance, rel: float = 1e-7):
-    sol = lp_solve(lp)
+def assert_matches_highs(lp: LPInstance, rel: float = 1e-7, basis=None):
+    sol = lp_solve(lp, basis=basis)
     status, value = highs(lp)
     assert sol.status == status
     if status == "optimal":
         assert abs(sol.value - value) <= rel * max(1.0, abs(value))
     return sol
-
-
-def assert_dual_certificate(lp: LPInstance, sol, tol: float = 1e-7):
-    """For min c.x, A x (rel) b, x >= 0: y = sol.dual has the sign its
-    row relation requires, c - A.T y >= 0, and b.y equals the value."""
-    assert not lp.maximize and all(bd == (0.0, None) for bd in lp.bounds)
-    y = sol.dual
-    for yi, r in zip(y, lp.rel):
-        assert (r != "<=" or yi <= tol) and (r != ">=" or yi >= -tol)
-    assert (lp.c - lp.A.T @ y).min() >= -tol * (1.0 + np.abs(lp.c).max())
-    assert float(lp.b @ y) == pytest.approx(sol.value, abs=tol * (1.0 + abs(sol.value)))
 
 
 def feasible_instance(rng, m: int, n: int, maximize: bool) -> LPInstance:
@@ -212,9 +201,13 @@ def test_hull_lps(d):
         A = SampledSet(P)
         for xq in hull_queries(rng, P):
             for p, rows in ((1.0, d + 1), (math.inf, 2 * d + 1)):
-                value, (lp,) = hull_lps(Vector.from_array(xq), A, NormSpec.lp(p))
+                value, ((lp, basis),) = hull_lps(Vector.from_array(xq), A, NormSpec.lp(p))
                 assert lp.n_rows == rows
-                sol = assert_matches_highs(lp)
-                assert_dual_certificate(lp, sol)
+                assert len(basis) == rows
+                # The closed-form start and the crash start both agree
+                # with HiGHS and certify their duals.
+                for start in (basis, None):
+                    sol = assert_matches_highs(lp, basis=start)
+                    assert_dual_certificate(lp, sol)
                 ref = highs_hull_distance(P, xq, p)
                 assert abs(value - ref) <= 1e-7 * max(1.0, ref)

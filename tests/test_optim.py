@@ -15,7 +15,7 @@ from approxconvex.optim import (
     min_distance_over_simplex,
     min_quadratic_over_simplex,
 )
-from conftest import random_tree_vector, tree_lps
+from conftest import assert_dual_certificate, random_tree_vector, tree_lps
 
 
 def brute_force_lp(lp: LPInstance):
@@ -201,6 +201,97 @@ class TestLPSolve:
         assert (lp.c - lp.A.T @ sol.dual).min() >= -1e-9
         assert float(lp.b @ sol.dual) == pytest.approx(sol.value, abs=1e-9)
         assert sol.value == pytest.approx(23.12003618261667, abs=1e-9)  # HiGHS
+
+
+def lp_with_feasible_basis(rng):
+    """A random bounded LP in default bounds and a feasible basis of it,
+    in `lp_solve`'s numbering (variables, then the slacks of the
+    inequality rows).  b is B x_B for basic values x_B >= 0, a third of
+    them zero (degenerate starts); the last row, 1.x <= 1.x_B + 1 with its
+    slack basic, bounds the LP whatever the sign of c."""
+    while True:
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(m, 2 * m + 4))
+        A = rng.normal(size=(m, n))
+        rel = tuple(rng.choice(["<=", ">=", "="]) for _ in range(m))
+        ineq = [i for i, r in enumerate(rel) if r != "="]
+        S = np.zeros((m, len(ineq)))
+        S[ineq, range(len(ineq))] = [1.0 if rel[i] == "<=" else -1.0 for i in ineq]
+        full = np.hstack([A, S])
+        basis = rng.choice(full.shape[1], size=m, replace=False)
+        if np.linalg.cond(full[:, basis]) < 1e6:
+            break
+    x_B = np.where(rng.random(m) < 1 / 3, 0.0, rng.uniform(0.1, 2.0, size=m))
+    x = np.zeros(full.shape[1])
+    x[basis] = x_B
+    bound = x[:n].sum() + 1.0
+    lp = LPInstance(
+        c=rng.normal(size=n),
+        A=np.vstack([A, np.ones(n)]),
+        rel=rel + ("<=",),
+        b=np.append(full @ x, bound),
+    )
+    return lp, np.append(basis, n + len(ineq))
+
+
+class TestBasisStart:
+    # min x0 + x1 + x2 over x0 + x1 + 2 x2 = 2, x0 - x1 + 2 x2 <= 1: column 2
+    # is twice column 0, and index 3 is the slack of the '<=' row.
+    lp = LPInstance(c=[1.0, 1.0, 1.0], A=[[1.0, 1.0, 2.0], [1.0, -1.0, 2.0]], rel=("=", "<="), b=[2.0, 1.0])
+
+    @pytest.mark.parametrize("basis, message", [
+        ([0], r"basis needs one column per row, 2 entries; got shape \(1,\)"),
+        ([0, 1, 3], r"basis needs one column per row, 2 entries; got shape \(3,\)"),
+        ([0, 4], r"integers in \[0, 4\)"),
+        ([0.0, 1.0], r"integers in \[0, 4\)"),
+        ([0, 0], "basis is singular"),
+        ([0, 2], "basis is singular"),
+        ([0, 3], r"basis is infeasible: its basic variable in row 1 is -1\.000e\+00"),
+    ])
+    def test_bad_basis_raises_before_any_pivot(self, monkeypatch, basis, message):
+        def no_tableau(*args):
+            raise AssertionError("a tableau was built for a rejected basis")
+
+        monkeypatch.setattr(optim, "_Tableau", no_tableau)
+        with pytest.raises(ValueError, match=message):
+            lp_solve(self.lp, basis=basis)
+
+    def test_feasible_basis_skips_phase_one(self, monkeypatch):
+        phases = []
+        run = optim._Tableau.run
+
+        def recording_run(tab, phase, *args):
+            phases.append(phase)
+            return run(tab, phase, *args)
+
+        monkeypatch.setattr(optim._Tableau, "run", recording_run)
+        sol = lp_solve(self.lp, basis=[0, 1])  # x0 = 1.5, x1 = 0.5
+        assert phases == [2]
+        assert sol.value == pytest.approx(1.25, abs=1e-12)  # x = (0, 0.5, 0.75); HiGHS 1.25
+        assert_dual_certificate(self.lp, sol)
+
+    def test_random_feasible_bases_match_the_crash_start(self, rng):
+        for _ in range(200):
+            lp, basis = lp_with_feasible_basis(rng)
+            crash, started = lp_solve(lp), lp_solve(lp, basis=basis)
+            assert crash.status == started.status == "optimal"
+            assert started.value == pytest.approx(crash.value, abs=1e-9 * (1.0 + abs(crash.value)))
+            assert_dual_certificate(lp, started)
+
+    def test_bounds_map_to_standard_form(self):
+        # x0 free, x1 <= 3, x2 in [1, 4]; the basis {x0, x1} puts x2 at its
+        # lower bound and the '<=' row tight: x0 = 3, x1 = 1, and the bound
+        # row of x2 starts on its own slack.
+        lp = LPInstance(
+            c=[1.0, 2.0, -1.0],
+            A=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+            rel=("=", "<="),
+            b=[5.0, 2.0],
+            bounds=((None, None), (None, 3.0), (1.0, 4.0)),
+        )
+        sol = lp_solve(lp, basis=[0, 1])
+        assert sol.value == pytest.approx(lp_solve(lp).value, abs=1e-12)
+        assert sol.value == pytest.approx(-3.5, abs=1e-12)  # x = (1.5, -0.5, 4); HiGHS -3.5
 
 
 def loop_standardize(lp: LPInstance):
