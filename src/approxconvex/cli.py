@@ -19,7 +19,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -118,6 +118,14 @@ def _csv_cell(v) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _positive(cfg, name):
+    """The count cfg.params[name], rejected unless it is at least 1."""
+    value = cfg.params[name]
+    if value < 1:
+        raise UsageError(f"{cfg.command} needs --{name} >= 1, got {value}")
+    return value
+
+
 def _auto_grid(n: int, cap: int = 3000) -> int:
     """The smallest g >= 1 with comb(g + n, n - 1) > cap.  Needs n >= 2:
     for n = 1 that count is 1 for every g, so no g would do."""
@@ -138,12 +146,8 @@ def _cmd_kappa(cfg):
 
 
 def _cmd_entropy_defect(cfg):
-    n = cfg.params["n"]
-    if n < 1:
-        raise UsageError(f"entropy-defect needs --n >= 1 (two simplex vertices), got {n}")
-    samples = cfg.params["samples"]
-    if samples < 1:
-        raise UsageError(f"entropy-defect needs --samples >= 1, got {samples}")
+    n = _positive(cfg, "n")  # two simplex vertices
+    samples = _positive(cfg, "samples")
     rng = np.random.default_rng(cfg.seed)
     X = rng.dirichlet(np.ones(n + 1), size=samples)
     Y = rng.dirichlet(np.ones(n + 1), size=samples)
@@ -167,9 +171,9 @@ def _cmd_entropy_defect(cfg):
 
 def _cmd_euclid_set(cfg):
     n = cfg.params["n"]
-    M = cfg.params.get("M") or constructions.critical_scale(n)
-    grid = cfg.params.get("grid") or _auto_grid(n)
     crit = constructions.critical_scale(n)
+    M = cfg.params.get("M") or crit
+    grid = cfg.params.get("grid") or _auto_grid(n)
     at_crit = abs(M - crit) <= 1e-9 * crit and n >= 4
     numeric = constructions.euclid_witness_distance(n, M, mode="numeric")
     spec = constructions.ConstructionSpec(space=NormSpec.lp(2), n=n, M=M, grid=grid)
@@ -260,7 +264,7 @@ def _cmd_lp_set(cfg):
 
 def _cmd_simplex_face(cfg):
     n = cfg.params["n"]
-    trials = cfg.params["trials"]
+    trials = _positive(cfg, "trials")
     rng = np.random.default_rng(cfg.seed)
     worst_ratio = 0.0
     for _ in range(trials):
@@ -285,19 +289,19 @@ def _cmd_simplex_face(cfg):
 
 def _random_interior_simplex(rng, n):
     """Unit-sphere vertices whose barycentric coordinates of the origin
-    all exceed 1e-3."""
+    all exceed 1e-3 and combine them to it (coincident vertices at n = 1
+    get barycentre weights that do not)."""
     while True:
         V = rng.standard_normal((n + 1, n))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
-        if _affine_solve(V.T, np.zeros(n)).min() > 1e-3:
+        lam = _affine_solve(V.T, np.zeros(n))
+        if lam.min() > 1e-3 and np.linalg.norm(V.T @ lam) <= 1e-9:
             return V
 
 
 def _cmd_best_subset(cfg):
-    n = cfg.params["n"]
-    if n < 1:
-        raise UsageError(f"best-subset needs --n >= 1 (a simplex with two vertices), got {n}")
-    trials = cfg.params["trials"]
+    n = _positive(cfg, "n")  # a simplex with two vertices
+    trials = _positive(cfg, "trials")
     rng = np.random.default_rng(cfg.seed)
     worst_ratio = 0.0
     for _ in range(trials):
@@ -316,9 +320,9 @@ def _cmd_opt_entropy(cfg):
     tol = cfg.params["tol"]
     if not tol > 0.0:
         raise UsageError(f"opt-entropy needs --tol > 0, got {tol:g}")
-    M = cfg.params.get("M") or constructions.critical_scale(n)
-    y, value = entropy_opt.minimize_I(n, M, tol=tol)
     crit = constructions.critical_scale(n)
+    M = cfg.params.get("M") or crit
+    y, value = entropy_opt.minimize_I(n, M, tol=tol)
     at_crit = abs(M - crit) <= 1e-9 * crit and n >= 4
     levels = [v for _, v in y.pieces if v > 0.0]
     results = {
@@ -373,19 +377,18 @@ def _rand_label(rng, max_lv, p_leaf, leaf_hi):
     return pair(_rand_label(rng, lv, p_leaf, leaf_hi), _rand_label(rng, max_lv - lv, p_leaf, leaf_hi))
 
 
-def _random_tree_vector(rng, max_labels=6, max_level=8):
-    # Labels hash by identity, so a set's order varies between processes;
-    # keep the distinct labels in draw order before drawing their values.
-    labs = dict.fromkeys(
-        _rand_label(rng, max_level, 0.4, 64) for _ in range(int(rng.integers(1, max_labels + 1)))
-    )
+def _random_tree_vector(rng):
+    # Up to six labels of level at most 8.  Labels hash by identity, so a
+    # set's order varies between processes; keep the distinct labels in
+    # draw order before drawing their values.
+    labs = dict.fromkeys(_rand_label(rng, 8, 0.4, 64) for _ in range(int(rng.integers(1, 7))))
     x = Vector({lab: float(rng.uniform(-2.0, 2.0)) for lab in labs})
     return x if x else Vector.unit(leaf(1))
 
 
 def _cmd_tree_norm(cfg):
     M = cfg.params["M"]
-    samples = cfg.params["samples"]
+    samples = _positive(cfg, "samples")
     rng = np.random.default_rng(cfg.seed)
     worst_gap = 0.0
     sandwich_ok = True
@@ -402,9 +405,7 @@ def _cmd_tree_norm(cfg):
 
 
 def _cmd_tree_haus(cfg):
-    M, N = cfg.params["M"], cfg.params["N"]
-    if N < 1:
-        raise UsageError(f"tree-haus needs --N >= 1 (the number of leaves averaged), got {N}")
+    M, N = cfg.params["M"], _positive(cfg, "N")  # the number of leaves averaged
     formula = 2.0 * M - 2.0 ** (2 * M + 1) * M / N
     measured = treespace.haus_experiment(M, N)
     certified = measured >= formula - 1e-12 and measured <= 2.0 * M + 1e-12
@@ -414,8 +415,9 @@ def _cmd_tree_haus(cfg):
 
 def _cmd_tree_jensen(cfg):
     M = cfg.params["M"]
-    pairs_n = cfg.params["pairs"]
-    max_level = cfg.params["level"]
+    pairs_n = _positive(cfg, "pairs")
+    # Below level 1 the generator would still draw leaves, of level 1.
+    max_level = _positive(cfg, "level")
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     for _ in range(pairs_n):
@@ -461,13 +463,7 @@ def run(config: ExperimentConfig) -> tuple[list[dict], bool]:
     reports = []
     all_pass = True
     for params in param_sets:
-        cfg = ExperimentConfig(
-            command=config.command,
-            params=params,
-            seed=config.seed,
-            fmt=config.fmt,
-            paper_check=config.paper_check,
-        )
+        cfg = replace(config, params=params)
         t0 = time.perf_counter()
         results, passed = handler(cfg)
         elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -604,10 +600,7 @@ def main(argv=None) -> int:
             paper_check=ns.paper_check,
         )
         reports, all_pass = run(config)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (UsageError, ValueError, ArithmeticError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

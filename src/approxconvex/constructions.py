@@ -20,7 +20,6 @@ them.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +29,7 @@ import numpy as np
 from .core import NormSpec, Vector, simplex_grid_array
 from .entropy import entropy_E_array, phi
 from .hulls import SampledSet
-from .optim import ConvergenceError
+from .optim import _best_first
 
 __all__ = [
     "ConstructionSpec",
@@ -181,9 +180,9 @@ def min_smooth_over_simplex(n: int, M: float, tol: float) -> tuple[float, float]
     Q = k a^2 + j b^2 decreases (Q' = 2j(b - a)) and the concave E
     increases (E' = (j/ln 2) ln(a/b)).
 
-    Search.  One best-first heap over the segments of every family,
-    split at midpoints (Lipschitz branch and bound; Piyavskii 1972,
-    Shubert 1972).  A segment of width w is bounded below by the larger of
+    Search.  :func:`optim._best_first` over the segments of every
+    family, split at midpoints; equal bounds pop by (k, j), then segment.
+    A segment of width w is bounded below by the larger of
     M^2 Q(hi) + E(lo)^2 and the centered form g(mid) - (w/2) max(-G'_lo,
     G'_hi, 0), where G' = M^2 Q' + 2 E E' is enclosed by the endpoint
     values of the increasing Q', the decreasing E' and the increasing
@@ -206,30 +205,29 @@ def min_smooth_over_simplex(n: int, M: float, tol: float) -> tuple[float, float]
     """
     M2 = M * M
     base = M2 / n
-    heap = []
-    upper = math.inf
+
+    def segment(k, j, lo, hi):
+        mid = _family_point(k, j, 0.5 * (lo.b + hi.b), M2)
+        return mid.g, (_family_lower(lo, mid, hi, M2, n), k, j, lo, mid, hi)
+
+    def split(node):
+        _, k, j, lo, mid, hi = node
+        (g_lo, left), (g_hi, right) = segment(k, j, lo, mid), segment(k, j, mid, hi)
+        return min(g_lo, g_hi), None, (left, right)
+
+    def done(lower, upper):
+        return math.sqrt(max(upper - base, 0.0)) - math.sqrt(max(lower - base, 0.0)) <= tol
+
+    upper, roots = math.inf, []
     for k in range(1, n):
         for j in range(1, n - k + 1):
             lo = _family_point(k, j, 0.0, M2)
             hi = _family_point(k, j, math.nextafter(1.0 / (k + j), 1.0), M2)
-            mid = _family_point(k, j, 0.5 * hi.b, M2)
-            upper = min(upper, lo.g, mid.g, hi.g)
-            heap.append((_family_lower(lo, mid, hi, M2, n), k, j, lo, mid, hi))
-    heapq.heapify(heap)
-    for _ in range(EUCLID_MAX_SPLITS):
-        lower = min(heap[0][0], upper) if heap else upper
-        if math.sqrt(max(upper - base, 0.0)) - math.sqrt(max(lower - base, 0.0)) <= tol:
-            return lower, upper
-        _, k, j, lo, mid, hi = heapq.heappop(heap)
-        for left, right in ((lo, mid), (mid, hi)):
-            quarter = _family_point(k, j, 0.5 * (left.b + right.b), M2)
-            upper = min(upper, quarter.g)
-            bound = _family_lower(left, quarter, right, M2, n)
-            if bound < upper:
-                heapq.heappush(heap, (bound, k, j, left, quarter, right))
-    raise ConvergenceError(
-        f"witness distance bracket wider than {tol:.1e} after {EUCLID_MAX_SPLITS} splits"
-    )
+            g, root = segment(k, j, lo, hi)
+            upper = min(upper, lo.g, g, hi.g)
+            roots.append(root)
+    lower, upper, _ = _best_first(upper, None, roots, split, done, EUCLID_MAX_SPLITS)
+    return lower, upper
 
 
 def euclid_witness_distance(

@@ -6,11 +6,11 @@ The minimizer takes at most the values {0, 1, alpha}, and in the regime
 5n < M^2 <= (2/ln2) n log2(n) (n >= 4) the value 1 is excluded, so the
 search space collapses to a two-parameter family: value 1 on a prefix of
 length x, a single level k on a mass-completing interval, zero
-elsewhere.  The search below covers exactly that family by a dense grid
-with golden-section refinement; random feasible step functions are the
-test suite's empirical check that nothing outside the family does
-better.  At the critical scale M^2 = (2/ln2) n log2(n) the minimizer is
-the uniform step y = 1/n.
+elsewhere.  The search below certifies its minimum over exactly that
+family (x = 1 included) by the package's best-first branch and bound;
+random feasible step functions are the test suite's empirical check
+that nothing outside the family does better.  At the critical scale
+M^2 = (2/ln2) n log2(n) the minimizer is the uniform step y = 1/n.
 """
 
 from __future__ import annotations
@@ -18,14 +18,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .entropy import phi
+from .optim import _best_first
 
 __all__ = ["StepFunction", "I_eval", "minimize_I"]
 
 _LN2 = math.log(2.0)
 MASS_TOL = 1e-10
+# Split budget of minimize_I; at tol 1e-9 the inputs tried take at most
+# 54 splits (n = 2..2048, M = 0.05..500).
+MAX_SPLITS = 100_000
+# Rounding margin of the level bounds, relative to their scale.
+_ROUND = 2.0**-46
+# Relative half-width of the bracket that certifies a level minimizer.
+_BRACKET = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -61,46 +67,106 @@ def I_eval(y: StepFunction, M: float) -> float:
     return M * M * quad + ent * ent
 
 
-def _family_value(x, k, M, n):
-    """I on the family {1 on [0,x], k on length (1-x)/k, 0 elsewhere}.
+def _level_min(base: float, A: float, c: float, kappa: float) -> tuple[float, float, float]:
+    """``(k, h(k), lower)`` for the convex h(k) = base + A k + c log2(1/k)^2
+    on [kappa, 1], A >= 0, c >= 0: k minimizes h, by Newton's method on
+    F(s) = A ln(2)^2 e^s + 2cs (convex, increasing and of the sign of h'
+    at s = ln k, so from s = 0 Newton descends to its root, or past
+    ln kappa, where the minimizer is kappa), and lower <= min h.
 
-    Vectorized over numpy arrays; x = 0 recovers the single-level
-    family.
+    lower is h's tangent at k over a bracket [k-, k+] of the minimizer:
+    k(1 -+ 2^-20) where h' = A - B, B = 2c log2(1/k)/(k ln 2), has its
+    sign beyond 2^-46 (A + B), else the end of [kappa, 1], with kappa
+    shaded down by 2^-50, beyond its rounding.  Rounding (u = 2^-53,
+    ``math.log`` faithful): h(k), A and B take at most fourteen
+    operations on nonnegative terms, the tangent three more, so the
+    computed tangent is within 2^-49 (h(k) + (A + B) run) of the exact
+    one, run = max(k - k-, k+ - k), and eight times that is subtracted.
+    With both ends certified run is 2^-20 k, so lower trails h(k) by
+    about 2^-46 h(k).
     """
-    x = np.asarray(x, dtype=float)
-    k = np.asarray(k, dtype=float)
-    ent = (1.0 - x) * (-np.log(k) / _LN2)
-    return M * M * (x + k * (1.0 - x)) + ent * ent
+    if c == 0.0:  # h is linear and increasing
+        value = base + A * kappa
+        return kappa, value, value - _ROUND * value
+    a, s = A * _LN2 * _LN2, 0.0
+    s_lo = math.log(kappa) if kappa > 0.0 else -math.inf
+    for _ in range(60):
+        e = a * math.exp(s)
+        step = (e + 2.0 * c * s) / (e + 2.0 * c)
+        s -= step
+        if s <= s_lo or step <= 2.0**-52:
+            break
+    k = max(math.exp(s), kappa)
+
+    def beyond(t, sign):  # h'(t) has the sign of `sign`, beyond rounding
+        B = -2.0 * c * math.log(t) / (t * _LN2 * _LN2)
+        return sign * (A - B) > _ROUND * (A + B)
+
+    kappa *= 1.0 - 2.0**-50
+    lo, hi = max(k * (1.0 - _BRACKET), kappa), min(k * (1.0 + _BRACKET), 1.0)
+    lo = lo if lo == kappa or beyond(lo, -1.0) else kappa
+    hi = hi if hi == 1.0 or beyond(hi, 1.0) else 1.0
+    L = -math.log(k) / _LN2
+    value = base + A * k + c * L * L
+    B = 2.0 * c * L / (k * _LN2)
+    tangent = min((A - B) * (lo - k), (A - B) * (hi - k))
+    run = max(k - lo, hi - k)
+    return k, value, value + tangent - _ROUND * (value + (A + B) * run)
 
 
-def _level_slope(x, k, M, n):
-    """dI/dk on the family; increasing in k, so its root is the argmin."""
-    return M * M * (1.0 - x) - 2.0 * (1.0 - x) ** 2 * (-np.log(k) / _LN2) / (k * _LN2)
+def _segment_lower(x0: float, x1: float, M2: float, n: int) -> float:
+    """Lower bound of I over the members with x in [x0, x1].
 
-
-def _best_k(x, M, n):
-    """Exact k-section minimizer by bisection on the monotone slope,
-    vectorized over an array of x values.  Returns (k, value).
-
-    Derivative-based localization avoids the sqrt(eps) argmin blur of
-    value-only searches, so a boundary minimizer like k = 1/n is hit to
-    machine precision.
+    The member (x, k), k in [kappa(x), 1], kappa(x) = (1 - x)/(n - x),
+    has I = M^2 (x + (1 - x) k) + (1 - x)^2 log2(1/k)^2.  kappa decreases,
+    so every member on the segment has k in [kappa(x1), 1], and its I is
+    at least each of
+      H(k) = M^2 (x0 + (1 - x0) k) + (1 - x1)^2 log2(1/k)^2, as both
+        terms of I are monotone in x;
+      min(I(x0, k), I(x1, k)) - (w/2)^2 log2(1/k)^2, w = x1 - x0, as I is
+        a quadratic in x with leading coefficient log2(1/k)^2.
+    Each is minimized over k by :func:`_level_min`, the second only where
+    1 - x1 >= w, so that its coefficients (1 - x)^2 - (w/2)^2 are
+    positive; of the dyadic segments the search makes, that leaves out
+    the one ending at x = 1.  H covers x = 1, whose member, the indicator
+    of [0, 1], is also the member k = 1 at every x.  The second bound is
+    second order in w, which matters where I barely depends on x (small
+    M).
     """
-    x = np.asarray(x, dtype=float)
-    lo = (1.0 - x) / (n - x)  # shortest admissible level: support fills (x, n]
-    lo = np.maximum(lo, 1e-15)
-    hi = np.ones_like(x)
-    k = np.where(_level_slope(x, lo, M, n) >= 0.0, lo, hi)
-    interior = (_level_slope(x, lo, M, n) < 0.0) & (_level_slope(x, hi, M, n) > 0.0)
-    a = np.array(lo)
-    b = np.array(hi)
-    for _ in range(90):
-        mid = 0.5 * (a + b)
-        neg = _level_slope(x, mid, M, n) < 0.0
-        a = np.where(neg, mid, a)
-        b = np.where(neg, b, mid)
-    k = np.where(interior, 0.5 * (a + b), k)
-    return k, _family_value(x, k, M, n)
+    w, kappa = x1 - x0, (1.0 - x1) / (n - x1) if x1 < 1.0 else 0.0
+    lower = _level_min(M2 * x0, M2 * (1.0 - x0), (1.0 - x1) ** 2, kappa)[2]
+    if 1.0 - x1 >= w:
+        ends = [
+            _level_min(M2 * x, M2 * (1.0 - x), (1.0 - x) ** 2 - 0.25 * w * w, kappa)[2]
+            for x in (x0, x1)
+        ]
+        lower = max(lower, min(ends))
+    return lower
+
+
+def _family_bracket(n: int, M: float, tol: float):
+    """``(lower, upper, (x, k))``: a certified bracket of I's minimum over
+    the family, at most ``tol`` wide, and the member of value ``upper``,
+    by :func:`optim._best_first` over x in [0, 1], split at midpoints,
+    with the bounds of :func:`_segment_lower`.
+    """
+    M2 = M * M
+
+    def member(x):
+        k, value, _ = _level_min(M2 * x, M2 * (1.0 - x), (1.0 - x) ** 2, (1.0 - x) / (n - x))
+        return value, (x, k)
+
+    def node(x0, x1):
+        return _segment_lower(x0, x1, M2, n), x0, x1
+
+    def split(parent):
+        _, x0, x1 = parent
+        xm = 0.5 * (x0 + x1)
+        return (*member(xm), (node(x0, xm), node(xm, x1)))
+
+    return _best_first(
+        *member(0.0), [node(0.0, 1.0)], split, lambda lo, up: up - lo <= tol, MAX_SPLITS
+    )
 
 
 def _assemble(x: float, k: float, n: float) -> StepFunction:
@@ -121,12 +187,13 @@ def _assemble(x: float, k: float, n: float) -> StepFunction:
 
 
 def minimize_I(n: int, M: float, tol: float = 1e-9) -> tuple[StepFunction, float]:
-    """Search the {0,1,level} family for the minimizer of I.
-
-    The level k is optimized exactly (bisection on the monotone slope);
-    the prefix length x runs over a mesh-1e-4 grid with golden-section
-    refinement of the envelope to `tol`.  At the critical scale
-    M^2 = (2/ln2) n log2 n (n >= 4) the result is the uniform step.
+    """Minimize I over the {0, 1, level} family: ``(y, I(y))`` for the
+    member y at the upper end of a certified bracket of the family's
+    minimum, ``tol`` wide, or :class:`ConvergenceError` after
+    ``MAX_SPLITS`` splits.  The lower end trails the upper by at least
+    its rounding margin, about 1.5e-14 I, so a smaller ``tol`` always
+    raises: at the default, from I of about 6.5e4 (n = 4, M = 510).
+    At the critical scale (n >= 4) y is the uniform step.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -134,34 +201,6 @@ def minimize_I(n: int, M: float, tol: float = 1e-9) -> tuple[StepFunction, float
         raise ValueError(f"need M > 0, got {M}")
     if not tol > 0.0:
         raise ValueError(f"need tol > 0, got {tol}")
-
-    def envelope(x: float) -> tuple[float, float]:
-        k, v = _best_k(np.array([x]), M, n)
-        return float(k[0]), float(v[0])
-
-    best_k, best_val = envelope(0.0)
-    best_x = 0.0
-
-    xs = np.linspace(0.0, 1.0 - 1e-9, 10_001)
-    kxs, vxs = _best_k(xs, M, n)
-    j = int(np.argmin(vxs))
-    if vxs[j] < best_val:
-        best_x, best_k, best_val = float(xs[j]), float(kxs[j]), float(vxs[j])
-        # Golden refinement of the envelope around the best grid x.
-        a = float(xs[max(j - 1, 0)])
-        b = float(xs[min(j + 1, len(xs) - 1)])
-        invphi = (math.sqrt(5.0) - 1.0) / 2.0
-        while b - a > min(tol, 1e-10):
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            if envelope(c)[1] < envelope(d)[1]:
-                b = d
-            else:
-                a = c
-        x = 0.5 * (a + b)
-        k, v = envelope(x)
-        if v < best_val:
-            best_x, best_k, best_val = x, k, v
-
-    y = _assemble(best_x, best_k, n)
+    _, _, (x, k) = _family_bracket(n, M, tol)
+    y = _assemble(x, k, n)
     return y, I_eval(y, M)

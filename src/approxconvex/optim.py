@@ -30,6 +30,7 @@ so concurrent solves of different instances are safe.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -662,3 +663,36 @@ def min_distance_over_simplex(
     lam, f, _, _ = _mnp(L, c, stop)
     _check_simplex(lam)
     return lam, float(np.sqrt(max(f, 0.0)))
+
+
+# ---------------------------------------------------------------------------
+# Best-first branch and bound over intervals
+# ---------------------------------------------------------------------------
+
+
+def _best_first(upper, best, nodes, split, done, max_splits: int):
+    """Best-first branch and bound (Piyavskii 1972; Shubert 1972): the
+    package's one certified 1-D global search.
+
+    ``upper`` is the objective's least known value, at ``best``, and a
+    node is a heap entry ``(bound, *tie_keys)`` of an interval on which
+    ``bound`` bounds it below.  ``split(node)`` returns ``(value, arg,
+    children)``: a new value of the objective, at ``arg``, and the nodes
+    of the halves.  Nodes not below ``upper`` are dropped, and ``lower``
+    is the least bound left, capped at ``upper``.  Returns ``(lower,
+    upper, best)`` once ``done(lower, upper)``, or raises
+    :class:`ConvergenceError` after ``max_splits`` splits.
+    """
+    heap = [node for node in nodes if node[0] < upper]
+    heapq.heapify(heap)
+    for _ in range(max_splits):
+        lower = min(heap[0][0], upper) if heap else upper
+        if done(lower, upper):
+            return lower, upper, best
+        value, arg, children = split(heapq.heappop(heap))
+        if value < upper:
+            upper, best = value, arg
+        for node in children:
+            if node[0] < upper:
+                heapq.heappush(heap, node)
+    raise ConvergenceError(f"bracket [{lower!r}, {upper!r}] still open after {max_splits} splits")

@@ -166,6 +166,30 @@ class TestExitCodes:
         assert err.startswith("usage error: ")
         assert message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("simplex-face", "--n", "3", "--trials", "0"), "simplex-face needs --trials >= 1, got 0"),
+        (("best-subset", "--n", "3", "--trials", "0"), "best-subset needs --trials >= 1, got 0"),
+        (("tree-norm", "--samples", "0"), "tree-norm needs --samples >= 1, got 0"),
+        (("tree-jensen", "--pairs", "0"), "tree-jensen needs --pairs >= 1, got 0"),
+        (("tree-jensen", "--level", "0"), "tree-jensen needs --level >= 1, got 0"),
+    ])
+    def test_empty_count_is_a_usage_error(self, capsys, argv, message):
+        # These used to pass on a result computed from no samples.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simplex-face", "best-subset"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_one_dimensional_simplices(self, capsys, command, seed):
+        # n = 1 used to draw two coincident vertices and fail as a usage error.
+        code, out, err = run_cli(
+            capsys, command, "--n", "1", "--trials", "5", "--seed", str(seed), "--paper-check"
+        )
+        assert (code, err) == (0, "")
+        assert parse_lines(out)[0]["pass"] is True
+
     def test_numerical_failure_is_three(self, capsys, monkeypatch):
         def stalled(*args, **kwargs):
             raise ConvergenceError("stalled in a test")

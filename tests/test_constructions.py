@@ -226,6 +226,19 @@ class TestWitnessBracket:
         near = (1.0 - s) * vertices + s * rng.dirichlet(np.ones(n), size=2000)
         assert g_values(np.vstack([spread, near]), M).min() >= lower
 
+    @pytest.mark.parametrize(
+        "n,M,bracket",
+        [
+            (16, critical_scale(16), (27.541560319778835, 27.541560327111707)),
+            (32, critical_scale(32), (39.42695039906163, 39.42695040888963)),
+            (8, 2.0, (2.999999997205819, 3.0)),
+            (3, 0.5, (0.24937257866971319, 0.24937257943525826)),
+        ],
+    )
+    def test_bracket_is_pinned(self, n, M, bracket):
+        # Bit for bit: the split order, ties included, decides both ends.
+        assert constructions.min_smooth_over_simplex(n, M, 1e-9) == bracket
+
     def test_split_budget(self, monkeypatch):
         monkeypatch.setattr(constructions, "EUCLID_MAX_SPLITS", 3)
         with pytest.raises(ConvergenceError, match="3 splits"):
