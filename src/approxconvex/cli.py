@@ -316,22 +316,23 @@ def _cmd_best_subset(cfg):
 
 
 def _cmd_opt_entropy(cfg):
-    n = cfg.params["n"]
+    n = _positive(cfg, "n")
     tol = cfg.params["tol"]
     if not tol > 0.0:
         raise UsageError(f"opt-entropy needs --tol > 0, got {tol:g}")
-    crit = constructions.critical_scale(n)
+    crit = constructions.critical_scale(n) if n >= 2 else None
     M = cfg.params.get("M") or crit
+    if not M:
+        raise UsageError("opt-entropy needs --M > 0 when --n is 1: the critical scale needs n >= 2")
     y, value = entropy_opt.minimize_I(n, M, tol=tol)
-    at_crit = abs(M - crit) <= 1e-9 * crit and n >= 4
+    direct = M * M / n + math.log2(n) ** 2
     levels = [v for _, v in y.pieces if v > 0.0]
     results = {
         "M": M,
         "pieces": [[l, v] for l, v in y.pieces],
         "value": value,
     }
-    if at_crit:
-        direct = M * M / n + math.log2(n) ** 2
+    if n >= 4 and abs(M - crit) <= 1e-9 * crit:
         results["uniform_value"] = direct
         passed = (
             abs(value - direct) <= 1e-9
@@ -339,7 +340,9 @@ def _cmd_opt_entropy(cfg):
             and abs(levels[0] - 1.0 / n) <= 1e-6
         )
     else:
-        passed = True
+        # At most the indicator's and uniform step's I; no piece of value 1 where 5n < M^2 <= crit^2.
+        unit_piece = n >= 2 and 5 * n < M * M <= crit * crit and max(levels) >= 1.0
+        passed = value <= min(M * M, direct) + tol and not unit_piece
     return results, passed
 
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .entropy import phi
-from .optim import _best_first
+from .optim import ConvergenceError, _best_first
 
 __all__ = ["StepFunction", "I_eval", "minimize_I"]
 
@@ -152,6 +152,13 @@ def _family_bracket(n: int, M: float, tol: float):
     """
     M2 = M * M
 
+    def done(lower, upper):
+        if upper - lower > tol and 0.5 * _ROUND * lower > tol:
+            raise ConvergenceError(
+                f"bracket [{lower!r}, {upper!r}] cannot narrow to {tol:g}: rounding keeps it above 2^-47 I"
+            )
+        return upper - lower <= tol
+
     def member(x):
         k, value, _ = _level_min(M2 * x, M2 * (1.0 - x), (1.0 - x) ** 2, (1.0 - x) / (n - x))
         return value, (x, k)
@@ -164,9 +171,7 @@ def _family_bracket(n: int, M: float, tol: float):
         xm = 0.5 * (x0 + x1)
         return (*member(xm), (node(x0, xm), node(xm, x1)))
 
-    return _best_first(
-        *member(0.0), [node(0.0, 1.0)], split, lambda lo, up: up - lo <= tol, MAX_SPLITS
-    )
+    return _best_first(*member(0.0), [node(0.0, 1.0)], split, done, MAX_SPLITS)
 
 
 def _assemble(x: float, k: float, n: float) -> StepFunction:
@@ -189,11 +194,16 @@ def _assemble(x: float, k: float, n: float) -> StepFunction:
 def minimize_I(n: int, M: float, tol: float = 1e-9) -> tuple[StepFunction, float]:
     """Minimize I over the {0, 1, level} family: ``(y, I(y))`` for the
     member y at the upper end of a certified bracket of the family's
-    minimum, ``tol`` wide, or :class:`ConvergenceError` after
-    ``MAX_SPLITS`` splits.  The lower end trails the upper by at least
-    its rounding margin, about 1.5e-14 I, so a smaller ``tol`` always
-    raises: at the default, from I of about 6.5e4 (n = 4, M = 510).
-    At the critical scale (n >= 4) y is the uniform step.
+    minimum, ``tol`` wide, or :class:`ConvergenceError`.  At the critical
+    scale (n >= 4) y is the uniform step.
+
+    No bracket is narrower than 2^-47 I*, I* the minimum: a segment's
+    bound is at most (1 - 7 2^-49) times I's minimum on it (the tangent
+    of :func:`_level_min`, plus its 2^-49 rounding, less its 2^-46
+    margin), and a computed I at least (1 - 2^-49) I*.  So the search raises once
+    2^-47 times its lower end exceeds ``tol``: at the default ``tol`` and
+    n = 4, from M = 751.  From M = 514, where the bracket stops closing,
+    up to there, it raises after ``MAX_SPLITS`` splits.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")

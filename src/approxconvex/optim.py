@@ -4,16 +4,16 @@ Two solvers used by every distance computation in the package:
 
 * a dense two-phase simplex LP solver (Dantzig pricing with a permanent
   switch to Bland's rule once degeneracy is detected, which guarantees
-  termination).  By default it starts on a crash basis: a row without a
-  slack starts on a structural column equal to ``e_i``, and on an
-  artificial only when it has none, so an LP such as the tree-norm
-  decomposition needs no phase 1.  A caller that knows a feasible basis
-  passes it instead (the l1 and l-infinity hull-distance LPs build one
-  in closed form): it is checked before any pivot, the tableau becomes
-  B^-1 T, formed in column blocks, and phase 2 starts at once.  The
-  bookkeeping around the tableau (bounds, standard form, crash,
-  certificates) is done on whole arrays, with no Python loop over
-  variables.  A pivot
+  termination).  Every LP starts on a basis B0: the caller's, when it
+  knows a feasible one (the tree-norm decomposition LP and the l1 and
+  l-infinity hull-distance LPs build one in closed form), and otherwise
+  the slack of each '<=' row with an artificial on every other row.  A
+  caller's basis adds no artificial column: it is checked before any
+  pivot, the tableau becomes B0^-1 T (formed in column blocks) unless B0
+  is the identity, and phase 2 starts at once.  Row duals are read the
+  same way on every start.  The bookkeeping around the tableau
+  (bounds, standard form, start, certificates) is done on whole arrays,
+  with no Python loop over variables.  A pivot
   updates only the rows where the pivot column is nonzero when at most
   a quarter of them are, and the whole tableau otherwise,
 * minimization of ``f(t) = ||c - L t||^2`` over the probability simplex
@@ -134,9 +134,9 @@ class _Tableau:
     """Dense simplex tableau with two cost rows (phase 1 and phase 2).
 
     The initial basis is any set of columns that are the identity in T:
-    slack, artificial or crash columns, or the columns of a caller's
-    basis once T holds B^-1 T.  Phase-2 costs are priced out against it,
-    so a start may carry nonzero cost.
+    slack and artificial columns, or the columns of a caller's basis once
+    T holds B0^-1 T.  Phase-2 costs are priced out against it, so a start
+    may carry nonzero cost.
     A pivot updates only the rows where the pivot column is nonzero when
     at most a quarter of them are; a denser column gets one full
     rank-1 update, which avoids gathering a copy of a wide tableau.
@@ -153,9 +153,9 @@ class _Tableau:
         self._stall = 0
         # Phase-2 reduced costs (artificials cost 0), priced out against
         # the initial basis; v2 is the negated objective.
-        cost = np.concatenate([cost2, np.zeros(self.T.shape[1] - n_real)])
-        c_B = cost[self.basis]
-        self.r2 = cost - c_B @ self.T
+        self.cost = np.concatenate([cost2, np.zeros(self.T.shape[1] - n_real)])
+        c_B = self.cost[self.basis]
+        self.r2 = self.cost - c_B @ self.T
         self.v2 = -float(c_B @ self.rhs)
         # Phase-1 reduced costs: cost 1 on artificials, priced out.
         art_rows = [i for i, j in enumerate(self.basis) if j >= n_real]
@@ -297,20 +297,22 @@ _BLOCK_CELLS = 1 << 14  # cells of B^-1 T formed at a time
 
 
 def _start_on_basis(T, rhs, start, feas_tol):
-    """Turn the columns ``start`` of T into the identity in place, T :=
-    B^-1 T for B = T[:, start], and return the basic values B^-1 rhs.
+    """``(B0^-1 rhs, B0^-1)`` for B0 = T[:, start], or ``(rhs, None)`` when
+    B0 is the identity.  Otherwise T becomes B0^-1 T in place, formed in
+    column blocks of about ``_BLOCK_CELLS`` cells, so no second copy of a
+    wide tableau is built.
 
-    Raises ``ValueError`` before any pivot if B is numerically singular
+    Raises ``ValueError`` before any pivot if B0 is numerically singular
     or if a basic value is below ``-feas_tol``; values above that but
     below zero are rounding and start at zero.  Singular means a 1-norm
     condition number of at least 1 / (m eps) once the rows and then the
-    columns of B are scaled to unit max-norm, so the test judges the basis
-    and not the scale of the data.  B^-1 T is formed in column blocks of
-    about ``_BLOCK_CELLS`` cells, so no second copy of a wide tableau is
-    built.
+    columns of B0 are scaled to unit max-norm, so the test judges the
+    basis and not the scale of the data.
     """
     m = len(start)
     B = T[:, start]
+    if np.count_nonzero(B) == m and (np.diagonal(B) == 1.0).all():
+        return rhs, None  # rhs >= 0 once lp_solve has flipped its rows
     tiny = np.finfo(float).tiny
     row = np.maximum(np.abs(B).max(axis=1, initial=0.0), tiny)
     col = np.maximum(np.abs(B / row[:, None]).max(axis=0, initial=0.0), tiny)
@@ -335,24 +337,23 @@ def _start_on_basis(T, rhs, start, feas_tol):
     for k in range(0, T.shape[1], step):
         T[:, k : k + step] = B_inv @ T[:, k : k + step]
     T[:, start] = np.eye(m)
-    return np.maximum(x_B, 0.0)
+    return np.maximum(x_B, 0.0), B_inv
 
 
 def lp_solve(lp: LPInstance, tol: float = 1e-9, basis=None) -> LPSolution:
     """Two-phase dense simplex with a certified duality gap.
 
-    Without ``basis``, the simplex starts on the crash basis and phase 1
-    runs only over the artificials that it could not avoid.  ``basis``
-    names a feasible basis, one column per row of ``lp``: entry ``j <
-    lp.n_vars`` is variable j, entry ``lp.n_vars + k`` the slack or
+    ``basis`` names a feasible basis, one column per row of ``lp``: entry
+    ``j < lp.n_vars`` is variable j, entry ``lp.n_vars + k`` the slack or
     surplus of the k-th inequality row (the bound rows of boxed variables
     add their own slacks).  It is checked before any pivot: a basis of the
     wrong length, a numerically singular one, or one whose basic values
-    B^-1 b fall below ``-tol (1 + ||b||_1)`` raises ``ValueError``.
-    Otherwise the tableau becomes B^-1 T and phase 2 starts at once.
-    Either way row duals are read off the initial identity columns,
-    whatever their cost.  A solve that needs more than 20,000 + 40 (rows
-    + standard-form columns) pivots raises :class:`ConvergenceError`.
+    B0^-1 b fall below ``-tol (1 + ||b||_1)`` raises ``ValueError``.
+    Without it, '<=' rows (once b >= 0) start on their slacks and the
+    others on artificials for phase 1.  Either start gives the row duals
+    y = (c_B0 - r_B0) B0^-1, whatever their cost.  A solve that needs more
+    than 20,000 + 40 (rows + standard-form columns) pivots raises
+    :class:`ConvergenceError`.
 
     The reported optimum always comes with a dual vector whose objective
     agrees with the primal within ``tol`` (scaled); a numerical failure
@@ -372,52 +373,32 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, basis=None) -> LPSolution:
     A *= row_sign[:, None]
     b = b * row_sign
     rel = np.asarray(rel, dtype=str)
-    le = np.where(row_sign < 0.0, rel == ">=", rel == "<=")  # '<=' once flipped
 
-    # Slack / surplus columns, one per inequality row in row order; a
-    # '<=' row starts on its slack.
+    # Slack / surplus columns, one per inequality row in row order.
     slack_rows = np.flatnonzero(rel != "=")
     slack_cols = n_std + np.arange(len(slack_rows))
-    slack_le = le[slack_rows]
+    slack_le = (rel[slack_rows] == "<=") == (row_sign[slack_rows] > 0.0)  # '<=' once flipped
     n_real = n_std + len(slack_rows)
     cost2 = np.concatenate([c, np.zeros(len(slack_rows))])
 
     if basis is None:
-        identity_col = np.full(m, -1)  # each row's initial basic column, e_i
-        identity_col[slack_rows[slack_le]] = slack_cols[slack_le]
-        # Crash: a row without a slack starts on a structural column equal
-        # to e_i (one nonzero, +1), the cheapest if several (the first
-        # among equals); only rows left without one get an artificial.
-        unit = (np.count_nonzero(A, axis=0) == 1) & (A.max(axis=0, initial=0.0) == 1.0)
-        unit_cols = np.flatnonzero(unit)
-        unit_rows, which = np.nonzero(A[:, unit_cols])
-        keep = ~le[unit_rows]
-        unit_rows, unit_cols = unit_rows[keep], unit_cols[which[keep]]
-        order = np.lexsort((unit_cols, c[unit_cols], unit_rows))
-        crash_rows, first = np.unique(unit_rows[order], return_index=True)
-        identity_col[crash_rows] = unit_cols[order[first]]
-        art_rows = np.flatnonzero(identity_col < 0)
-        identity_col[art_rows] = n_real + np.arange(len(art_rows))
-        start = identity_col
+        start = np.full(m, -1)
+        start[slack_rows[slack_le]] = slack_cols[slack_le]
     else:
         start = _basis_columns(lp, basis, idx, n_std, slack_rows)
-        # Every row gets an artificial that may never enter.  After
-        # T := B^-1 T their block holds the basis inverse, so the row duals
-        # are read off it exactly as on the crash start.
-        art_rows = np.arange(m)
-        identity_col = n_real + art_rows
+    art_rows = np.flatnonzero(start < 0)  # rows of the default start without a slack
+    start[art_rows] = n_real + np.arange(len(art_rows))
 
     T = np.zeros((m, n_real + len(art_rows)))
     T[:, :n_std] = A
     T[slack_rows, slack_cols] = np.where(slack_le, 1.0, -1.0)
-    T[art_rows, identity_col[art_rows]] = 1.0
+    T[art_rows, start[art_rows]] = 1.0
     feas_tol = tol * (1.0 + float(np.abs(b).sum()))
-    x_B = b if basis is None else _start_on_basis(T, b, start, feas_tol)
+    x_B, B_inv = _start_on_basis(T, b, start, feas_tol)
     tab = _Tableau(T, x_B, cost2, n_real, start.tolist(), tol)
-    n_all = tab.T.shape[1]
-    allowed = np.ones(n_all, dtype=bool)
+    allowed = np.ones(T.shape[1], dtype=bool)
 
-    if (start >= n_real).any():
+    if len(art_rows):
         status = tab.run(1, allowed, max_iter)
         if status == "unbounded":  # phase-1 objective is bounded below by 0
             raise ConvergenceError("phase 1 reported unbounded: numerical failure")
@@ -438,14 +419,16 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, basis=None) -> LPSolution:
         return LPSolution(status="unbounded", iterations=tab.iterations)
 
     # Recover the structural solution.
-    x_std = np.zeros(n_all)
+    x_std = np.zeros(T.shape[1])
     x_std[tab.basis] = tab.rhs
     x = np.array(shift, dtype=float)
     np.add.at(x, idx, sign * x_std[:n_std])  # in order: split columns add twice
 
-    # Row duals from the initial identity columns: r_j = c_j - y.e_i.
-    cost_all = np.concatenate([cost2, np.zeros(len(art_rows))])
-    y = cost_all[identity_col] - tab.r2[identity_col]
+    # Row duals from the start columns: r_j = c_j - y.T0[:, j] with
+    # T0[:, start] = B0.
+    y = tab.cost[start] - tab.r2[start]
+    if B_inv is not None:
+        y = y @ B_inv
     y *= row_sign
     # Report duals in the sense of the original problem, so that the dual
     # objective b.dual reproduces the reported optimal value.

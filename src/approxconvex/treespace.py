@@ -176,7 +176,8 @@ def _primal_lp(x: TreeVector, M: float, tol: float):
 
     Variables (y+, y-, w+, w-) over D with y + S(w) = x; the objective
     M||y||_1 + ||w||_1' is exact after sign splitting.  The row duals of
-    this LP are precisely a maximizing dual functional.
+    this LP are precisely a maximizing dual functional.  It starts on
+    y = x, w = 0 (y+ or y- by the sign of x): no phase 1, no inverse.
     """
     D, S, _ = _halving(x)
     N = len(D)
@@ -187,6 +188,7 @@ def _primal_lp(x: TreeVector, M: float, tol: float):
     sol = lp_solve(
         LPInstance(c=c, A=A, rel=("=",) * N, b=b),
         tol=min(tol, 1e-9),
+        basis=np.arange(N) + N * (b < 0.0),
     )
     if sol.status != "optimal":  # y = x, w = 0 is feasible; values are >= 0
         raise ConvergenceError(f"norm LP ended with status {sol.status}")

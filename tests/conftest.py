@@ -83,14 +83,15 @@ def random_tree_vector(rng, closure: int, max_level: int = 12) -> Vector:
 
 
 def tree_lps(x: Vector, M: float):
-    """The two LPs `treespace` solves for the tree norm of x: the
-    decomposition LP (equality rows) and the dual-ball LP (inequality
-    rows, box bounds), captured at its `lp_solve` call site."""
+    """The (LP, basis) pairs `treespace` passes to `lp_solve` for the tree
+    norm of x, captured at its call site: the decomposition LP (equality
+    rows, started on y = x) and the dual-ball LP (inequality rows, box
+    bounds, the default start, so its basis is None)."""
     captured = []
     solve = treespace.lp_solve
 
     def record(lp, *args, **kwargs):
-        captured.append(lp)
+        captured.append((lp, kwargs.get("basis")))
         return solve(lp, *args, **kwargs)
 
     with mock.patch.object(treespace, "lp_solve", record):

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import approxconvex
-from approxconvex import cli, constructions, hulls, optim
+from approxconvex import cli, constructions, entropy_opt, hulls, optim
 from approxconvex.cli import main
 from approxconvex.optim import ConvergenceError
 
@@ -158,6 +159,8 @@ class TestExitCodes:
         (("best-subset", "--n", "0"), "best-subset needs --n >= 1"),
         (("opt-entropy", "--n", "4", "--tol", "0"), "opt-entropy needs --tol > 0, got 0"),
         (("opt-entropy", "--n", "4", "--tol", "-1"), "opt-entropy needs --tol > 0, got -1"),
+        (("opt-entropy", "--n", "0"), "opt-entropy needs --n >= 1, got 0"),
+        (("opt-entropy", "--n", "1"), "opt-entropy needs --M > 0 when --n is 1"),
     ])
     def test_out_of_domain_input_is_a_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -226,6 +229,38 @@ class TestExitCodes:
     def test_bad_sweep(self, capsys):
         code, _, err = run_cli(capsys, "kappa", "--sweep", "5")
         assert code == 1
+
+
+class TestOptEntropyVerdict:
+    def test_one_coordinate_is_the_indicator(self, capsys):
+        code, out, _ = run_cli(capsys, "opt-entropy", "--n", "1", "--M", "0.7", "--paper-check")
+        assert code == 0
+        (rep,) = parse_lines(out)
+        assert rep["results"]["pieces"] == [[1.0, 1.0]]
+        assert rep["results"]["value"] == pytest.approx(0.49, rel=1e-15)
+
+    def test_exclusion_regime_passes(self, capsys):
+        # 48 points with 5n < M^2 <= (2/ln2) n log2 n, the critical scale's
+        # square: each is certified and carries no piece of value 1.
+        for n in (4, 8, 16, 32):
+            crit2 = constructions.critical_scale(n) ** 2
+            for M2 in np.linspace(5.0 * n, crit2, 13)[1:]:
+                code, out, _ = run_cli(capsys, "opt-entropy", "--n", str(n), "--M", repr(float(np.sqrt(M2))), "--paper-check")
+                assert code == 0, (n, M2)
+                assert parse_lines(out)[0]["pass"] is True
+
+    @pytest.mark.parametrize("argv, value, pieces", [
+        # Above both the indicator (M^2 = 1) and the uniform step.
+        (("--n", "4", "--M", "1"), 1.5, ((4.0, 0.25),)),
+        # Below both, but with a piece of value 1 in the exclusion regime.
+        (("--n", "8", "--M", "7"), 1.0, ((1.0, 1.0), (7.0, 0.0))),
+    ])
+    def test_a_wrong_minimum_fails(self, capsys, monkeypatch, argv, value, pieces):
+        y = entropy_opt.StepFunction(pieces=pieces, domain=float(argv[1]))
+        monkeypatch.setattr(entropy_opt, "minimize_I", lambda *a, **k: (y, value))
+        code, out, _ = run_cli(capsys, "opt-entropy", *argv, "--paper-check")
+        assert code == 2
+        assert parse_lines(out)[0]["pass"] is False
 
 
 class TestFormats:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -219,6 +220,14 @@ class TestCertificate:
         assert value == I_eval(y, M)
         lower, upper, _ = _family_bracket(n, M, 1e-9)
         assert lower <= value <= upper + 1e-15 * upper
+
+    def test_unreachable_tol_raises_at_once(self):
+        # I* = 250004, so no bracket gets narrower than 2^-47 I* > 1e-9:
+        # the search says so within a few splits, not after MAX_SPLITS.
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="cannot narrow to 1e-09"):
+            minimize_I(4, 1000.0)
+        assert time.perf_counter() - t0 < 0.1
 
     def test_split_budget(self, monkeypatch):
         monkeypatch.setattr(entropy_opt, "MAX_SPLITS", 3)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxconvex import hulls
+from approxconvex import hulls, optim
 from approxconvex.constructions import ConstructionSpec, build_entropy_set, critical_scale
 from approxconvex.core import NormSpec, Vector, simplex_grid_array
 from approxconvex.hulls import (
@@ -19,7 +19,8 @@ from approxconvex.hulls import (
     hausdorff_lb,
 )
 from approxconvex.labels import leaf
-from approxconvex.optim import ConvergenceError, LPSolution, min_distance_over_simplex
+from approxconvex.optim import ConvergenceError, LPSolution, lp_solve, min_distance_over_simplex
+from conftest import assert_dual_certificate, hull_lps
 
 L2 = NormSpec.lp(2)
 L1 = NormSpec.lp(1)
@@ -127,6 +128,25 @@ class TestDistToHull:
         got = dist_to_hull(Vector.from_array(scale * x), SampledSet(scale * P), norm)
         assert got == pytest.approx(scale * want, rel=1e-9)
 
+    # 6 points in 3 dimensions: lam, s+ and s- take 12 columns; under
+    # l-infinity u and the slacks of its 3 '<=' rows add 4.
+    @pytest.mark.parametrize("norm, n_cols", [(L1, 12), (LINF, 16)])
+    def test_lp_tableau_has_no_artificials(self, monkeypatch, rng, norm, n_cols):
+        # The closed-form basis covers every row, so the tableau holds
+        # only the LP's own columns and slacks.
+        widths = []
+        init = optim._Tableau.__init__
+
+        def recording_init(tab, T, b, cost2, n_real, *args):
+            widths.append((T.shape[1], n_real))
+            init(tab, T, b, cost2, n_real, *args)
+
+        monkeypatch.setattr(optim._Tableau, "__init__", recording_init)
+        P, x = rng.normal(size=(6, 3)), 3.0 * rng.normal(size=3)
+        dist_to_hull(Vector.from_array(x), SampledSet(P), norm)
+        (width, n_real), = widths
+        assert width == n_real == n_cols
+
     def test_unsupported_norms_rejected(self):
         A = setof([1.0], [0.0])
         with pytest.raises(ValueError):
@@ -154,7 +174,7 @@ class TestDistToHull:
 # points the library's sets are built from.  Samples that mix magnitudes
 # far apart (entries near 1e-7 next to entries near 10) are outside this
 # property: there the dense tableau can lose its certificate and raise
-# ConvergenceError, from the crash start as well (see ROADMAP item 8).
+# ConvergenceError, from the default start as well (see ROADMAP item 8).
 coordinates = st.integers(-80, 80).map(lambda k: k / 8.0)
 weights = st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=False))
 
@@ -177,8 +197,11 @@ def hull_members(draw):
 @settings(max_examples=300, deadline=None)
 def test_convex_combinations_are_in_the_hull(member, norm):
     P, x = member
-    dist = dist_to_hull(Vector.from_array(x), SampledSet(P), norm)
+    dist, ((lp, basis),) = hull_lps(Vector.from_array(x), SampledSet(P), norm)
     assert dist <= 1e-9 * (1.0 + np.abs(x).sum())
+    # The duals read from the closed-form start certify the optimum, also
+    # where that start is degenerate.
+    assert_dual_certificate(lp, lp_solve(lp, basis=basis))
 
 
 # Off-hull queries against the n=16, grid-3 Euclidean set at

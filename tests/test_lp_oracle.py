@@ -120,7 +120,9 @@ def test_random_degenerate(rng):
 def test_unit_columns_with_cost_on_negative_rows(rng):
     # Every row has a column equal to +-e_i, signed so that it is +e_i
     # once a negative right-hand side is flipped; such columns carry a
-    # nonzero cost, of either sign, and form the initial basis.
+    # nonzero cost, of either sign.  Named as the basis, they are a costed
+    # identity start (the tree-norm LP's case); the default start must
+    # agree.
     for _ in range(60):
         m = int(rng.integers(1, 12))
         n = int(rng.integers(1, 10))
@@ -136,9 +138,10 @@ def test_unit_columns_with_cost_on_negative_rows(rng):
             rel=rel,
             b=b,
         )
-        sol = assert_matches_highs(lp)
-        if sol.status == "optimal":
-            assert_dual_certificate(lp, sol)
+        for start in (None, n + np.arange(m)):
+            sol = assert_matches_highs(lp, basis=start)
+            if sol.status == "optimal":
+                assert_dual_certificate(lp, sol)
 
 
 @pytest.mark.parametrize("closure", [260, 500])
@@ -146,11 +149,18 @@ def test_tree_lps(closure):
     rng = np.random.default_rng(closure)
     x = random_tree_vector(rng, closure)
     for M in (1.0, 3.0):
-        primal, dual = tree_lps(x, M)
+        (primal, basis), (dual, dual_basis) = tree_lps(x, M)
         assert primal.n_rows >= closure
-        sol = assert_matches_highs(primal, rel=1e-9)
-        assert_dual_certificate(primal, sol, tol=1e-9)
-        assert assert_matches_highs(dual, rel=1e-9).value == pytest.approx(sol.value, rel=1e-9)
+        assert dual_basis is None
+        # Each LP from both starts: the decomposition LP on y = x and on
+        # the default start (phase 1 over an artificial per row); the
+        # dual-ball LP on its default slack start and on the same slacks
+        # named as a basis.
+        for start in (basis, None):
+            sol = assert_matches_highs(primal, rel=1e-9, basis=start)
+            assert_dual_certificate(primal, sol, tol=1e-9)
+        for start in (None, dual.n_vars + np.arange(dual.n_rows)):
+            assert assert_matches_highs(dual, rel=1e-9, basis=start).value == pytest.approx(sol.value, rel=1e-9)
 
 
 def highs_hull_distance(P: np.ndarray, x: np.ndarray, p: float) -> float:
@@ -204,7 +214,7 @@ def test_hull_lps(d):
                 value, ((lp, basis),) = hull_lps(Vector.from_array(xq), A, NormSpec.lp(p))
                 assert lp.n_rows == rows
                 assert len(basis) == rows
-                # The closed-form start and the crash start both agree
+                # The closed-form start and the default start both agree
                 # with HiGHS and certify their duals.
                 for start in (basis, None):
                     sol = assert_matches_highs(lp, basis=start)

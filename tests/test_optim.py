@@ -15,6 +15,7 @@ from approxconvex.optim import (
     min_distance_over_simplex,
     min_quadratic_over_simplex,
 )
+from approxconvex.treespace import tree_norm, tree_norm_dual_lp
 from conftest import assert_dual_certificate, random_tree_vector, tree_lps
 
 
@@ -168,16 +169,28 @@ class TestLPSolve:
     def test_tree_lp_needs_no_phase_one(self):
         # Every row of the decomposition LP starts on its y+ or y- column,
         # so no pivot is spent driving artificials out of the basis.
-        lp, _ = tree_lps(random_tree_vector(np.random.default_rng(8), 260), 2.0)
+        (lp, basis), _ = tree_lps(random_tree_vector(np.random.default_rng(8), 260), 2.0)
         assert lp.n_rows >= 260
-        sol = lp_solve(lp)
+        sol = lp_solve(lp, basis=basis)
         assert sol.status == "optimal"
         assert sol.iterations < lp.n_rows
 
+    def test_tree_norm_never_inverts_its_basis(self, monkeypatch):
+        # The decomposition LP starts on an identity basis once its
+        # negative rows are flipped, and the dual-ball LP on its slacks, so
+        # neither B0^-1 nor B0^-1 T is ever formed.
+        def no_inverse(*args):
+            raise AssertionError("tree_norm inverted a basis")
+
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
+        x = random_tree_vector(np.random.default_rng(8), 260)
+        primal, dual = tree_norm(x, 2.0)
+        assert tree_norm_dual_lp(x, 2.0) == pytest.approx(dual, rel=1e-9)
+
     def test_degenerate_crash_start_switches_to_bland(self, monkeypatch):
         # 35 equality rows, 30 with b_i = 0, each with a costed unit column:
-        # the crash basis is feasible but degenerate, and Dantzig pricing
-        # stalls long enough that Bland's rule must take over.
+        # the basis of those columns is feasible but degenerate, and Dantzig
+        # pricing stalls long enough that Bland's rule must take over.
         r = np.random.default_rng(36)
         m = int(r.integers(20, 60))
         n = int(r.integers(m, 3 * m))
@@ -194,7 +207,7 @@ class TestLPSolve:
             return status
 
         monkeypatch.setattr(optim._Tableau, "run", recording_run)
-        sol = lp_solve(lp)
+        sol = lp_solve(lp, basis=n + np.arange(m))
         assert phases == [(2, True)]
         assert sol.status == "optimal"
         # Certified optimum: dual feasible, and b.dual equals the value.
@@ -270,12 +283,12 @@ class TestBasisStart:
         assert sol.value == pytest.approx(1.25, abs=1e-12)  # x = (0, 0.5, 0.75); HiGHS 1.25
         assert_dual_certificate(self.lp, sol)
 
-    def test_random_feasible_bases_match_the_crash_start(self, rng):
+    def test_random_feasible_bases_match_the_default_start(self, rng):
         for _ in range(200):
             lp, basis = lp_with_feasible_basis(rng)
-            crash, started = lp_solve(lp), lp_solve(lp, basis=basis)
-            assert crash.status == started.status == "optimal"
-            assert started.value == pytest.approx(crash.value, abs=1e-9 * (1.0 + abs(crash.value)))
+            default, started = lp_solve(lp), lp_solve(lp, basis=basis)
+            assert default.status == started.status == "optimal"
+            assert started.value == pytest.approx(default.value, abs=1e-9 * (1.0 + abs(default.value)))
             assert_dual_certificate(lp, started)
 
     def test_bounds_map_to_standard_form(self):
