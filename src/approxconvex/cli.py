@@ -172,11 +172,11 @@ def _cmd_entropy_defect(cfg):
 def _cmd_euclid_set(cfg):
     n = cfg.params["n"]
     crit = constructions.critical_scale(n)
-    M = cfg.params.get("M") or crit
-    grid = cfg.params.get("grid") or _auto_grid(n)
+    M = cfg.params.get("M", crit)
+    grid = cfg.params.get("grid", _auto_grid(n))
+    spec = constructions.ConstructionSpec(space=NormSpec.lp(2), n=n, M=M, grid=grid)
     at_crit = abs(M - crit) <= 1e-9 * crit and n >= 4
     numeric = constructions.euclid_witness_distance(n, M, mode="numeric")
-    spec = constructions.ConstructionSpec(space=NormSpec.lp(2), n=n, M=M, grid=grid)
     sample = constructions.build_entropy_set(spec)
     diam = hulls.diameter(sample, NormSpec.lp(2))
     diam_bound = 2.0 / math.sqrt(math.log(2.0)) * math.sqrt(n * math.log2(n)) + math.log2(n)
@@ -240,8 +240,8 @@ def _cmd_lp_set(cfg):
     if p not in (1.0, 2.0, math.inf):
         # dist_to_hull, which the witness check needs, has no other norms.
         raise UsageError(f"lp-set supports --p 1, 2 or inf, got {p:g}")
-    M = cfg.params.get("M") or 4.0 * math.log2(n)
-    grid = cfg.params.get("grid") or _auto_grid(n, cap=400)
+    M = cfg.params.get("M", 4.0 * math.log2(n))
+    grid = cfg.params.get("grid", _auto_grid(n, cap=400))
     spec = constructions.ConstructionSpec(space=NormSpec.lp(p), n=n, M=M, grid=grid)
     sample = constructions.build_entropy_set(spec)
     norm = NormSpec.lp(p)
@@ -321,8 +321,8 @@ def _cmd_opt_entropy(cfg):
     if not tol > 0.0:
         raise UsageError(f"opt-entropy needs --tol > 0, got {tol:g}")
     crit = constructions.critical_scale(n) if n >= 2 else None
-    M = cfg.params.get("M") or crit
-    if not M:
+    M = cfg.params.get("M", crit)
+    if M is None:
         raise UsageError("opt-entropy needs --M > 0 when --n is 1: the critical scale needs n >= 2")
     y, value = entropy_opt.minimize_I(n, M, tol=tol)
     direct = M * M / n + math.log2(n) ** 2

@@ -14,6 +14,13 @@ and started on a feasible basis in closed form from the sample point
 nearest x, so `lp_solve` needs no phase 1.  The hull LP is always
 feasible and bounded, so a status other than optimal can only be
 numerical and raises `ConvergenceError`.
+
+The convexity-defect scan is an exact pruned max-min: each midpoint is
+measured first against the DEFECT_HEAD samples nearest its first
+endpoint and goes on to the other samples only while its running
+minimum is above the best value so far, so the scan's value and
+witness, ties included, are those of the full scan, in O(DEFECT_HEAD *
+N) memory.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ __all__ = [
 
 HULL_MEMBERSHIP_TOL = 1e-7
 DIAMETER_BLOCK = 64
+DEFECT_HEAD = 48
 
 
 class SampledSet:
@@ -75,15 +83,15 @@ def _coords(x: Vector, d: int) -> np.ndarray:
     return x.to_array(range(d))
 
 
-def _dists_to_points(Z: np.ndarray, X: np.ndarray, norm: NormSpec) -> np.ndarray:
-    """Pairwise lp distances (len(Z), len(X)).
+def _dist_powers(Z: np.ndarray, X: np.ndarray, p: float) -> np.ndarray:
+    """Pairwise sums of |z_k - x_k|^p, (len(Z), len(X)): the lp distances
+    before the p-th root (the maximum |z_k - x_k| for l-infinity).
 
     One pass per coordinate accumulates |z_k - x_k| (its maximum, its sum
     or its p-th power) into a single (len(Z), len(X)) buffer, so no
     (len(Z), len(X), d) temporary is built.  l2 takes differences the
     same way, so a point of X is at distance exactly 0 from itself.
     """
-    p = norm.p
     out = np.zeros((len(Z), len(X)))
     diff = np.empty_like(out)
     for z, x in zip(Z.T, X.T):
@@ -98,6 +106,13 @@ def _dists_to_points(Z: np.ndarray, X: np.ndarray, norm: NormSpec) -> np.ndarray
             out += diff
         else:
             out += np.power(diff, p, out=diff)
+    return out
+
+
+def _dists_to_points(Z: np.ndarray, X: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """Pairwise lp distances (len(Z), len(X)), computed by `_dist_powers`."""
+    p = norm.p
+    out = _dist_powers(Z, X, p)
     if p == 2.0:
         np.sqrt(out, out=out)
     elif not (p == 1.0 or np.isinf(p)):
@@ -105,10 +120,23 @@ def _dists_to_points(Z: np.ndarray, X: np.ndarray, norm: NormSpec) -> np.ndarray
     return out
 
 
+def _nearest_dists(Z: np.ndarray, X: np.ndarray, norm: NormSpec) -> np.ndarray:
+    """Distance from each row of Z to its nearest row of X, (len(Z),).
+
+    Bit for bit the row minimum of `_dists_to_points`.  l2 takes the root
+    after the minimum, which gives the same bits because a correctly
+    rounded sqrt is monotone; other p keep root-then-min, since `pow` is
+    not guaranteed to be monotone.
+    """
+    if norm.p == 2.0:
+        return np.sqrt(_dist_powers(Z, X, 2.0).min(axis=1))
+    return _dists_to_points(Z, X, norm).min(axis=1)
+
+
 def dist_to_set(x: Vector, A: SampledSet, norm: NormSpec) -> float:
     """Distance from a point to the finite set A (not its hull)."""
     X = A.matrix
-    return float(_dists_to_points(_coords(x, X.shape[1])[None, :], X, norm).min())
+    return float(_nearest_dists(_coords(x, X.shape[1])[None, :], X, norm)[0])
 
 
 def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) -> float:
@@ -198,27 +226,53 @@ def convexity_defect(A: SampledSet, norm: NormSpec, t_grid: int) -> DefectReport
     x or y, a member of A, so the endpoints count as exactly 0 and only
     the interior values are scanned; when no interior value has a
     positive defect (t_grid = 2 included) the result is 0 with witness
-    (A[0], A[0], 0.0).  Row i of the scan measures its N - i midpoints
-    against all N points in (N - i, N) buffers; no (N - i, N, d) temporary
-    is built.
+    (A[0], A[0], 0.0).
+
+    The scan runs t, then i, then j >= i, and is an exact pruned max-min
+    (Taha & Hanbury, IEEE TPAMI 2015).  Row i's midpoints t X_i + (1-t) X_j
+    are measured first against the DEFECT_HEAD samples nearest X_i; only
+    those whose running minimum is still above the best value so far go
+    on to the other N - DEFECT_HEAD samples, DEFECT_HEAD midpoints at a
+    time.  A dropped midpoint cannot raise the maximum, and one whose
+    minimum equals it cannot replace the witness, which comes earlier in
+    scan order.  Minima are exact and every distance is the same
+    accumulation as `_dists_to_points`, so the value and the witness are
+    bit for bit those of the full scan: the first maximum in scan order
+    wins ties.  Memory is O(DEFECT_HEAD * N): heads are picked
+    DEFECT_HEAD rows at a time, every distance buffer has at most
+    DEFECT_HEAD rows or columns, and no N x N or (N, N, d) array is built.
     """
     if len(A) < 2:
         raise ValueError("convexity_defect needs at least two points")
     if t_grid < 2:
         raise ValueError("t_grid must be at least 2")
     X = A.matrix
-    ts = np.linspace(0.0, 1.0, t_grid)[1:-1]
+    n = len(A)
+    k = min(DEFECT_HEAD, n)
+    heads = np.empty((n, k), dtype=np.intp)
+    for s in range(0, n, DEFECT_HEAD):
+        near = _dists_to_points(X[s : s + DEFECT_HEAD], X, norm)
+        heads[s : s + DEFECT_HEAD] = np.argpartition(near, k - 1, axis=1)[:, :k]
+    rest = np.empty(n, dtype=bool)
     best = 0.0
     best_at = (0, 0, 0.0)
-    n = len(A)
-    for t in ts:
+    for t in np.linspace(0.0, 1.0, t_grid)[1:-1]:
         for i in range(n):
             mids = t * X[i] + (1.0 - t) * X[i:]
-            dmin = _dists_to_points(mids, X, norm).min(axis=1)
-            j_rel = int(np.argmax(dmin))
-            if dmin[j_rel] > best:
-                best = float(dmin[j_rel])
-                best_at = (i, i + j_rel, float(t))
+            dmin = _nearest_dists(mids, X[heads[i]], norm)
+            live = np.flatnonzero(dmin > best)
+            if live.size and k < n:
+                rest.fill(True)
+                rest[heads[i]] = False
+                others = X[rest]
+                for s in range(0, live.size, DEFECT_HEAD):
+                    chunk = live[s : s + DEFECT_HEAD]
+                    dmin[chunk] = np.minimum(dmin[chunk], _nearest_dists(mids[chunk], others, norm))
+                live = live[dmin[live] > best]
+            if live.size:
+                j = int(live[np.argmax(dmin[live])])
+                best = float(dmin[j])
+                best_at = (i, i + j, float(t))
     i, j, t = best_at
     return DefectReport(sup_defect=best, witness=(Vector.from_array(X[i]), Vector.from_array(X[j]), t))
 
@@ -242,7 +296,7 @@ def hausdorff_lb(A: SampledSet, witnesses: list[Vector], norm: NormSpec) -> floa
             )
     X = A.matrix
     W = np.array([_coords(w, X.shape[1]) for w in witnesses])
-    return float(_dists_to_points(W, X, norm).min(axis=1).max())
+    return float(_nearest_dists(W, X, norm).max())
 
 
 def diameter(A: SampledSet, norm: NormSpec) -> float:

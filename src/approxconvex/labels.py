@@ -12,7 +12,6 @@ only ever construct the labels they touch plus their downward closures.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable
 
 __all__ = ["TreeLabel", "leaf", "pair", "downward_closure", "label_sort_key"]
@@ -44,7 +43,6 @@ class TreeLabel:
     # Interned: identity semantics are correct, object.__eq__/__hash__ apply.
 
 
-_LOCK = threading.Lock()
 _LEAVES: dict[int, TreeLabel] = {}
 _PAIRS: dict[tuple[TreeLabel, TreeLabel], TreeLabel] = {}
 
@@ -55,11 +53,7 @@ def leaf(index: int) -> TreeLabel:
         raise ValueError(f"leaf index must be a positive integer, got {index!r}")
     lab = _LEAVES.get(index)
     if lab is None:
-        with _LOCK:
-            lab = _LEAVES.get(index)
-            if lab is None:
-                lab = TreeLabel(index, None, None, 1, str(index))
-                _LEAVES[index] = lab
+        lab = _LEAVES[index] = TreeLabel(index, None, None, 1, str(index))
     return lab
 
 
@@ -70,12 +64,8 @@ def pair(left: TreeLabel, right: TreeLabel) -> TreeLabel:
     key = (left, right)
     lab = _PAIRS.get(key)
     if lab is None:
-        with _LOCK:
-            lab = _PAIRS.get(key)
-            if lab is None:
-                name = f"({left!r},{right!r})"
-                lab = TreeLabel(None, left, right, left.level + right.level, name)
-                _PAIRS[key] = lab
+        name = f"({left!r},{right!r})"
+        lab = _PAIRS[key] = TreeLabel(None, left, right, left.level + right.level, name)
     return lab
 
 

@@ -15,8 +15,8 @@ are computed as linear programs over the downward closure of the
 support, and every reported norm carries an explicitly validated dual
 functional as certificate.
 
-The label interner is the only shared state (concurrent reads, locked
-inserts); everything else is confined to one call.
+The label interner is the only state shared between calls; everything
+else is confined to one call.
 """
 
 from __future__ import annotations

@@ -137,6 +137,23 @@ class TestExitCodes:
         assert "usage error" in err
         assert "1, 2 or inf" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("lp-set", "--n", "3", "--p", "2", "--M", "0"), "need M > 0, got 0.0"),
+        (("lp-set", "--n", "3", "--p", "2", "--grid", "0"), "need grid >= 1, got 0"),
+        (("euclid-set", "--n", "4", "--M", "0"), "need M > 0, got 0.0"),
+        (("euclid-set", "--n", "4", "--grid", "0"), "need grid >= 1, got 0"),
+        (("opt-entropy", "--n", "4", "--M", "0"), "need M > 0, got 0.0"),
+    ])
+    def test_zero_scale_or_grid_is_a_usage_error(self, capsys, monkeypatch, argv, message):
+        # 0 used to stand for "no flag given", so the default M or grid ran.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        monkeypatch.setattr(constructions, "build_entropy_set", forbidden)
+        monkeypatch.setattr(constructions, "euclid_witness_distance", forbidden)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
+
     def test_lp_set_needs_two_coordinates(self):
         # The automatic grid used to loop forever for n = 1, so the
         # command runs in its own process under a timeout.

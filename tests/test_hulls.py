@@ -299,7 +299,70 @@ def brute_force_defect(X, p, t_grid):
     return best
 
 
+def reference_defect_scan(X, norm, t_grid):
+    """The full max-min scan, every midpoint against every sample:
+    (sup_defect, i, j, t) with the first maximum in scan order t, i, j."""
+    best = 0.0
+    best_at = (0, 0, 0.0)
+    for t in np.linspace(0.0, 1.0, t_grid)[1:-1]:
+        for i in range(len(X)):
+            mids = t * X[i] + (1.0 - t) * X[i:]
+            dmin = _dists_to_points(mids, X, norm).min(axis=1)
+            j_rel = int(np.argmax(dmin))
+            if dmin[j_rel] > best:
+                best = float(dmin[j_rel])
+                best_at = (i, i + j_rel, float(t))
+    return (best, *best_at)
+
+
+def assert_same_as_reference(A, norm, t_grid):
+    X = A.matrix
+    rep = convexity_defect(A, norm, t_grid=t_grid)
+    best, i, j, t = reference_defect_scan(X, norm, t_grid)
+    assert rep.sup_defect == best
+    assert rep.witness == (Vector.from_array(X[i]), Vector.from_array(X[j]), t)
+
+
+def entropy_set(norm, n=6, grid=5):
+    return build_entropy_set(ConstructionSpec(space=norm, n=n, M=4.0 * math.log2(n), grid=grid))
+
+
 class TestConvexityDefect:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+    def test_pruned_scan_is_bit_identical(self, rng, p):
+        # Lattice sets put many midpoints at exactly the best value, so
+        # they exercise the tie rule; sizes straddle DEFECT_HEAD.
+        norm = NormSpec.lp(p)
+        for npts in (2, 5, 17, hulls.DEFECT_HEAD - 1, hulls.DEFECT_HEAD, hulls.DEFECT_HEAD + 1, 89):
+            dim = int(rng.integers(1, 5))
+            lattice = rng.integers(0, 4, size=(npts, dim)).astype(float)
+            gauss = rng.normal(size=(npts, dim))
+            for X in (lattice, gauss):
+                assert_same_as_reference(SampledSet(X), norm, int(rng.integers(2, 8)))
+
+    @pytest.mark.parametrize("norm", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_entropy_set_is_bit_identical(self, norm):
+        assert_same_as_reference(entropy_set(norm), norm, 5)
+
+    @pytest.mark.parametrize("norm", [L1, L2, LINF], ids=["l1", "l2", "linf"])
+    def test_scan_prunes_most_cells(self, monkeypatch, norm):
+        # Every distance cell goes through _dist_powers, the pruned scan's
+        # and the reference's alike.
+        cells = [0]
+        powers = hulls._dist_powers
+
+        def counting(Z, X, p):
+            cells[0] += len(Z) * len(X)
+            return powers(Z, X, p)
+
+        monkeypatch.setattr(hulls, "_dist_powers", counting)
+        A = entropy_set(norm)
+        rep = convexity_defect(A, norm, t_grid=3)
+        pruned, cells[0] = cells[0], 0
+        best, *_ = reference_defect_scan(A.matrix, norm, 3)
+        assert rep.sup_defect == best
+        assert pruned < 0.4 * cells[0]
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
     def test_matches_brute_force(self, rng, p):
         norm = NormSpec.lp(p)
