@@ -2,18 +2,20 @@
 
 Two solvers used by every distance computation in the package:
 
-* a dense two-phase simplex LP solver (Dantzig pricing with a permanent
-  switch to Bland's rule once degeneracy is detected, which guarantees
-  termination).  Every LP starts on a basis B0: the caller's, when it
-  knows a feasible one (the tree-norm decomposition LP and the l1 and
-  l-infinity hull-distance LPs build one in closed form), and otherwise
-  the slack of each '<=' row with an artificial on every other row.  A
-  caller's basis adds no artificial column: it is checked before any
-  pivot, the tableau becomes B0^-1 T (formed in column blocks) unless B0
-  is the identity, and phase 2 starts at once.  Row duals are read the
-  same way on every start.  The bookkeeping around the tableau
-  (bounds, standard form, start, certificates) is done on whole arrays,
-  with no Python loop over variables.  A pivot
+* a dense two-phase simplex LP solver for min c.x over x >= 0 with '='
+  and '<=' rows (Dantzig pricing with a permanent switch to Bland's rule
+  once degeneracy is detected, which guarantees termination).  Every LP
+  starts on a basis B0: the caller's, when it knows a feasible one (the
+  tree-norm decomposition LP and the l1 and l-infinity hull-distance
+  LPs build one in closed form), and otherwise the slack of each '<='
+  row with b >= 0 and an artificial on every other row.  A caller's
+  basis adds no artificial column: it is checked before any pivot, the
+  tableau becomes B0^-1 T (formed in column blocks) unless B0 is the
+  identity, and phase 2 starts at once.  Row duals are read the same
+  way on every start, and every optimum is certified on the original
+  data (primal and dual feasibility, duality gap).  The bookkeeping
+  around the tableau (row flips, start, certificates) is done on whole
+  arrays, with no Python loop over variables.  A pivot
   updates only the rows where the pivot column is nonzero when at most
   a quarter of them are, and the whole tableau otherwise,
 * minimization of ``f(t) = ||c - L t||^2`` over the probability simplex
@@ -31,7 +33,7 @@ so concurrent solves of different instances are safe.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,26 +57,18 @@ class ConvergenceError(RuntimeError):
 # Linear programming
 # ---------------------------------------------------------------------------
 
-_RELATIONS = ("<=", "=", ">=")
+_RELATIONS = ("<=", "=")
 
 
 @dataclass(frozen=True)
 class LPInstance:
-    """A dense LP: optimize c.x subject to rows (a, rel, b) and bounds.
-
-    ``bounds[j] = (lo, hi)`` with ``None`` for an unbounded side;
-    the default for every variable is ``(0, None)``.  They are parsed
-    once into the float arrays ``lo`` and ``hi``, NaN for ``None``.
-    """
+    """A dense LP: minimize c.x over x >= 0 subject to rows A x (rel) b,
+    each relation '<=' or '=', with b of either sign."""
 
     c: np.ndarray
     A: np.ndarray
     rel: tuple[str, ...]
     b: np.ndarray
-    bounds: tuple[tuple[float | None, float | None], ...] = field(default=None)
-    maximize: bool = False
-    lo: np.ndarray = field(init=False, repr=False, compare=False)
-    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -89,24 +83,11 @@ class LPInstance:
             )
         rel = tuple(self.rel)
         if len(rel) != A.shape[0] or any(r not in _RELATIONS for r in rel):
-            raise ValueError(f"relations must be {_RELATIONS}, one per row")
-        n = len(c)
-        if self.bounds is None:
-            bounds = ((0.0, None),) * n
-            lo, hi = np.zeros(n), np.full(n, np.nan)
-        else:
-            bounds = tuple(map(tuple, self.bounds))
-            lohi = np.array(bounds, dtype=float)
-            if lohi.shape != (n, 2) and not (n == 0 and lohi.size == 0):
-                raise ValueError("one bound pair per variable required")
-            lo, hi = lohi.reshape(n, 2).T.copy()
+            raise ValueError(f"relations must be '<=' or '=', one per row; got {rel}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
 
     @property
     def n_vars(self) -> int:
@@ -116,11 +97,19 @@ class LPInstance:
     def n_rows(self) -> int:
         return len(self.b)
 
+    @property
+    def bounds(self) -> tuple[tuple[float, None], ...]:
+        # x >= 0 as (lo, hi) pairs, read only by perfbench/tracing.py's
+        # _lp_work; it goes once the benchmark stops reading it (ROADMAP
+        # item 1).
+        return ((0.0, None),) * self.n_vars
+
 
 @dataclass(frozen=True)
 class LPSolution:
-    """Solver outcome. When status is ``optimal``, ``x`` is feasible
-    within tolerance and ``gap`` is the certified primal-dual gap."""
+    """Solver outcome. When status is ``optimal``, ``x`` and the row
+    duals ``dual`` are primal and dual feasible within tolerance and
+    ``gap`` is the certified |c.x - b.dual|."""
 
     status: str  # optimal | infeasible | unbounded
     value: float | None = None
@@ -228,56 +217,14 @@ class _Tableau:
                 self._stall = 0
 
 
-def _standardize(lp: LPInstance):
-    """Rewrite to min c.u, A u (rel) b with u >= 0 and b >= 0.
-
-    A variable with a lower bound becomes ``lo + u``, one with only an
-    upper bound ``hi - u``, and a free one ``u+ - u-`` (two adjacent
-    columns); a boxed variable adds a row ``u <= hi - lo``.  Returns the
-    pieces plus the bookkeeping needed to map a standard-form solution
-    and its row duals back to the original instance, or None when some
-    bounds cross.
-    """
-    lo, hi = lp.lo, lp.hi
-    has_lo, has_hi = ~np.isnan(lo), ~np.isnan(hi)
-    boxed = has_lo & has_hi
-    if (hi[boxed] < lo[boxed]).any():
-        return None  # trivially infeasible bounds
-    free = ~(has_lo | has_hi)
-    reps = np.where(free, 2, 1)
-    first = np.cumsum(reps) - reps  # each variable's first std column
-    idx = np.repeat(np.arange(lp.n_vars), reps)
-    sign = np.repeat(np.where(has_lo | free, 1.0, -1.0), reps)
-    sign[first[free] + 1] = -1.0
-    shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
-    box_cols = first[boxed]
-    n_box = len(box_cols)
-    A_std = np.zeros((lp.n_rows + n_box, len(idx)))
-    # Gather straight into A_std (idx is in range, so "clip" changes
-    # nothing but skips take's buffered copy), then scale in place.
-    np.take(lp.A, idx, axis=1, out=A_std[: lp.n_rows], mode="clip")
-    A_std[: lp.n_rows] *= sign
-    A_std[lp.n_rows + np.arange(n_box), box_cols] = 1.0
-    b_std = np.concatenate([lp.b - lp.A @ shift, (hi - lo)[boxed]])
-    rel_std = list(lp.rel) + ["<="] * n_box
-    c = -lp.c if lp.maximize else lp.c
-    c_std = c[idx] * sign
-    return A_std, b_std, rel_std, c_std, idx, sign, shift
-
-
-def _basis_columns(lp: LPInstance, basis, idx, n_std: int, slack_rows) -> np.ndarray:
-    """Tableau columns of a caller's basis, one entry per row of ``lp``.
-
-    Entry ``j < lp.n_vars`` names variable j (its first standard-form
-    column: ``u+`` of a free variable); ``lp.n_vars + k`` names the slack
-    or surplus of the k-th inequality row.  The bound rows that
-    :func:`_standardize` appends for boxed variables start on their own
-    slacks.  A basis of the wrong length, or with an entry that names no
-    column, raises ``ValueError``.
+def _basis_columns(lp: LPInstance, basis, n_slack: int) -> np.ndarray:
+    """A caller's basis as tableau columns, one entry per row of ``lp``:
+    entry ``j < lp.n_vars`` is variable j, ``lp.n_vars + k`` the slack of
+    the k-th '<=' row.  A basis of the wrong length, or with an entry that
+    names no column, raises ``ValueError``.
     """
     basis = np.asarray(basis)
-    n_ineq = int(np.count_nonzero(slack_rows < lp.n_rows))
-    n_cols = lp.n_vars + n_ineq
+    n_cols = lp.n_vars + n_slack
     if basis.shape != (lp.n_rows,):
         raise ValueError(f"basis needs one column per row, {lp.n_rows} entries; got shape {basis.shape}")
     if basis.size and (
@@ -285,12 +232,9 @@ def _basis_columns(lp: LPInstance, basis, idx, n_std: int, slack_rows) -> np.nda
     ):
         raise ValueError(
             f"basis entries must be integers in [0, {n_cols}): the {lp.n_vars} variables, "
-            f"then the slacks of the {n_cols - lp.n_vars} inequality rows"
+            f"then the slacks of the {n_slack} '<=' rows"
         )
-    is_var = basis < lp.n_vars
-    cols = n_std + basis - lp.n_vars
-    cols[is_var] = np.searchsorted(idx, basis[is_var])
-    return np.concatenate([cols, n_std + np.arange(n_ineq, len(slack_rows))])
+    return basis.astype(np.intp)
 
 
 _BLOCK_CELLS = 1 << 14  # cells of B^-1 T formed at a time
@@ -341,56 +285,55 @@ def _start_on_basis(T, rhs, start, feas_tol):
 
 
 def lp_solve(lp: LPInstance, tol: float = 1e-9, basis=None) -> LPSolution:
-    """Two-phase dense simplex with a certified duality gap.
+    """Two-phase dense simplex with a certified optimum.
 
     ``basis`` names a feasible basis, one column per row of ``lp``: entry
-    ``j < lp.n_vars`` is variable j, entry ``lp.n_vars + k`` the slack or
-    surplus of the k-th inequality row (the bound rows of boxed variables
-    add their own slacks).  It is checked before any pivot: a basis of the
-    wrong length, a numerically singular one, or one whose basic values
-    B0^-1 b fall below ``-tol (1 + ||b||_1)`` raises ``ValueError``.
-    Without it, '<=' rows (once b >= 0) start on their slacks and the
-    others on artificials for phase 1.  Either start gives the row duals
-    y = (c_B0 - r_B0) B0^-1, whatever their cost.  A solve that needs more
-    than 20,000 + 40 (rows + standard-form columns) pivots raises
+    ``j < lp.n_vars`` is variable j, entry ``lp.n_vars + k`` the slack of
+    the k-th '<=' row (a surplus once a row with b < 0 is flipped).  It
+    is checked before any pivot: a basis of the wrong length, a
+    numerically singular one, or one whose basic values B0^-1 b fall
+    below ``-tol (1 + ||b||_1)`` raises ``ValueError``.  Without it,
+    '<=' rows with b >= 0 start on their slacks and the others on
+    artificials for phase 1.  Either start gives the row duals
+    y = (c_B0 - r_B0) B0^-1, whatever their cost.  A solve that needs
+    more than 20,000 + 40 (rows + columns) pivots raises
     :class:`ConvergenceError`.
 
-    The reported optimum always comes with a dual vector whose objective
-    agrees with the primal within ``tol`` (scaled); a numerical failure
-    raises :class:`ConvergenceError` instead of returning a wrong
-    ``optimal``.
+    An ``optimal`` result is certified on the original data before it is
+    returned: x >= 0 and every row hold within ``tol`` (scaled by
+    1 + |b_i|), y is dual feasible (c - A^T y >= -e and y <= e on '<='
+    rows, e = tol (1 + ||c||_inf + max|A_ij| ||y||_1)), and
+    |c.x - b.y| <= tol (1 + |c.x| + |b.y|).
+    A failed check is a numerical failure: it raises
+    :class:`ConvergenceError` naming the first bad row or column instead
+    of returning a wrong ``optimal``.
     """
-    std = _standardize(lp)
-    if std is None:
-        return LPSolution(status="infeasible")
-    A, b, rel, c, idx, sign, shift = std
-    m, n_std = A.shape
-    max_iter = 20_000 + 40 * (m + n_std)
+    m, n = lp.A.shape
+    max_iter = 20_000 + 40 * (m + n)
 
     # Flip rows to make the rhs nonnegative, remembering the sign for duals.
-    # A is _standardize's own array, so it is flipped in place.
-    row_sign = np.where(b < 0.0, -1.0, 1.0)
-    A *= row_sign[:, None]
-    b = b * row_sign
-    rel = np.asarray(rel, dtype=str)
+    row_sign = np.where(lp.b < 0.0, -1.0, 1.0)
+    b = lp.b * row_sign
+    le = np.asarray(lp.rel, dtype=str) == "<="
 
-    # Slack / surplus columns, one per inequality row in row order.
-    slack_rows = np.flatnonzero(rel != "=")
-    slack_cols = n_std + np.arange(len(slack_rows))
-    slack_le = (rel[slack_rows] == "<=") == (row_sign[slack_rows] > 0.0)  # '<=' once flipped
-    n_real = n_std + len(slack_rows)
-    cost2 = np.concatenate([c, np.zeros(len(slack_rows))])
+    # Slack columns, one per '<=' row in row order; a flipped row's is a
+    # surplus.
+    slack_rows = np.flatnonzero(le)
+    slack_cols = n + np.arange(len(slack_rows))
+    slack_le = row_sign[slack_rows] > 0.0  # still '<=' once flipped
+    n_real = n + len(slack_rows)
+    cost2 = np.concatenate([lp.c, np.zeros(len(slack_rows))])
 
     if basis is None:
         start = np.full(m, -1)
         start[slack_rows[slack_le]] = slack_cols[slack_le]
     else:
-        start = _basis_columns(lp, basis, idx, n_std, slack_rows)
+        start = _basis_columns(lp, basis, len(slack_rows))
     art_rows = np.flatnonzero(start < 0)  # rows of the default start without a slack
     start[art_rows] = n_real + np.arange(len(art_rows))
 
     T = np.zeros((m, n_real + len(art_rows)))
-    T[:, :n_std] = A
+    np.multiply(lp.A, row_sign[:, None], out=T[:, :n])
     T[slack_rows, slack_cols] = np.where(slack_le, 1.0, -1.0)
     T[art_rows, start[art_rows]] = 1.0
     feas_tol = tol * (1.0 + float(np.abs(b).sum()))
@@ -418,59 +361,59 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, basis=None) -> LPSolution:
     if status == "unbounded":
         return LPSolution(status="unbounded", iterations=tab.iterations)
 
-    # Recover the structural solution.
     x_std = np.zeros(T.shape[1])
     x_std[tab.basis] = tab.rhs
-    x = np.array(shift, dtype=float)
-    np.add.at(x, idx, sign * x_std[:n_std])  # in order: split columns add twice
-
+    x = x_std[:n] + 0.0  # + 0.0 turns a basic -0.0 into 0.0
     # Row duals from the start columns: r_j = c_j - y.T0[:, j] with
-    # T0[:, start] = B0.
+    # T0[:, start] = B0, then unflipped to the original rows.
     y = tab.cost[start] - tab.r2[start]
     if B_inv is not None:
         y = y @ B_inv
     y *= row_sign
-    # Report duals in the sense of the original problem, so that the dual
-    # objective b.dual reproduces the reported optimal value.
-    dual = -y[: lp.n_rows] if lp.maximize else y[: lp.n_rows]
 
-    value_std = -tab.v2
-    dual_std = float(np.dot(y * row_sign, b))  # duals in flipped coordinates
-    gap = abs(value_std - dual_std)
-    gap_tol = tol * (1.0 + abs(value_std) + abs(dual_std))
-    value = float(np.dot(lp.c, x))
-
-    # Certify feasibility on the original instance before reporting; a
-    # NaN fails every comparison, so it counts as a violation.
+    # Certify on the original data before reporting; a NaN fails every
+    # comparison, so it counts as a violation.
     resid = lp.A @ x - lp.b
     scale = tol * (1.0 + np.abs(lp.b))
-    rel_arr = np.asarray(lp.rel, dtype=str)
-    ok = np.where(
-        rel_arr == "<=",
-        resid <= scale,
-        np.where(rel_arr == ">=", resid >= -scale, np.abs(resid) <= scale),
-    )
-    if not ok.all():
-        i = int(np.argmin(ok))
+    bad = ~np.where(le, resid <= scale, np.abs(resid) <= scale)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise ConvergenceError(f"optimal basis violates row {i} by {resid[i]:.3e}")
-    below = x < lp.lo - tol * (1 + np.abs(lp.lo))  # False where lo is NaN
-    above = x > lp.hi + tol * (1 + np.abs(lp.hi))
-    bad = below | above
+    bad = ~(x >= -tol)
     if bad.any():
         j = int(np.argmax(bad))
-        side = "lower" if below[j] else "upper"
-        raise ConvergenceError(f"variable {j} violates its {side} bound")
-    if gap > gap_tol:
+        raise ConvergenceError(f"variable {j} violates its lower bound: x = {x[j]:.3e}")
+    # Dual feasibility on the columns of A and the slacks of the '<='
+    # rows (reduced cost -y_i); the scale covers the rounding of A^T y.
+    reduced = lp.c - lp.A.T @ y
+    a_max = max(lp.A.max(initial=0.0), -lp.A.min(initial=0.0))
+    rc_tol = tol * (1.0 + float(np.abs(lp.c).max(initial=0.0)) + a_max * float(np.abs(y).sum()))
+    bad = ~(reduced >= -rc_tol)
+    if bad.any():
+        j = int(np.argmax(bad))
         raise ConvergenceError(
-            f"duality gap {gap:.3e} exceeds tolerance {gap_tol:.3e}"
+            f"duals are infeasible: column {j} has reduced cost {reduced[j]:.3e} "
+            f"(tolerance {-rc_tol:.3e})"
         )
+    bad = le & ~(y <= rc_tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConvergenceError(
+            f"duals are infeasible: '<=' row {i} has dual {y[i]:.3e} (tolerance {rc_tol:.3e})"
+        )
+    value = float(np.dot(lp.c, x))
+    dual_value = float(np.dot(lp.b, y))
+    gap = abs(value - dual_value)
+    gap_tol = tol * (1.0 + abs(value) + abs(dual_value))
+    if not gap <= gap_tol:
+        raise ConvergenceError(f"duality gap {gap:.3e} exceeds tolerance {gap_tol:.3e}")
 
     return LPSolution(
         status="optimal",
         value=value,
         x=x,
-        dual=dual,
-        gap=float(gap),
+        dual=y,
+        gap=gap,
         iterations=tab.iterations,
     )
 

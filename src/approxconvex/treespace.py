@@ -234,29 +234,33 @@ def tree_norm(x: TreeVector, M: float, tol: float = DUALITY_TOL) -> tuple[float,
 def tree_norm_dual_lp(x: TreeVector, M: float, tol: float = 1e-9) -> float:
     """The dual value computed by its own LP (maximize sum x(d) phi(d)
     over the dual-ball constraints on the closure); used to cross-check
-    the multiplier route."""
+    the multiplier route.
+
+    ``lp_solve`` takes x >= 0 only, so the LP is posed in u = phi + M:
+    minimize -x.u subject to the midpoint-defect rows and the box rows
+    u <= 2M, and the value is x.(u - M)."""
     _check_tree_indices(x)
     if not x:
         return 0.0
     D, S, pairs = _halving(x)
+    N = len(D)
     # Rows +-(S e_d) . phi <= 1 for each pair d: its midpoint defect.
-    A = np.empty((2 * len(pairs), len(D)))
+    A = np.empty((2 * len(pairs), N))
     A[0::2] = S[:, pairs].T
     A[1::2] = -A[0::2]
+    xd = x.to_array(D)
     sol = lp_solve(
         LPInstance(
-            c=x.to_array(D),
-            A=A,
-            rel=("<=",) * len(A),
-            b=np.ones(len(A)),
-            bounds=((-M, M),) * len(D),
-            maximize=True,
+            c=-xd,
+            A=np.vstack([A, np.eye(N)]),
+            rel=("<=",) * (len(A) + N),
+            b=np.concatenate([1.0 - A @ np.full(N, -M), np.full(N, 2.0 * M)]),
         ),
         tol=tol,
     )
-    if sol.status != "optimal":  # phi = 0 is feasible; the box bounds it
+    if sol.status != "optimal":  # phi = 0 is feasible; the box rows bound it
         raise ConvergenceError(f"dual norm LP ended with status {sol.status}")
-    return float(sol.value)
+    return float(np.dot(xd, sol.x - M))
 
 
 def extend_phi(

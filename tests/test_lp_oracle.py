@@ -18,22 +18,21 @@ HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 def highs(lp: LPInstance):
     """(status, value) of the same LP solved by HiGHS."""
-    ub = [i for i, r in enumerate(lp.rel) if r != "="]
+    ub = [i for i, r in enumerate(lp.rel) if r == "<="]
     eq = [i for i, r in enumerate(lp.rel) if r == "="]
-    flip = np.array([-1.0 if lp.rel[i] == ">=" else 1.0 for i in ub])
     res = linprog(
-        -lp.c if lp.maximize else lp.c,
-        A_ub=lp.A[ub] * flip[:, None] if ub else None,
-        b_ub=lp.b[ub] * flip if ub else None,
+        lp.c,
+        A_ub=lp.A[ub] if ub else None,
+        b_ub=lp.b[ub] if ub else None,
         A_eq=lp.A[eq] if eq else None,
         b_eq=lp.b[eq] if eq else None,
-        bounds=lp.bounds,
+        bounds=(0.0, None),
         method="highs",
     )
     status = HIGHS_STATUS[res.status]
     if status != "optimal":
         return status, None
-    return status, -res.fun if lp.maximize else res.fun
+    return status, res.fun
 
 
 def assert_matches_highs(lp: LPInstance, rel: float = 1e-7, basis=None):
@@ -45,57 +44,56 @@ def assert_matches_highs(lp: LPInstance, rel: float = 1e-7, basis=None):
     return sol
 
 
-def feasible_instance(rng, m: int, n: int, maximize: bool) -> LPInstance:
-    """Random rows through a point inside the box [0, 5]^n, so the LP is
-    feasible and, with every variable boxed, bounded."""
+def feasible_instance(rng, m: int, n: int) -> LPInstance:
+    """Random rows through a point inside the box [0, 5]^n, then the box
+    rows x <= 5, so the LP is feasible and bounded.  The random '<=' rows
+    keep the point strictly inside, and their b takes either sign."""
     A = rng.normal(size=(m, n))
     x0 = rng.uniform(0.0, 5.0, size=n)
-    rel = tuple(rng.choice(["<=", ">=", "="]) for _ in range(m))
-    slack = rng.uniform(0.0, 1.0, size=m)
-    sgn = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[r] for r in rel])
+    rel = tuple(rng.choice(["<=", "="]) for _ in range(m))
+    slack = np.where(np.array(rel) == "<=", rng.uniform(0.0, 1.0, size=m), 0.0)
     return LPInstance(
         c=rng.normal(size=n),
-        A=A,
-        rel=rel,
-        b=A @ x0 + sgn * slack,
-        bounds=((0.0, 5.0),) * n,
-        maximize=maximize,
+        A=np.vstack([A, np.eye(n)]),
+        rel=rel + ("<=",) * n,
+        b=np.concatenate([A @ x0 + slack, np.full(n, 5.0)]),
     )
 
 
 def test_random_feasible(rng):
     for _ in range(40):
-        lp = feasible_instance(rng, int(rng.integers(1, 12)), int(rng.integers(2, 15)), bool(rng.integers(0, 2)))
-        assert assert_matches_highs(lp).status == "optimal"
+        lp = feasible_instance(rng, int(rng.integers(1, 12)), int(rng.integers(2, 15)))
+        sol = assert_matches_highs(lp)
+        assert sol.status == "optimal"
+        assert_dual_certificate(lp, sol)
 
 
 def test_random_infeasible(rng):
+    # a.x <= t and a.x >= t + 1, the latter written -a.x <= -(t + 1).
     for _ in range(30):
-        lp = feasible_instance(rng, int(rng.integers(1, 10)), int(rng.integers(2, 12)), False)
+        lp = feasible_instance(rng, int(rng.integers(1, 10)), int(rng.integers(2, 12)))
         a = rng.normal(size=lp.n_vars)
         t = float(rng.normal())
         bad = LPInstance(
             c=lp.c,
-            A=np.vstack([lp.A, a, a]),
-            rel=lp.rel + ("<=", ">="),
-            b=np.concatenate([lp.b, [t, t + 1.0]]),
-            bounds=lp.bounds,
+            A=np.vstack([lp.A, a, -a]),
+            rel=lp.rel + ("<=", "<="),
+            b=np.concatenate([lp.b, [t, -(t + 1.0)]]),
         )
         assert assert_matches_highs(bad).status == "infeasible"
 
 
 def test_random_unbounded(rng):
-    # Two unboxed columns a and -a with costs -1 and 0.5: the direction
-    # (1, 1) keeps every row and lowers the objective forever.
+    # Two columns a and -a with costs -1 and 0.5: the direction (1, 1)
+    # keeps every row and lowers the objective forever.
     for _ in range(30):
-        lp = feasible_instance(rng, int(rng.integers(1, 10)), int(rng.integers(2, 12)), False)
+        lp = feasible_instance(rng, int(rng.integers(1, 10)), int(rng.integers(2, 12)))
         a = rng.normal(size=(lp.n_rows, 1))
         unb = LPInstance(
             c=np.concatenate([lp.c, [-1.0, 0.5]]),
             A=np.hstack([lp.A, a, -a]),
             rel=lp.rel,
             b=lp.b,
-            bounds=lp.bounds + ((0.0, None), (0.0, None)),
         )
         assert assert_matches_highs(unb).status == "unbounded"
 
@@ -126,12 +124,13 @@ def test_unit_columns_with_cost_on_negative_rows(rng):
     for _ in range(60):
         m = int(rng.integers(1, 12))
         n = int(rng.integers(1, 10))
-        rel = tuple(rng.choice(["=", ">=", "<="]) for _ in range(m))
+        rel = tuple(rng.choice(["=", "<="]) for _ in range(m))
         b = rng.normal(size=m)
         b[rng.random(m) < 0.5] *= -1.0
         flip = np.where(b < 0.0, -1.0, 1.0)
-        # Once flipped, a row is '=', '>=' or '<='; the unit column only
-        # stands in for a slack on the first two.
+        # Once flipped, a row is '=', '<=' (b >= 0) or '>=' (b < 0, a
+        # surplus); the unit column only stands in for a slack on '=' and
+        # '>=' rows.
         lp = LPInstance(
             c=np.concatenate([rng.normal(size=n), rng.normal(size=m) + 0.5]),
             A=np.hstack([rng.normal(size=(m, n)), np.diag(flip)]),
@@ -159,8 +158,11 @@ def test_tree_lps(closure):
         for start in (basis, None):
             sol = assert_matches_highs(primal, rel=1e-9, basis=start)
             assert_dual_certificate(primal, sol, tol=1e-9)
+        # The dual-ball LP minimizes -x.u over u = phi + M >= 0, so the
+        # norm x.(u - M) is -value + M sum(c).
         for start in (None, dual.n_vars + np.arange(dual.n_rows)):
-            assert assert_matches_highs(dual, rel=1e-9, basis=start).value == pytest.approx(sol.value, rel=1e-9)
+            dual_sol = assert_matches_highs(dual, rel=1e-9, basis=start)
+            assert -dual_sol.value + M * dual.c.sum() == pytest.approx(sol.value, rel=1e-9)
 
 
 def highs_hull_distance(P: np.ndarray, x: np.ndarray, p: float) -> float:

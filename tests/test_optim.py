@@ -19,89 +19,77 @@ from approxconvex.treespace import tree_norm, tree_norm_dual_lp
 from conftest import assert_dual_certificate, random_tree_vector, tree_lps
 
 
+def vertices(A, rel, b):
+    """Vertices of {x >= 0, A x (rel) b}: every choice of n of the rows and
+    the x_j = 0 faces, solved as equalities, that is feasible."""
+    n = A.shape[1]
+    faces = np.vstack([A, np.eye(n)])
+    rhs = np.concatenate([b, np.zeros(n)])
+    out = []
+    for sub in combinations(range(len(faces)), n):
+        F = faces[list(sub)]
+        if abs(np.linalg.det(F)) < 1e-12:
+            continue
+        x = np.linalg.solve(F, rhs[list(sub)])
+        resid = A @ x - b
+        if x.min() >= -1e-7 and all(
+            v <= 1e-7 if r == "<=" else abs(v) <= 1e-7 for v, r in zip(resid, rel)
+        ):
+            out.append(x)
+    return out
+
+
 def brute_force_lp(lp: LPInstance):
-    """Vertex-enumeration oracle for tiny LPs: optimal value or None."""
-    n = lp.n_vars
-    rows = [(np.asarray(a, float), float(b)) for a, b in zip(lp.A, lp.b)]
-    for j, (lo, hi) in enumerate(lp.bounds):
-        e = np.zeros(n)
-        e[j] = 1.0
-        if lo is not None:
-            rows.append((e.copy(), lo))
-        if hi is not None:
-            rows.append((e.copy(), hi))
-    best = None
-    for sub in combinations(range(len(rows)), n):
-        A = np.array([rows[i][0] for i in sub])
-        b = np.array([rows[i][1] for i in sub])
-        if abs(np.linalg.det(A)) < 1e-12:
-            continue
-        x = np.linalg.solve(A, b)
-        feasible = True
-        for a, r, rhs in zip(lp.A, lp.rel, lp.b):
-            v = float(a @ x)
-            if r == "<=" and v > rhs + 1e-7:
-                feasible = False
-            if r == ">=" and v < rhs - 1e-7:
-                feasible = False
-            if r == "=" and abs(v - rhs) > 1e-7:
-                feasible = False
-        for j, (lo, hi) in enumerate(lp.bounds):
-            if lo is not None and x[j] < lo - 1e-7:
-                feasible = False
-            if hi is not None and x[j] > hi + 1e-7:
-                feasible = False
-        if not feasible:
-            continue
-        val = float(lp.c @ x)
-        if best is None or (val > best if lp.maximize else val < best):
-            best = val
-    return best
+    """Vertex-enumeration oracle for tiny LPs: (status, optimal value or
+    None).  x >= 0 makes a nonempty feasible set have a vertex, and the LP
+    is unbounded exactly when c.d < 0 at a vertex of the recession cone's
+    slice {d >= 0, A d (rel) 0, 1.d = 1}."""
+    points = vertices(lp.A, lp.rel, lp.b)
+    if not points:
+        return "infeasible", None
+    rays = vertices(
+        np.vstack([lp.A, np.ones(lp.n_vars)]), lp.rel + ("=",), np.append(np.zeros(lp.n_rows), 1.0)
+    )
+    if any(float(lp.c @ d) < -1e-9 for d in rays):
+        return "unbounded", None
+    return "optimal", min(float(lp.c @ x) for x in points)
+
+
+def assert_agrees_with_brute_force(lp: LPInstance):
+    """lp_solve's status is the oracle's, and an optimum has its value and
+    a dual certificate."""
+    status, value = brute_force_lp(lp)
+    sol = lp_solve(lp)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.value == pytest.approx(value, abs=1e-6)
+        assert_dual_certificate(lp, sol)
 
 
 class TestLPSolve:
     def test_simple_max(self):
-        sol = lp_solve(LPInstance(c=[1.0], A=[[1.0]], rel=("<=",), b=[1.0], maximize=True))
+        # max x over x <= 1, as min -x.
+        sol = lp_solve(LPInstance(c=[-1.0], A=[[1.0]], rel=("<=",), b=[1.0]))
         assert sol.status == "optimal"
-        assert sol.value == pytest.approx(1.0, abs=1e-9)
+        assert sol.value == pytest.approx(-1.0, abs=1e-9)
         assert sol.gap <= 1e-9
 
     def test_infeasible(self):
-        sol = lp_solve(LPInstance(c=[1.0], A=[[1.0], [1.0]], rel=(">=", "<="), b=[2.0, 1.0]))
+        # x >= 2, written -x <= -2, and x <= 1.
+        sol = lp_solve(LPInstance(c=[1.0], A=[[-1.0], [1.0]], rel=("<=", "<="), b=[-2.0, 1.0]))
         assert sol.status == "infeasible"
 
     def test_two_var(self):
         # min x+y s.t. x+2y >= 2: oracle by vertex enumeration.
-        lp = LPInstance(c=[1.0, 1.0], A=[[1.0, 2.0]], rel=(">=",), b=[2.0])
-        assert brute_force_lp(lp) == pytest.approx(1.0)
+        lp = LPInstance(c=[1.0, 1.0], A=[[-1.0, -2.0]], rel=("<=",), b=[-2.0])
+        assert brute_force_lp(lp) == ("optimal", pytest.approx(1.0))
         sol = lp_solve(lp)
         assert sol.value == pytest.approx(1.0, abs=1e-9)
         assert sol.x == pytest.approx([0.0, 1.0], abs=1e-9)
 
     def test_unbounded(self):
-        sol = lp_solve(LPInstance(c=[1.0], A=np.zeros((0, 1)), rel=(), b=[], maximize=True))
+        sol = lp_solve(LPInstance(c=[-1.0], A=np.zeros((0, 1)), rel=(), b=[]))
         assert sol.status == "unbounded"
-
-    def test_free_and_bounded_variables(self):
-        lp = LPInstance(
-            c=[1.0, 1.0],
-            A=[[1.0, -1.0]],
-            rel=("=",),
-            b=[3.0],
-            bounds=((None, None), (0.0, None)),
-        )
-        sol = lp_solve(lp)
-        assert sol.value == pytest.approx(3.0, abs=1e-9)
-        sol = lp_solve(
-            LPInstance(c=[-1.0], A=np.zeros((0, 1)), rel=(), b=[], bounds=((-3.0, 5.0),))
-        )
-        assert sol.value == pytest.approx(-5.0, abs=1e-9)
-
-    def test_crossed_bounds_infeasible(self):
-        sol = lp_solve(
-            LPInstance(c=[1.0], A=np.zeros((0, 1)), rel=(), b=[], bounds=((2.0, 1.0),))
-        )
-        assert sol.status == "infeasible"
 
     def test_degenerate_cycling_candidate(self):
         # Beale's example: classic cycling instance for naive pivoting.
@@ -122,32 +110,25 @@ class TestLPSolve:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             LPInstance(c=[1.0, 2.0], A=[[1.0]], rel=("<=",), b=[1.0])
-        with pytest.raises(ValueError):
-            LPInstance(c=[1.0], A=[[1.0]], rel=("<",), b=[1.0])
+        for rel in (("<",), (">=",)):
+            with pytest.raises(ValueError, match="relations must be '<=' or '='"):
+                LPInstance(c=[1.0], A=[[1.0]], rel=rel, b=[1.0])
+        for unsupported in ({"bounds": ((0.0, 1.0),)}, {"maximize": True}):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                LPInstance(c=[1.0], A=[[1.0]], rel=("<=",), b=[1.0], **unsupported)
 
     def test_random_against_brute_force(self, rng):
-        mismatches = 0
         for _ in range(250):
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 4))
-            lp = LPInstance(
-                c=rng.normal(size=n).round(1),
-                A=rng.normal(size=(m, n)).round(1),
-                rel=tuple(rng.choice(["<=", ">=", "="]) for _ in range(m)),
-                b=rng.normal(size=m).round(1),
-                bounds=tuple(
-                    (0.0, None if rng.integers(0, 2) else 3.0) for _ in range(n)
-                ),
-                maximize=bool(rng.integers(0, 2)),
+            assert_agrees_with_brute_force(
+                LPInstance(
+                    c=rng.normal(size=n).round(1),
+                    A=rng.normal(size=(m, n)).round(1),
+                    rel=tuple(rng.choice(["<=", "="]) for _ in range(m)),
+                    b=rng.normal(size=m).round(1),
+                )
             )
-            oracle = brute_force_lp(lp)
-            sol = lp_solve(lp)
-            if sol.status == "optimal":
-                if oracle is None or abs(oracle - sol.value) > 1e-6:
-                    mismatches += 1
-            elif sol.status == "infeasible" and oracle is not None:
-                mismatches += 1
-        assert mismatches == 0
 
     def test_duality_certificate(self, rng):
         # On every reported optimum, b . dual equals the value within tol.
@@ -217,19 +198,19 @@ class TestLPSolve:
 
 
 def lp_with_feasible_basis(rng):
-    """A random bounded LP in default bounds and a feasible basis of it,
-    in `lp_solve`'s numbering (variables, then the slacks of the
-    inequality rows).  b is B x_B for basic values x_B >= 0, a third of
-    them zero (degenerate starts); the last row, 1.x <= 1.x_B + 1 with its
+    """A random bounded LP and a feasible basis of it, in `lp_solve`'s
+    numbering (variables, then the slacks of the '<=' rows).  b is B x_B
+    for basic values x_B >= 0, a third of them zero (degenerate starts),
+    so it takes either sign; the last row, 1.x <= 1.x_B + 1 with its
     slack basic, bounds the LP whatever the sign of c."""
     while True:
         m = int(rng.integers(1, 9))
         n = int(rng.integers(m, 2 * m + 4))
         A = rng.normal(size=(m, n))
-        rel = tuple(rng.choice(["<=", ">=", "="]) for _ in range(m))
-        ineq = [i for i, r in enumerate(rel) if r != "="]
+        rel = tuple(rng.choice(["<=", "="]) for _ in range(m))
+        ineq = [i for i, r in enumerate(rel) if r == "<="]
         S = np.zeros((m, len(ineq)))
-        S[ineq, range(len(ineq))] = [1.0 if rel[i] == "<=" else -1.0 for i in ineq]
+        S[ineq, range(len(ineq))] = 1.0
         full = np.hstack([A, S])
         basis = rng.choice(full.shape[1], size=m, replace=False)
         if np.linalg.cond(full[:, basis]) < 1e6:
@@ -291,158 +272,89 @@ class TestBasisStart:
             assert started.value == pytest.approx(default.value, abs=1e-9 * (1.0 + abs(default.value)))
             assert_dual_certificate(lp, started)
 
-    def test_bounds_map_to_standard_form(self):
-        # x0 free, x1 <= 3, x2 in [1, 4]; the basis {x0, x1} puts x2 at its
-        # lower bound and the '<=' row tight: x0 = 3, x1 = 1, and the bound
-        # row of x2 starts on its own slack.
-        lp = LPInstance(
-            c=[1.0, 2.0, -1.0],
-            A=[[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
-            rel=("=", "<="),
-            b=[5.0, 2.0],
-            bounds=((None, None), (None, 3.0), (1.0, 4.0)),
-        )
-        sol = lp_solve(lp, basis=[0, 1])
-        assert sol.value == pytest.approx(lp_solve(lp).value, abs=1e-12)
-        assert sol.value == pytest.approx(-3.5, abs=1e-12)  # x = (1.5, -0.5, 4); HiGHS -3.5
 
-
-def loop_standardize(lp: LPInstance):
-    """Reference for `optim._standardize`: the same rewrite, one bound
-    pair at a time."""
-    n = lp.n_vars
-    c = -lp.c if lp.maximize else lp.c
-    shift = np.zeros(n)
-    cols = []  # (orig_index, sign)
-    extra_rows = []  # (col_in_std, rhs) for residual upper bounds
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None:
-            if hi is not None and hi < lo:
-                return None
-            shift[j] = lo
-            cols.append((j, 1.0))
-            if hi is not None:
-                extra_rows.append((len(cols) - 1, hi - lo))
-        elif hi is not None:
-            shift[j] = hi
-            cols.append((j, -1.0))
-        else:
-            cols.append((j, 1.0))
-            cols.append((j, -1.0))
-    idx = np.array([j for j, _ in cols], dtype=int)
-    sign = np.array([s for _, s in cols])
-    A_std = np.zeros((lp.n_rows + len(extra_rows), len(cols)))
-    A_std[: lp.n_rows] = lp.A[:, idx] * sign
-    b_std = np.concatenate([lp.b - lp.A @ shift, [r for _, r in extra_rows]])
-    rel_std = list(lp.rel)
-    for i, (k, _) in enumerate(extra_rows):
-        A_std[lp.n_rows + i, k] = 1.0
-        rel_std.append("<=")
-    c_std = c[idx] * sign
-    return A_std, b_std, rel_std, c_std, idx, sign, shift
-
-
-finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+small = st.integers(-4, 4).map(float)
 
 
 @st.composite
-def bound_pair(draw):
-    kind = draw(st.sampled_from(["free", "lower", "upper", "boxed", "crossed"]))
-    a, b = draw(finite), draw(finite)
-    lo, hi = min(a, b), max(a, b)
-    if kind == "crossed" and lo == hi:
-        hi = lo + 1.0
-    return {
-        "free": (None, None),
-        "lower": (a, None),
-        "upper": (None, b),
-        "boxed": (lo, hi),
-        "crossed": (hi, lo),
-    }[kind]
-
-
-@st.composite
-def bounded_lps(draw):
-    n = draw(st.integers(1, 8))
+def narrowed_lps(draw):
+    """min c.x over x >= 0 with '<=' and '=' rows, b of either sign."""
+    n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 4))
-    vals = st.lists(finite, min_size=n, max_size=n)
+    row = st.lists(small, min_size=n, max_size=n)
     return LPInstance(
-        c=draw(vals),
-        A=np.array([draw(vals) for _ in range(m)]).reshape(m, n),
-        rel=tuple(draw(st.sampled_from(["<=", "=", ">="])) for _ in range(m)),
-        b=draw(st.lists(finite, min_size=m, max_size=m)),
-        bounds=tuple(draw(bound_pair()) for _ in range(n)),
-        maximize=draw(st.booleans()),
+        c=draw(row),
+        A=np.array(draw(st.lists(row, min_size=m, max_size=m))).reshape(m, n),
+        rel=tuple(draw(st.lists(st.sampled_from(["<=", "="]), min_size=m, max_size=m))),
+        b=draw(st.lists(small, min_size=m, max_size=m)),
     )
 
 
-class TestStandardize:
-    @given(bounded_lps())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_loop(self, lp):
-        got, want = optim._standardize(lp), loop_standardize(lp)
-        if want is None:
-            assert got is None
-            return
-        for g, w in zip(got, want):
-            if isinstance(w, list):
-                assert g == w
-            else:
-                assert g.dtype == w.dtype and g.shape == w.shape
-                assert g.tobytes() == w.tobytes()
-
-    def test_crossed_bounds_are_infeasible(self):
-        lp = LPInstance(c=[1.0, 1.0], A=[[1.0, 1.0]], rel=("<=",), b=[3.0], bounds=((None, 2.0), (1.0, 0.5)))
-        assert optim._standardize(lp) is None
-        assert lp_solve(lp).status == "infeasible"
-
-    def test_bounds_stay_pairs(self):
-        lp = LPInstance(c=[1.0, 2.0], A=[[1.0, 1.0]], rel=("<=",), b=[3.0], bounds=[[None, 2.0], (1, None)])
-        assert lp.bounds == ((None, 2.0), (1, None))
-        assert np.array_equal(lp.lo, [np.nan, 1.0], equal_nan=True)
-        assert np.array_equal(lp.hi, [2.0, np.nan], equal_nan=True)
-        default = LPInstance(c=[1.0, 2.0], A=[[1.0, 1.0]], rel=("<=",), b=[3.0])
-        assert default.bounds == ((0.0, None), (0.0, None))
-        with pytest.raises(ValueError, match="one bound pair per variable"):
-            LPInstance(c=[1.0, 2.0], A=[[1.0, 1.0]], rel=("<=",), b=[3.0], bounds=((0.0, None),))
+@given(narrowed_lps())
+@settings(max_examples=200, deadline=None)
+def test_certified_optimum_and_status_match_brute_force(lp):
+    assert_agrees_with_brute_force(lp)
 
 
 class TestCertificates:
-    """A solution mapped back wrongly must be caught by the feasibility
-    certificate, which names the first violating row or variable."""
+    """A wrong solution or dual must be caught by the certificate on the
+    original data, which names the first violating row or column."""
+
+    def tampered(self, monkeypatch, change):
+        """Apply change(tab) to the tableau once phase 2 has ended."""
+        run = optim._Tableau.run
+
+        def tampered_run(tab, phase, *args):
+            status = run(tab, phase, *args)
+            if phase == 2:
+                change(tab)
+            return status
+
+        monkeypatch.setattr(optim._Tableau, "run", tampered_run)
 
     def shifted(self, monkeypatch, delta):
-        std = optim._standardize
+        """Add delta[j] to the recovered x_j of each basic variable j."""
 
-        def tampered(lp):
-            out = std(lp)
-            return out[:-1] + (out[-1] + np.asarray(delta),)
+        def change(tab):
+            for i, j in enumerate(tab.basis):
+                if j < len(delta):
+                    tab.rhs[i] += delta[j]
 
-        monkeypatch.setattr(optim, "_standardize", tampered)
+        self.tampered(monkeypatch, change)
+
+    # min -x0 - x1 over x0 <= 1, x1 <= 1: x = (1, 1), both basic, and
+    # y = (-1, -1) on the slacks, columns 2 and 3.
+    boxed = LPInstance(c=[-1.0, -1.0], A=np.eye(2), rel=("<=", "<="), b=[1.0, 1.0])
 
     def test_names_first_violated_row(self, monkeypatch):
         # x = (1, 1) is optimal; moving x1 to -4 breaks rows 1 and 2.
         lp = LPInstance(
-            c=[1.0, 1.0, 0.0], A=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
-            rel=(">=", "=", ">="), b=[1.0, 1.0, 0.0],
+            c=[1.0, 1.0, 0.0], A=[[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]],
+            rel=("<=", "=", "<="), b=[-1.0, 1.0, 0.0],
         )
         self.shifted(monkeypatch, [0.0, -5.0, 0.0])
         with pytest.raises(ConvergenceError, match=r"violates row 1 by -5\.000e\+00"):
             lp_solve(lp)
 
     @pytest.mark.parametrize("delta, message", [
-        ([0.0, -1.0, -1.0], "variable 1 violates its lower bound"),
-        ([0.0, 0.0, 9.0], "variable 2 violates its upper bound"),
+        ([0.0, -2.0], r"variable 1 violates its lower bound: x = -1\.000e\+00"),
+        ([-3.0, -2.0], r"variable 0 violates its lower bound: x = -2\.000e\+00"),
     ])
     def test_names_first_violated_bound(self, monkeypatch, delta, message):
-        # Variables 1 and 2 appear in no row, so only their bounds see the shift.
-        lp = LPInstance(
-            c=[1.0, 1.0, 1.0], A=[[1.0, 0.0, 0.0]], rel=(">=",), b=[1.0],
-            bounds=((0.0, None), (0.0, None), (-1.0, 2.0)),
-        )
+        # x = (1, 1) moved below zero, which no '<=' row sees.
         self.shifted(monkeypatch, delta)
         with pytest.raises(ConvergenceError, match=message):
-            lp_solve(lp)
+            lp_solve(self.boxed)
+
+    def test_names_first_dual_infeasible_column(self, monkeypatch):
+        # Lowering the slack of row 0's reduced cost by 2 reads y0 = 1, so
+        # column 0's reduced cost c0 - y0 becomes -2.
+        def change(tab):
+            tab.r2[2] -= 2.0
+
+        self.tampered(monkeypatch, change)
+        with pytest.raises(ConvergenceError, match=r"duals are infeasible: column 0 has reduced cost -2\.000e\+00"):
+            lp_solve(self.boxed)
 
 
 class TestQuadraticKernel:
