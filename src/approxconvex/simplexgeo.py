@@ -6,16 +6,20 @@ interior, some k-face lies within alpha(n, k) = sqrt((n-k)/(n(k+1))) of
 the origin, with equality for the regular simplex.  The face is found
 constructively: take the nearest facet, recenter at its nearest point,
 rescale the facet back onto a unit sphere, and recurse one dimension
-down.  Nearest points on facets are computed by the minimum-norm-point
-quadratic kernel, and affine coordinates by its affine solve, so that the
-whole module shares one code path with the hull distances.  Vertices and
-points are the rows of a dense array.
+down.  Nearest points on facets that the closed form below cannot
+certify are computed by the minimum-norm-point quadratic kernel, and
+affine coordinates by its affine solve, so that the module shares the
+hull distances' code path.  Vertices and points are the rows of a dense
+array.
 
-At each level one pseudo-inverse of the edge matrix gives every
-barycentric gradient (Wolfe's affine step for all facets at once), and
-with it a certified lower bound on each facet's distance.  The kernel
-runs only on the facets whose bound does not rule them out of a tie with
-the nearest.
+At each level one solve with the Gram matrix of the edges gives every
+barycentric gradient (Wolfe's affine step for all facets at once).  From
+them come a certified lower bound on each facet's distance and, in closed
+form, the foot of the origin on each facet's affine hull.  Only the
+facets whose bound does not rule them out of a tie with the nearest are
+evaluated.  A foot inside its facet whose squared norm is within the
+kernel's tolerance of the squared bound is the facet's nearest point;
+any other facet goes to the kernel.
 """
 
 from __future__ import annotations
@@ -89,24 +93,30 @@ def _validated(vertices) -> np.ndarray:
     return V
 
 
-def _facet_bounds(C: np.ndarray) -> np.ndarray:
+def _facet_bounds(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower bounds on the distance from the origin to the hull of each
-    facet of the simplex with vertex rows C; entry a is for the facet
-    without vertex a.
+    facet of the simplex with vertex rows C, and the barycentric gradients
+    they come from; entry (row) a is for the facet without vertex a.
 
-    The pseudo-inverse of the edge matrix gives the barycentric gradients
-    (that of lambda_0 is minus the sum of the others).  With nu the unit
-    vector along -grad lambda_a, every point y of facet a has ||y|| >=
-    <nu, y> >= min over the facet's vertices of <nu, v> (Cauchy-Schwarz),
-    however inaccurate the pseudo-inverse.  The bound subtracts twice the
-    worst-case rounding, with u = eps/2 in dimension d: d u ||v|| in each
-    product and (d + 3) u |<nu, v>| from the norm of nu.  Non-finite or negative
+    With E = C[1:] - C[0], one solve with the Gram matrix E E^T gives the
+    gradients of lambda_1, lambda_2, ... within the affine hull, the rows
+    of (E E^T)^-1 E; that of lambda_0 is minus their sum.  With nu the
+    unit vector along -grad lambda_a, every point y of facet a has
+    ||y|| >= <nu, y> >= min over the facet's vertices of <nu, v>
+    (Cauchy-Schwarz), however inaccurate the solve.  The bound subtracts
+    twice the worst-case rounding, with u = eps/2 in dimension d: d u ||v||
+    in each product and (d + 3) u |<nu, v>| from the norm of nu.  A
+    singular Gram matrix gives NaN gradients; non-finite or negative
     bounds become 0.  For an origin inside the simplex, the least bound
     is the distance to the nearest facet's hyperplane, whose foot lies in
     that facet.
     """
     d = C.shape[1]
-    grads = np.linalg.pinv(C[1:] - C[0]).T
+    E = C[1:] - C[0]
+    try:
+        grads = np.linalg.solve(E @ E.T, E)
+    except np.linalg.LinAlgError:
+        grads = np.full_like(E, np.nan)
     grads = np.vstack([-grads.sum(axis=0), grads])
     nu = -grads / np.linalg.norm(grads, axis=1, keepdims=True)
     dots = C @ nu.T
@@ -114,7 +124,7 @@ def _facet_bounds(C: np.ndarray) -> np.ndarray:
     lo = dots.min(axis=0)
     eps = np.finfo(float).eps
     bounds = lo - eps * (d * np.linalg.norm(C, axis=1).max() + (d + 3) * np.abs(lo))
-    return np.where(np.isfinite(bounds) & (bounds > 0.0), bounds, 0.0)
+    return np.where(np.isfinite(bounds) & (bounds > 0.0), bounds, 0.0), grads
 
 
 def _nearest_on_facet(C: np.ndarray, a: int) -> tuple[float, np.ndarray]:
@@ -125,6 +135,34 @@ def _nearest_on_facet(C: np.ndarray, a: int) -> tuple[float, np.ndarray]:
     return f, Lf @ t
 
 
+def _facet_foot(
+    C: np.ndarray, grads: np.ndarray, a: int, bound: float
+) -> tuple[float, np.ndarray]:
+    """What _nearest_on_facet(C, a) returns, from the closed-form foot of
+    the origin on the facet's affine hull wherever that foot is certified.
+
+    beta = 1 - <g_i, v_i> are the barycentric coordinates of the origin's
+    projection onto the simplex's affine hull; stepping from there along
+    -g_a until lambda_a = 0 reaches the foot, with weights
+    w = beta - (beta_a / G_aa) G[a], G = grads grads^T.  When w >= 0 the
+    foot q lies in the facet, so f = ||q||^2 >= f*, the squared distance,
+    while bound^2 <= f* (see _facet_bounds).  The foot is accepted when
+    f - bound^2 <= 1e-13, the tolerance the kernel is given, so
+    f - f* <= 1e-13 as from the kernel.  Any other facet goes to the
+    kernel.
+    """
+    beta = 1.0 - np.einsum("ij,ij->i", grads, C)
+    g = grads @ grads[a]
+    w = beta - (beta[a] / g[a]) * g
+    w[a] = 0.0
+    if w.min() >= 0.0:
+        q = (w / w.sum()) @ C
+        f = float(q @ q)
+        if f - bound * bound <= 1e-13:
+            return f, q
+    return _nearest_on_facet(C, a)
+
+
 def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
     """Nearest-facet descent; returns the vertex index sets of every
     visited simplex, largest first, down to dimension stop_dim.
@@ -132,8 +170,8 @@ def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
     At each level the facets are ordered so that the lexicographically
     smallest vertex set (drop the largest index) comes first, and the
     first facet whose squared distance f is within _TIE_TOL of the least
-    wins.  The kernel solves the facet of least bound first, with value
-    U, and then every facet whose squared bound is at most U + _TIE_TOL;
+    wins.  The facet of least bound is evaluated first, with value U,
+    and then every facet whose squared bound is at most U + _TIE_TOL;
     any other facet has f > U + _TIE_TOL, so it can neither be nearest
     nor tie with the nearest.
     """
@@ -142,13 +180,13 @@ def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
     chain = [tuple(idx)]
     while len(idx) - 1 > stop_dim:
         order = sorted(range(len(idx)), key=lambda a: -idx[a])
-        bounds = _facet_bounds(coords)
+        bounds, grads = _facet_bounds(coords)
         first = int(np.argmin(bounds))
-        solved = {first: _nearest_on_facet(coords, first)}
+        solved = {first: _facet_foot(coords, grads, first, bounds[first])}
         cutoff = solved[first][0] + _TIE_TOL
         for a in order:
             if a not in solved and bounds[a] ** 2 <= cutoff:
-                solved[a] = _nearest_on_facet(coords, a)
+                solved[a] = _facet_foot(coords, grads, a, bounds[a])
         f_min = min(f for f, _ in solved.values())
         best_a = next(a for a in order if a in solved and solved[a][0] <= f_min + _TIE_TOL)
         best_q = solved[best_a][1]

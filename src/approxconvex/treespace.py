@@ -283,7 +283,9 @@ def extend_phi(
         if lab not in phi0.values:
             raise ValueError(f"phi0 is undefined on {lab!r} in E")
     values = {l: phi0.values[l] for l in E}
-    domain = downward_closure(set(universe) | E)
+    # E is closed under children, so the closure of universe | E is E
+    # together with the closure of the rest.
+    domain = downward_closure(set(universe) - E) | E
     for lab in sorted(domain - E, key=label_sort_key):
         if lab.is_leaf:
             values[lab] = -M
@@ -302,6 +304,11 @@ def build_phi(a: TreeLabel, M: int, universe: set[TreeLabel]) -> DualFunctional:
     """
     if not isinstance(M, int) or M < 1:
         raise ValueError(f"the scale must be a positive integer, got {M!r}")
+    return _norming_functional(a, M, downward_closure(set(universe) | {a}))
+
+
+def _norming_functional(a: TreeLabel, M: int, domain: set[TreeLabel]) -> DualFunctional:
+    """build_phi on a domain already closed under children and holding a."""
     E_a = downward_closure({a})
     orders = _orders(a)
     phi0: dict[TreeLabel, float] = {}
@@ -312,7 +319,6 @@ def build_phi(a: TreeLabel, M: int, universe: set[TreeLabel]) -> DualFunctional:
             phi0[lab] = min(
                 float(M), 0.5 * (phi0[lab.left] + phi0[lab.right]) + 1.0
             )
-    domain = downward_closure(set(universe) | {a})
     E = set(E_a)
     for lab in domain:
         if lab.is_leaf and lab not in E:
@@ -347,7 +353,7 @@ def haus_experiment(
     universe = downward_closure(set(leaves) | set(candidates))
     best = None
     for a in candidates:
-        phi = build_phi(a, M, universe)
+        phi = _norming_functional(a, M, universe)
         value = functional_eval(phi, Vector.unit(a) - avg)
         best = value if best is None else min(best, value)
     return float(best)

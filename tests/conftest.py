@@ -16,6 +16,9 @@ def regular_simplex(n: int) -> np.ndarray:
 
 
 def origin_barycentric(V: np.ndarray) -> np.ndarray:
+    """Weights of the point of V's affine hull nearest the origin, from
+    the bordered KKT system, which is nonsingular for affinely
+    independent rows."""
     s = V.shape[0]
     K = np.zeros((s + 1, s + 1))
     K[:s, :s] = 2.0 * V @ V.T
@@ -23,7 +26,7 @@ def origin_barycentric(V: np.ndarray) -> np.ndarray:
     K[s, :s] = 1.0
     rhs = np.zeros(s + 1)
     rhs[s] = 1.0
-    return np.linalg.lstsq(K, rhs, rcond=None)[0][:s]
+    return np.linalg.solve(K, rhs)[:s]
 
 
 def random_interior_simplex(rng, n: int, margin: float = 1e-2) -> np.ndarray:

@@ -226,6 +226,20 @@ def _interior_simplex(rng, n, margin=1e-2):
             return V
 
 
+def _count_calls(monkeypatch, name):
+    """Wrap simplexgeo's `name` so that every call appends to the list
+    returned."""
+    calls = []
+    wrapped = getattr(simplexgeo, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(simplexgeo, name, counted)
+    return calls
+
+
 class TestPrunedDescent:
     def _assert_matches_reference(self, V, k):
         W = simplexgeo._validated(V)
@@ -253,7 +267,7 @@ class TestPrunedDescent:
         levels = []
 
         def check(coords, values):
-            bounds = simplexgeo._facet_bounds(coords)
+            bounds, _ = simplexgeo._facet_bounds(coords)
             for a, f in values.items():
                 assert bounds[a] <= math.sqrt(f)
             # The least bound is the nearest facet's exact distance, to
@@ -269,22 +283,81 @@ class TestPrunedDescent:
         assert len(levels) == sum(2 + i % 8 for i in range(120))
 
     def _count_solves(self, monkeypatch, V):
-        calls = []
-        kernel = simplexgeo.min_quadratic_over_simplex
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(simplexgeo, "min_quadratic_over_simplex", counted)
+        """(facets evaluated, by foot or by kernel; kernel calls) in one
+        face_chain."""
+        feet = _count_calls(monkeypatch, "_facet_foot")
+        calls = _count_calls(monkeypatch, "min_quadratic_over_simplex")
         face_chain(V)
-        return len(calls)
+        return len(feet), len(calls)
 
     def test_prunes_most_solves_off_the_regular_simplex(self, monkeypatch):
         # The full descent of an 8-simplex has sum(m) = 44 facets.
         V = _interior_simplex(np.random.default_rng(22), 8)
-        assert self._count_solves(monkeypatch, V) <= 22
+        evaluated, _ = self._count_solves(monkeypatch, V)
+        assert evaluated <= 22
 
     def test_regular_simplex_solves_every_facet(self, monkeypatch):
-        # Every facet ties at every level, so none can be skipped.
-        assert self._count_solves(monkeypatch, regular_simplex(8)) == 44
+        # Every facet ties at every level, so none can be skipped, and
+        # every foot is its facet's circumcenter, so none needs the kernel.
+        assert self._count_solves(monkeypatch, regular_simplex(8)) == (44, 0)
+
+
+class TestFacetFeet:
+    def test_foot_outside_its_facet_goes_to_the_kernel(self, monkeypatch):
+        # Facet 0 is an obtuse triangle on the circle z = -0.6 of the unit
+        # sphere, so the origin's foot on its plane, (0, 0, -0.6), lies
+        # outside it; vertex 0 is opposite its centroid, so the origin is
+        # inside the simplex.
+        ang = np.radians([0.0, 20.0, 40.0])
+        base = np.column_stack([0.8 * np.cos(ang), 0.8 * np.sin(ang), np.full(3, -0.6)])
+        assert np.linalg.solve(base.T, [0.0, 0.0, -0.6]).min() < 0.0
+        top = -base.mean(axis=0)
+        C = np.vstack([top / np.linalg.norm(top), base])
+        bounds, grads = simplexgeo._facet_bounds(C)
+        nearest = simplexgeo._nearest_on_facet
+        calls = _count_calls(monkeypatch, "_nearest_on_facet")
+        f, q = simplexgeo._facet_foot(C, grads, 0, bounds[0])
+        assert len(calls) == 1
+        f_kernel, q_kernel = nearest(C, 0)
+        assert f == f_kernel
+        assert np.array_equal(q, q_kernel)
+
+    def test_singular_gram_solve_sends_every_facet_to_the_kernel(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        simplices = [_interior_simplex(rng, 2 + i % 8) for i in range(24)]
+        simplices += [regular_simplex(n) for n in range(2, 10)]
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        bounds, grads = simplexgeo._facet_bounds(simplices[0])
+        assert np.array_equal(bounds, np.zeros(3)) and np.isnan(grads).all()
+        for V in simplices:
+            chain = _reference_descend(simplexgeo._validated(V), 0)
+            expected = [tuple(sorted(sub)) for sub in reversed(chain[1:])]
+            assert [res.vertex_index_set for res in face_chain(V)] == expected
+
+    def test_accepted_feet_are_certified(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        fallbacks = _count_calls(monkeypatch, "_nearest_on_facet")
+        least_accepted = []
+
+        def check(coords, values):
+            bounds, grads = simplexgeo._facet_bounds(coords)
+            for a, f_kernel in values.items():
+                before = len(fallbacks)
+                f, _ = simplexgeo._facet_foot(coords, grads, a, bounds[a])
+                if len(fallbacks) == before:
+                    lower2 = bounds[a] ** 2
+                    assert lower2 <= f <= lower2 + 1e-13
+                    assert abs(f - f_kernel) <= 1e-13
+                if a == int(np.argmin(bounds)):
+                    least_accepted.append(len(fallbacks) == before)
+
+        for i in range(160):
+            _reference_descend(_interior_simplex(rng, 2 + i % 8), 0, check)
+        # The least-bound facet's foot lies in it (see _facet_bounds), and
+        # on these draws the closed form certifies it at every level.
+        assert len(least_accepted) == sum(2 + i % 8 for i in range(160))
+        assert all(least_accepted)
