@@ -11,7 +11,7 @@ maximization).  Euclidean hull distances go through the minimum-norm-point
 quadratic kernel.  l1 and l-infinity distances are exact LPs in equality
 form, P.T lam + s+ - s- = x with sum(lam) = 1, each built as one array
 and started on a feasible basis in closed form from the sample point
-nearest x, so `lp_solve` needs no phase 1.  The hull LP is always
+nearest x, which `lp_solve` requires.  The hull LP is always
 feasible and bounded, so a status other than optimal can only be
 numerical and raises `ConvergenceError`.
 
@@ -76,11 +76,16 @@ class SampledSet:
 
 
 def _coords(x: Vector, d: int) -> np.ndarray:
-    """Coordinates of x over 0..d-1; any other index is rejected."""
+    """Coordinates of x over 0..d-1; any other index, and a NaN or
+    infinite coordinate, is rejected."""
     for k in x.support():
         if not (isinstance(k, Integral) and 0 <= k < d):
             raise ValueError(f"query index {k!r} is not a coordinate of a {d}-dimensional set")
-    return x.to_array(range(d))
+    xv = x.to_array(range(d))
+    bad = np.flatnonzero(~np.isfinite(xv))
+    if bad.size:
+        raise ValueError(f"query coordinate {bad[0]} is {xv[bad[0]]}, not finite")
+    return xv
 
 
 def _dist_powers(Z: np.ndarray, X: np.ndarray, p: float) -> np.ndarray:
@@ -155,8 +160,8 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
     the sign of r_i covers coordinate row i, and under l-infinity u =
     ||r||_inf with the slacks u - |r_i| of every `<=` row but one row
     attaining the maximum covers the rest.  That basis is nonsingular
-    (its `<=` block [u | e_k, k != i*] has determinant +-1), so phase 1
-    is skipped.  Other norms are rejected.
+    (its `<=` block [u | e_k, k != i*] has determinant +-1), and the
+    one-phase simplex starts on it.  Other norms are rejected.
     """
     P = A.matrix
     N, d = P.shape
@@ -287,6 +292,8 @@ def hausdorff_lb(A: SampledSet, witnesses: list[Vector], norm: NormSpec) -> floa
     """
     if not witnesses:
         raise ValueError("need at least one witness")
+    X = A.matrix
+    W = np.array([_coords(w, X.shape[1]) for w in witnesses])
     for w in witnesses:
         membership = dist_to_hull(w, A, norm, tol=1e-9)
         if membership > HULL_MEMBERSHIP_TOL:
@@ -294,8 +301,6 @@ def hausdorff_lb(A: SampledSet, witnesses: list[Vector], norm: NormSpec) -> floa
                 f"witness {w!r} is {membership:.3e} from the hull "
                 f"(tolerance {HULL_MEMBERSHIP_TOL:.1e}); not a valid lower-bound witness"
             )
-    X = A.matrix
-    W = np.array([_coords(w, X.shape[1]) for w in witnesses])
     return float(_nearest_dists(W, X, norm).max())
 
 

@@ -2,20 +2,19 @@
 
 Two solvers used by every distance computation in the package:
 
-* a dense two-phase simplex LP solver for min c.x over x >= 0 with '='
+* a dense one-phase simplex LP solver for min c.x over x >= 0 with '='
   and '<=' rows (Dantzig pricing with a permanent switch to Bland's rule
   once degeneracy is detected, which guarantees termination).  Every LP
-  starts on a basis B0: the caller's, when it knows a feasible one (the
-  tree-norm decomposition LP and the l1 and l-infinity hull-distance
-  LPs build one in closed form), and otherwise the slack of each '<='
-  row with b >= 0 and an artificial on every other row.  A caller's
-  basis adds no artificial column: it is checked before any pivot, the
-  tableau becomes B0^-1 T (formed in column blocks) unless B0 is the
-  identity, and phase 2 starts at once.  Row duals are read the same
-  way on every start, and every optimum is certified on the original
-  data (primal and dual feasibility, duality gap).  The bookkeeping
-  around the tableau (row flips, start, certificates) is done on whole
-  arrays, with no Python loop over variables.  A pivot
+  starts on a feasible basis B0 its caller names: the tree-norm
+  decomposition LP and the l1 and l-infinity hull-distance LPs build one
+  in closed form, and the tree-norm dual-ball LP starts on its slacks.
+  The basis is checked before any pivot, the tableau becomes B0^-1 T
+  (formed in column blocks) unless B0 is the identity, and the simplex
+  runs from there; there is no phase 1 and no artificial column.  Row
+  duals are read from B0, and every optimum is certified on the
+  original data (primal and dual feasibility, duality gap).  The
+  bookkeeping around the tableau (row flips, start, certificates) is
+  done on whole arrays, with no Python loop over variables.  A pivot
   updates only the rows where the pivot column is nonzero when at most
   a quarter of them are, and the whole tableau otherwise,
 * minimization of ``f(t) = ||c - L t||^2`` over the probability simplex
@@ -111,7 +110,7 @@ class LPSolution:
     duals ``dual`` are primal and dual feasible within tolerance and
     ``gap`` is the certified |c.x - b.dual|."""
 
-    status: str  # optimal | infeasible | unbounded
+    status: str  # optimal | unbounded
     value: float | None = None
     x: np.ndarray | None = None
     dual: np.ndarray | None = None
@@ -120,37 +119,31 @@ class LPSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau with two cost rows (phase 1 and phase 2).
+    """Dense simplex tableau with one reduced-cost row.
 
-    The initial basis is any set of columns that are the identity in T:
-    slack and artificial columns, or the columns of a caller's basis once
-    T holds B0^-1 T.  Phase-2 costs are priced out against it, so a start
-    may carry nonzero cost.
+    The initial basis is the caller's B0, whose columns are the identity
+    in T: as given when B0 is the identity, and once T holds B0^-1 T
+    otherwise.  Costs are priced out against it, so a start may carry
+    nonzero cost.
     A pivot updates only the rows where the pivot column is nonzero when
     at most a quarter of them are; a denser column gets one full
     rank-1 update, which avoids gathering a copy of a wide tableau.
     """
 
-    def __init__(self, T, b, cost2, n_real, basis, tol):
+    def __init__(self, T, b, cost, basis, tol):
         self.T = T  # owned: pivots update it in place
         self.rhs = np.array(b, dtype=float)
-        self.n_real = n_real  # columns that belong to the real LP
         self.basis = list(basis)
         self.tol = tol
         self.iterations = 0
         self.bland = False
         self._stall = 0
-        # Phase-2 reduced costs (artificials cost 0), priced out against
-        # the initial basis; v2 is the negated objective.
-        self.cost = np.concatenate([cost2, np.zeros(self.T.shape[1] - n_real)])
+        # Reduced costs priced out against the initial basis; v is the
+        # negated objective.
+        self.cost = cost
         c_B = self.cost[self.basis]
-        self.r2 = self.cost - c_B @ self.T
-        self.v2 = -float(c_B @ self.rhs)
-        # Phase-1 reduced costs: cost 1 on artificials, priced out.
-        art_rows = [i for i, j in enumerate(self.basis) if j >= n_real]
-        self.r1 = -self.T[art_rows].sum(axis=0)
-        self.r1[n_real:] += 1.0
-        self.v1 = -float(self.rhs[art_rows].sum()) if art_rows else 0.0
+        self.r = self.cost - c_B @ self.T
+        self.v = -float(c_B @ self.rhs)
 
     def _pivot(self, row, col):
         T, rhs = self.T, self.rhs
@@ -166,33 +159,26 @@ class _Tableau:
         else:
             T -= np.outer(colvals, T[row])
             rhs -= colvals * rhs[row]
-        if self.r1[col] != 0.0:
-            self.v1 -= self.r1[col] * rhs[row]
-            self.r1 = self.r1 - self.r1[col] * T[row]
-        if self.r2[col] != 0.0:
-            self.v2 -= self.r2[col] * rhs[row]
-            self.r2 = self.r2 - self.r2[col] * T[row]
+        if self.r[col] != 0.0:
+            self.v -= self.r[col] * rhs[row]
+            self.r = self.r - self.r[col] * T[row]
         self.basis[row] = col
         self.iterations += 1
 
-    def run(self, phase: int, allowed: np.ndarray, max_iter: int) -> str:
-        """Pivot until optimal/unbounded for the given phase objective."""
-        r = self.r1 if phase == 1 else self.r2
-        rc_tol = self.tol * (1.0 + float(np.abs(r).max(initial=0.0)))
+    def run(self, max_iter: int) -> str:
+        """Pivot until optimal or unbounded."""
+        rc_tol = self.tol * (1.0 + float(np.abs(self.r).max(initial=0.0)))
         piv_tol = 1e-10
         while True:
             if self.iterations > max_iter:
-                raise ConvergenceError(
-                    f"simplex exceeded {max_iter} pivots in phase {phase}"
-                )
-            r = self.r1 if phase == 1 else self.r2
-            candidates = allowed & (r < -rc_tol)
+                raise ConvergenceError(f"simplex exceeded {max_iter} pivots")
+            candidates = self.r < -rc_tol
             if not candidates.any():
                 return "optimal"
             if self.bland:
                 col = int(np.flatnonzero(candidates)[0])
             else:
-                masked = np.where(candidates, r, np.inf)
+                masked = np.where(candidates, self.r, np.inf)
                 col = int(np.argmin(masked))
             colvals = self.T[:, col]
             pos = colvals > piv_tol
@@ -205,11 +191,10 @@ class _Tableau:
             best = ratios.min()
             ties = np.flatnonzero(ratios <= best + 1e-12)
             row = int(min(ties, key=lambda i: self.basis[i]))
-            before = self.v1 if phase == 1 else self.v2
+            before = self.v
             self._pivot(row, col)
-            after = self.v1 if phase == 1 else self.v2
             # v tracks the negated objective, so progress means v grows.
-            if after - before <= 1e-13 * (1.0 + abs(before)):
+            if self.v - before <= 1e-13 * (1.0 + abs(before)):
                 self._stall += 1
                 if self._stall > 100:
                     self.bland = True
@@ -284,19 +269,18 @@ def _start_on_basis(T, rhs, start, feas_tol):
     return np.maximum(x_B, 0.0), B_inv
 
 
-def lp_solve(lp: LPInstance, tol: float = 1e-9, basis=None) -> LPSolution:
-    """Two-phase dense simplex with a certified optimum.
+def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
+    """One-phase dense simplex from a caller's feasible basis, with a
+    certified optimum.
 
     ``basis`` names a feasible basis, one column per row of ``lp``: entry
     ``j < lp.n_vars`` is variable j, entry ``lp.n_vars + k`` the slack of
     the k-th '<=' row (a surplus once a row with b < 0 is flipped).  It
     is checked before any pivot: a basis of the wrong length, a
     numerically singular one, or one whose basic values B0^-1 b fall
-    below ``-tol (1 + ||b||_1)`` raises ``ValueError``.  Without it,
-    '<=' rows with b >= 0 start on their slacks and the others on
-    artificials for phase 1.  Either start gives the row duals
-    y = (c_B0 - r_B0) B0^-1, whatever their cost.  A solve that needs
-    more than 20,000 + 40 (rows + columns) pivots raises
+    below ``-tol (1 + ||b||_1)`` raises ``ValueError``.  The row duals
+    are read as y = (c_B0 - r_B0) B0^-1, whatever the start's cost.  A
+    solve that needs more than 20,000 + 40 (rows + columns) pivots raises
     :class:`ConvergenceError`.
 
     An ``optimal`` result is certified on the original data before it is
@@ -320,45 +304,15 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, basis=None) -> LPSolution:
     # surplus.
     slack_rows = np.flatnonzero(le)
     slack_cols = n + np.arange(len(slack_rows))
-    slack_le = row_sign[slack_rows] > 0.0  # still '<=' once flipped
-    n_real = n + len(slack_rows)
-    cost2 = np.concatenate([lp.c, np.zeros(len(slack_rows))])
+    start = _basis_columns(lp, basis, len(slack_rows))
 
-    if basis is None:
-        start = np.full(m, -1)
-        start[slack_rows[slack_le]] = slack_cols[slack_le]
-    else:
-        start = _basis_columns(lp, basis, len(slack_rows))
-    art_rows = np.flatnonzero(start < 0)  # rows of the default start without a slack
-    start[art_rows] = n_real + np.arange(len(art_rows))
-
-    T = np.zeros((m, n_real + len(art_rows)))
+    T = np.zeros((m, n + len(slack_rows)))
     np.multiply(lp.A, row_sign[:, None], out=T[:, :n])
-    T[slack_rows, slack_cols] = np.where(slack_le, 1.0, -1.0)
-    T[art_rows, start[art_rows]] = 1.0
+    T[slack_rows, slack_cols] = row_sign[slack_rows]
     feas_tol = tol * (1.0 + float(np.abs(b).sum()))
     x_B, B_inv = _start_on_basis(T, b, start, feas_tol)
-    tab = _Tableau(T, x_B, cost2, n_real, start.tolist(), tol)
-    allowed = np.ones(T.shape[1], dtype=bool)
-
-    if len(art_rows):
-        status = tab.run(1, allowed, max_iter)
-        if status == "unbounded":  # phase-1 objective is bounded below by 0
-            raise ConvergenceError("phase 1 reported unbounded: numerical failure")
-        if -tab.v1 > feas_tol:  # v1 tracks the negated phase-1 objective
-            return LPSolution(status="infeasible", iterations=tab.iterations)
-        # Pivot leftover artificials out of the basis where possible; a row
-        # with no usable entry is redundant and its artificial stays at zero.
-        for i in range(m):
-            if tab.basis[i] >= n_real:
-                row = tab.T[i, :n_real]
-                cand = np.flatnonzero(np.abs(row) > 1e-7)
-                if len(cand):
-                    tab._pivot(i, int(cand[0]))
-    allowed[n_real:] = False
-
-    status = tab.run(2, allowed, max_iter)
-    if status == "unbounded":
+    tab = _Tableau(T, x_B, np.concatenate([lp.c, np.zeros(len(slack_rows))]), start.tolist(), tol)
+    if tab.run(max_iter) == "unbounded":
         return LPSolution(status="unbounded", iterations=tab.iterations)
 
     x_std = np.zeros(T.shape[1])
@@ -366,7 +320,7 @@ def lp_solve(lp: LPInstance, tol: float = 1e-9, basis=None) -> LPSolution:
     x = x_std[:n] + 0.0  # + 0.0 turns a basic -0.0 into 0.0
     # Row duals from the start columns: r_j = c_j - y.T0[:, j] with
     # T0[:, start] = B0, then unflipped to the original rows.
-    y = tab.cost[start] - tab.r2[start]
+    y = tab.cost[start] - tab.r[start]
     if B_inv is not None:
         y = y @ B_inv
     y *= row_sign

@@ -177,7 +177,8 @@ def _primal_lp(x: TreeVector, M: float, tol: float):
     Variables (y+, y-, w+, w-) over D with y + S(w) = x; the objective
     M||y||_1 + ||w||_1' is exact after sign splitting.  The row duals of
     this LP are precisely a maximizing dual functional.  It starts on
-    y = x, w = 0 (y+ or y- by the sign of x): no phase 1, no inverse.
+    y = x, w = 0 (y+ or y- by the sign of x), an identity basis once the
+    negative rows are flipped, so it is never inverted.
     """
     D, S, _ = _halving(x)
     N = len(D)
@@ -238,8 +239,12 @@ def tree_norm_dual_lp(x: TreeVector, M: float, tol: float = 1e-9) -> float:
 
     ``lp_solve`` takes x >= 0 only, so the LP is posed in u = phi + M:
     minimize -x.u subject to the midpoint-defect rows and the box rows
-    u <= 2M, and the value is x.(u - M)."""
+    u <= 2M, and the value is x.(u - M).  Its b is 1 on the defect rows
+    and 2M on the box rows, so it starts on its slacks (u = 0, phi = -M),
+    an identity basis that is never inverted."""
     _check_tree_indices(x)
+    if not M > 0.0:
+        raise ValueError(f"need M > 0, got {M}")
     if not x:
         return 0.0
     D, S, pairs = _halving(x)
@@ -249,14 +254,16 @@ def tree_norm_dual_lp(x: TreeVector, M: float, tol: float = 1e-9) -> float:
     A[0::2] = S[:, pairs].T
     A[1::2] = -A[0::2]
     xd = x.to_array(D)
+    rows = len(A) + N
     sol = lp_solve(
         LPInstance(
             c=-xd,
             A=np.vstack([A, np.eye(N)]),
-            rel=("<=",) * (len(A) + N),
+            rel=("<=",) * rows,
             b=np.concatenate([1.0 - A @ np.full(N, -M), np.full(N, 2.0 * M)]),
         ),
         tol=tol,
+        basis=N + np.arange(rows),
     )
     if sol.status != "optimal":  # phi = 0 is feasible; the box rows bound it
         raise ConvergenceError(f"dual norm LP ended with status {sol.status}")

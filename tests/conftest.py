@@ -6,6 +6,7 @@ import pytest
 from approxconvex import hulls, treespace
 from approxconvex.core import Vector
 from approxconvex.labels import downward_closure, label_sort_key, leaf, pair
+from approxconvex.optim import LPInstance
 
 
 def regular_simplex(n: int) -> np.ndarray:
@@ -89,13 +90,13 @@ def tree_lps(x: Vector, M: float):
     """The (LP, basis) pairs `treespace` passes to `lp_solve` for the tree
     norm of x, captured at its call site: the decomposition LP (equality
     rows, started on y = x) and the dual-ball LP ('<=' rows in
-    u = phi + M >= 0, the box rows u <= 2M last, on the default start, so
-    its basis is None)."""
+    u = phi + M >= 0, the box rows u <= 2M last, started on its
+    slacks)."""
     captured = []
     solve = treespace.lp_solve
 
     def record(lp, *args, **kwargs):
-        captured.append((lp, kwargs.get("basis")))
+        captured.append((lp, kwargs["basis"]))
         return solve(lp, *args, **kwargs)
 
     with mock.patch.object(treespace, "lp_solve", record):
@@ -111,12 +112,43 @@ def hull_lps(x: Vector, A, norm):
     solve = hulls.lp_solve
 
     def record(lp, *args, **kwargs):
-        captured.append((lp, kwargs.get("basis")))
+        captured.append((lp, kwargs["basis"]))
         return solve(lp, *args, **kwargs)
 
     with mock.patch.object(hulls, "lp_solve", record):
         value = hulls.dist_to_hull(x, A, norm)
     return value, captured
+
+
+def lp_with_feasible_basis(rng):
+    """A random bounded LP and a feasible basis of it, in `lp_solve`'s
+    numbering (variables, then the slacks of the '<=' rows).  b is B x_B
+    for basic values x_B >= 0, a third of them zero (degenerate starts),
+    so it takes either sign; the last row, 1.x <= 1.x_B + 1 with its
+    slack basic, bounds the LP whatever the sign of c."""
+    while True:
+        m = int(rng.integers(1, 9))
+        n = int(rng.integers(m, 2 * m + 4))
+        A = rng.normal(size=(m, n))
+        rel = tuple(rng.choice(["<=", "="]) for _ in range(m))
+        ineq = [i for i, r in enumerate(rel) if r == "<="]
+        S = np.zeros((m, len(ineq)))
+        S[ineq, range(len(ineq))] = 1.0
+        full = np.hstack([A, S])
+        basis = rng.choice(full.shape[1], size=m, replace=False)
+        if np.linalg.cond(full[:, basis]) < 1e6:
+            break
+    x_B = np.where(rng.random(m) < 1 / 3, 0.0, rng.uniform(0.1, 2.0, size=m))
+    x = np.zeros(full.shape[1])
+    x[basis] = x_B
+    bound = x[:n].sum() + 1.0
+    lp = LPInstance(
+        c=rng.normal(size=n),
+        A=np.vstack([A, np.ones(n)]),
+        rel=rel + ("<=",),
+        b=np.append(full @ x, bound),
+    )
+    return lp, np.append(basis, n + len(ineq))
 
 
 def assert_dual_certificate(lp, sol, tol: float = 1e-7):

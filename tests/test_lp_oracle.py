@@ -9,7 +9,7 @@ import pytest
 from approxconvex.core import NormSpec, Vector
 from approxconvex.hulls import SampledSet
 from approxconvex.optim import LPInstance, lp_solve
-from conftest import assert_dual_certificate, hull_lps, random_tree_vector, tree_lps
+from conftest import assert_dual_certificate, hull_lps, lp_with_feasible_basis, random_tree_vector, tree_lps
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -35,7 +35,7 @@ def highs(lp: LPInstance):
     return status, res.fun
 
 
-def assert_matches_highs(lp: LPInstance, rel: float = 1e-7, basis=None):
+def assert_matches_highs(lp: LPInstance, basis, rel: float = 1e-7):
     sol = lp_solve(lp, basis=basis)
     status, value = highs(lp)
     assert sol.status == status
@@ -44,50 +44,22 @@ def assert_matches_highs(lp: LPInstance, rel: float = 1e-7, basis=None):
     return sol
 
 
-def feasible_instance(rng, m: int, n: int) -> LPInstance:
-    """Random rows through a point inside the box [0, 5]^n, then the box
-    rows x <= 5, so the LP is feasible and bounded.  The random '<=' rows
-    keep the point strictly inside, and their b takes either sign."""
-    A = rng.normal(size=(m, n))
-    x0 = rng.uniform(0.0, 5.0, size=n)
-    rel = tuple(rng.choice(["<=", "="]) for _ in range(m))
-    slack = np.where(np.array(rel) == "<=", rng.uniform(0.0, 1.0, size=m), 0.0)
-    return LPInstance(
-        c=rng.normal(size=n),
-        A=np.vstack([A, np.eye(n)]),
-        rel=rel + ("<=",) * n,
-        b=np.concatenate([A @ x0 + slack, np.full(n, 5.0)]),
-    )
-
-
 def test_random_feasible(rng):
-    for _ in range(40):
-        lp = feasible_instance(rng, int(rng.integers(1, 12)), int(rng.integers(2, 15)))
-        sol = assert_matches_highs(lp)
+    # Random LPs of either sign of b, from a feasible basis that is often
+    # degenerate.
+    for _ in range(200):
+        lp, basis = lp_with_feasible_basis(rng)
+        sol = assert_matches_highs(lp, basis, rel=1e-9)
         assert sol.status == "optimal"
         assert_dual_certificate(lp, sol)
 
 
-def test_random_infeasible(rng):
-    # a.x <= t and a.x >= t + 1, the latter written -a.x <= -(t + 1).
-    for _ in range(30):
-        lp = feasible_instance(rng, int(rng.integers(1, 10)), int(rng.integers(2, 12)))
-        a = rng.normal(size=lp.n_vars)
-        t = float(rng.normal())
-        bad = LPInstance(
-            c=lp.c,
-            A=np.vstack([lp.A, a, -a]),
-            rel=lp.rel + ("<=", "<="),
-            b=np.concatenate([lp.b, [t, -(t + 1.0)]]),
-        )
-        assert assert_matches_highs(bad).status == "infeasible"
-
-
 def test_random_unbounded(rng):
     # Two columns a and -a with costs -1 and 0.5: the direction (1, 1)
-    # keeps every row and lowers the objective forever.
+    # keeps every row and lowers the objective forever.  The slacks move
+    # two places right in the basis numbering.
     for _ in range(30):
-        lp = feasible_instance(rng, int(rng.integers(1, 10)), int(rng.integers(2, 12)))
+        lp, basis = lp_with_feasible_basis(rng)
         a = rng.normal(size=(lp.n_rows, 1))
         unb = LPInstance(
             c=np.concatenate([lp.c, [-1.0, 0.5]]),
@@ -95,7 +67,7 @@ def test_random_unbounded(rng):
             rel=lp.rel,
             b=lp.b,
         )
-        assert assert_matches_highs(unb).status == "unbounded"
+        assert assert_matches_highs(unb, np.where(basis < lp.n_vars, basis, basis + 2)).status == "unbounded"
 
 
 def test_random_degenerate(rng):
@@ -110,7 +82,7 @@ def test_random_degenerate(rng):
             rel=("=",) * m,
             b=b,
         )
-        sol = assert_matches_highs(lp)
+        sol = assert_matches_highs(lp, n + np.arange(m))
         if sol.status == "optimal":
             assert_dual_certificate(lp, sol)
 
@@ -119,8 +91,7 @@ def test_unit_columns_with_cost_on_negative_rows(rng):
     # Every row has a column equal to +-e_i, signed so that it is +e_i
     # once a negative right-hand side is flipped; such columns carry a
     # nonzero cost, of either sign.  Named as the basis, they are a costed
-    # identity start (the tree-norm LP's case); the default start must
-    # agree.
+    # identity start (the tree-norm LP's case).
     for _ in range(60):
         m = int(rng.integers(1, 12))
         n = int(rng.integers(1, 10))
@@ -137,10 +108,9 @@ def test_unit_columns_with_cost_on_negative_rows(rng):
             rel=rel,
             b=b,
         )
-        for start in (None, n + np.arange(m)):
-            sol = assert_matches_highs(lp, basis=start)
-            if sol.status == "optimal":
-                assert_dual_certificate(lp, sol)
+        sol = assert_matches_highs(lp, n + np.arange(m))
+        if sol.status == "optimal":
+            assert_dual_certificate(lp, sol)
 
 
 @pytest.mark.parametrize("closure", [260, 500])
@@ -150,19 +120,15 @@ def test_tree_lps(closure):
     for M in (1.0, 3.0):
         (primal, basis), (dual, dual_basis) = tree_lps(x, M)
         assert primal.n_rows >= closure
-        assert dual_basis is None
-        # Each LP from both starts: the decomposition LP on y = x and on
-        # the default start (phase 1 over an artificial per row); the
-        # dual-ball LP on its default slack start and on the same slacks
-        # named as a basis.
-        for start in (basis, None):
-            sol = assert_matches_highs(primal, rel=1e-9, basis=start)
-            assert_dual_certificate(primal, sol, tol=1e-9)
+        assert list(dual_basis) == list(dual.n_vars + np.arange(dual.n_rows))
+        # The decomposition LP starts on y = x, the dual-ball LP on its
+        # slacks.
+        sol = assert_matches_highs(primal, basis, rel=1e-9)
+        assert_dual_certificate(primal, sol, tol=1e-9)
         # The dual-ball LP minimizes -x.u over u = phi + M >= 0, so the
         # norm x.(u - M) is -value + M sum(c).
-        for start in (None, dual.n_vars + np.arange(dual.n_rows)):
-            dual_sol = assert_matches_highs(dual, rel=1e-9, basis=start)
-            assert -dual_sol.value + M * dual.c.sum() == pytest.approx(sol.value, rel=1e-9)
+        dual_sol = assert_matches_highs(dual, dual_basis, rel=1e-9)
+        assert -dual_sol.value + M * dual.c.sum() == pytest.approx(sol.value, rel=1e-9)
 
 
 def highs_hull_distance(P: np.ndarray, x: np.ndarray, p: float) -> float:
@@ -216,10 +182,9 @@ def test_hull_lps(d):
                 value, ((lp, basis),) = hull_lps(Vector.from_array(xq), A, NormSpec.lp(p))
                 assert lp.n_rows == rows
                 assert len(basis) == rows
-                # The closed-form start and the default start both agree
-                # with HiGHS and certify their duals.
-                for start in (basis, None):
-                    sol = assert_matches_highs(lp, basis=start)
-                    assert_dual_certificate(lp, sol)
+                # The closed-form start agrees with HiGHS and certifies
+                # its duals.
+                sol = assert_matches_highs(lp, basis)
+                assert_dual_certificate(lp, sol)
                 ref = highs_hull_distance(P, xq, p)
                 assert abs(value - ref) <= 1e-7 * max(1.0, ref)

@@ -215,6 +215,11 @@ class TestTreeNorm:
     def test_zero_vector(self):
         assert tree_norm(Vector(), 2.0) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("M", [0.0, -1.0, float("nan")])
+    def test_dual_lp_rejects_non_positive_M(self, M):
+        with pytest.raises(ValueError, match="need M > 0"):
+            tree_norm_dual_lp(Vector.unit(leaf(1)), M)
+
     def test_non_optimal_lps_are_numerical_failures(self, monkeypatch):
         # Both LPs are always feasible and bounded, so a non-optimal
         # status can only be numerical.
