@@ -16,7 +16,7 @@ from approxconvex.optim import (
     min_quadratic_over_simplex,
 )
 from approxconvex.treespace import tree_norm, tree_norm_dual_lp
-from conftest import assert_dual_certificate, random_tree_vector, tree_lps
+from conftest import assert_dual_certificate, lp_with_feasible_basis, random_tree_vector, tree_lps
 
 
 def vertices(A, rel, b):
@@ -246,6 +246,51 @@ class TestBasisStart:
         assert runs == [[0, 1]]
         assert sol.value == pytest.approx(1.25, abs=1e-12)  # x = (0, 0.5, 0.75); HiGHS 1.25
         assert_dual_certificate(self.lp, sol)
+
+    def test_random_feasible_bases_match_the_default_start(self, rng):
+        # The generator's basis is the default start; a few random
+        # ratio-test pivots from it reach other feasible bases of the same
+        # LP, and every start finds the same optimum.
+        walked = 0
+        for _ in range(200):
+            lp, basis = lp_with_feasible_basis(rng)
+            other = pivot_walk(lp, basis, rng)
+            walked += sorted(other) != sorted(basis)
+            default, started = lp_solve(lp, basis=basis), lp_solve(lp, basis=other)
+            assert default.status == started.status == "optimal"
+            assert started.value == pytest.approx(default.value, abs=1e-9 * (1.0 + abs(default.value)))
+            assert_dual_certificate(lp, started)
+        assert walked >= 150
+
+
+def pivot_walk(lp: LPInstance, basis, rng, steps: int = 3):
+    """A feasible basis a few primal pivots from ``basis``, in
+    `lp_solve`'s numbering: each step brings in a random nonbasic column
+    and drops the row of the ratio test, so B^-1 b stays >= 0.  A pivot
+    on an entry below 1e-2, or one that leaves B ill-conditioned, is
+    not taken."""
+    sign = np.where(lp.b < 0.0, -1.0, 1.0)
+    slacks = np.eye(lp.n_rows)[:, [i for i, r in enumerate(lp.rel) if r == "<="]]
+    full = sign[:, None] * np.hstack([lp.A, slacks])
+    b = sign * lp.b
+    basis = np.array(basis)
+    for _ in range(steps):
+        for j in rng.permutation(full.shape[1]):
+            if j in basis:
+                continue
+            B = full[:, basis]
+            d, x_B = np.linalg.solve(B, full[:, j]), np.linalg.solve(B, b)
+            rows = np.flatnonzero(d > 1e-12)
+            if rows.size == 0:
+                continue
+            r = rows[np.argmin(np.maximum(x_B[rows], 0.0) / d[rows])]
+            trial = basis.copy()
+            trial[r] = j
+            if d[r] > 1e-2 and np.linalg.cond(full[:, trial]) < 1e6:
+                basis = trial
+                break
+    assert np.linalg.solve(full[:, basis], b).min() >= -1e-9 * (1.0 + np.abs(b).sum())
+    return basis
 
 
 small = st.integers(-4, 4).map(float)
