@@ -25,6 +25,7 @@ N) memory.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -282,7 +283,7 @@ def convexity_defect(A: SampledSet, norm: NormSpec, t_grid: int) -> DefectReport
     return DefectReport(sup_defect=best, witness=(Vector.from_array(X[i]), Vector.from_array(X[j]), t))
 
 
-def hausdorff_lb(A: SampledSet, witnesses: list[Vector], norm: NormSpec) -> float:
+def hausdorff_lb(A: SampledSet, witnesses: Iterable[Vector], norm: NormSpec) -> float:
     """max over witnesses of d(w, A): a lower bound on H(A, Co(A)).
 
     Every witness must be certified to lie in the hull first, by a
@@ -290,6 +291,7 @@ def hausdorff_lb(A: SampledSet, witnesses: list[Vector], norm: NormSpec) -> floa
     HULL_MEMBERSHIP_TOL from Co(A) is rejected.  The set distances of all
     witnesses are then taken in one (len(witnesses), N) pass.
     """
+    witnesses = list(witnesses)  # read twice: for W and for the membership checks
     if not witnesses:
         raise ValueError("need at least one witness")
     X = A.matrix

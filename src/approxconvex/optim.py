@@ -8,15 +8,15 @@ Two solvers used by every distance computation in the package:
   starts on a feasible basis B0 its caller names: the tree-norm
   decomposition LP and the l1 and l-infinity hull-distance LPs build one
   in closed form, and the tree-norm dual-ball LP starts on its slacks.
-  The basis is checked before any pivot, the tableau becomes B0^-1 T
-  (formed in column blocks) unless B0 is the identity, and the simplex
-  runs from there; there is no phase 1 and no artificial column.  Row
-  duals are read from B0, and every optimum is certified on the
-  original data (primal and dual feasibility, duality gap).  The
-  bookkeeping around the tableau (row flips, start, certificates) is
-  done on whole arrays, with no Python loop over variables.  A pivot
-  updates only the rows where the pivot column is nonzero when at most
-  a quarter of them are, and the whole tableau otherwise,
+  The basis is checked before any pivot, the constraints become
+  B0^-1 [A b] (formed in column blocks) unless B0 is the identity, and
+  the simplex runs from there; there is no phase 1 and no artificial
+  column.  Its whole state is one array, the constraint rows over the
+  reduced-cost row, with the basic values and the negated objective in
+  the last column, so a pivot is one rank-1 update.  Row duals are read
+  from B0, and every optimum is certified on the original data (primal
+  and dual feasibility, duality gap), with no Python loop over
+  variables,
 * minimization of ``f(t) = ||c - L t||^2`` over the probability simplex
   by Wolfe's minimum-norm-point algorithm, exact in finitely many steps.
   Its affine steps are least-squares solves on edge vectors against the
@@ -62,7 +62,7 @@ _RELATIONS = ("<=", "=")
 @dataclass(frozen=True)
 class LPInstance:
     """A dense LP: minimize c.x over x >= 0 subject to rows A x (rel) b,
-    each relation '<=' or '=', with b of either sign."""
+    each relation '<=' or '=', with b of either sign and all data finite."""
 
     c: np.ndarray
     A: np.ndarray
@@ -80,6 +80,9 @@ class LPInstance:
                 f"inconsistent LP dimensions: c has {len(c)} entries, "
                 f"A is {A.shape}, b has {len(b)} entries"
             )
+        for name, data in (("c", c), ("A", A), ("b", b)):
+            if not np.isfinite(data).all():
+                raise ValueError(f"LP data must be finite: {name} holds {data[~np.isfinite(data)][0]}")
         rel = tuple(self.rel)
         if len(rel) != A.shape[0] or any(r not in _RELATIONS for r in rel):
             raise ValueError(f"relations must be '<=' or '=', one per row; got {rel}")
@@ -118,88 +121,58 @@ class LPSolution:
     iterations: int = 0
 
 
-class _Tableau:
-    """Dense simplex tableau with one reduced-cost row.
+def _pivot(T, basis, row, col):
+    """Pivot T on (row, col), col entering the basis in row: one rank-1
+    update of every row, basic values and reduced costs included.  Only
+    the rows where the pivot column is nonzero are updated when at most a
+    quarter of them are; a denser column updates all of T, which avoids
+    gathering a copy of a wide tableau."""
+    T[row] /= T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    nz = np.flatnonzero(colvals)
+    if 4 * len(nz) <= len(colvals):
+        T[nz] -= np.outer(colvals[nz], T[row])
+    else:
+        T -= np.outer(colvals, T[row])
+    basis[row] = col
 
-    The initial basis is the caller's B0, whose columns are the identity
-    in T: as given when B0 is the identity, and once T holds B0^-1 T
-    otherwise.  Costs are priced out against it, so a start may carry
-    nonzero cost.
-    A pivot updates only the rows where the pivot column is nonzero when
-    at most a quarter of them are; a denser column gets one full
-    rank-1 update, which avoids gathering a copy of a wide tableau.
-    """
 
-    def __init__(self, T, b, cost, basis, tol):
-        self.T = T  # owned: pivots update it in place
-        self.rhs = np.array(b, dtype=float)
-        self.basis = list(basis)
-        self.tol = tol
-        self.iterations = 0
-        self.bland = False
-        self._stall = 0
-        # Reduced costs priced out against the initial basis; v is the
-        # negated objective.
-        self.cost = cost
-        c_B = self.cost[self.basis]
-        self.r = self.cost - c_B @ self.T
-        self.v = -float(c_B @ self.rhs)
-
-    def _pivot(self, row, col):
-        T, rhs = self.T, self.rhs
-        piv = T[row, col]
-        T[row] /= piv
-        rhs[row] /= piv
-        colvals = T[:, col].copy()
-        colvals[row] = 0.0
-        nz = np.flatnonzero(colvals)
-        if 4 * len(nz) <= len(colvals):
-            T[nz] -= np.outer(colvals[nz], T[row])
-            rhs[nz] -= colvals[nz] * rhs[row]
-        else:
-            T -= np.outer(colvals, T[row])
-            rhs -= colvals * rhs[row]
-        if self.r[col] != 0.0:
-            self.v -= self.r[col] * rhs[row]
-            self.r = self.r - self.r[col] * T[row]
-        self.basis[row] = col
-        self.iterations += 1
-
-    def run(self, max_iter: int) -> str:
-        """Pivot until optimal or unbounded."""
-        rc_tol = self.tol * (1.0 + float(np.abs(self.r).max(initial=0.0)))
-        piv_tol = 1e-10
-        while True:
-            if self.iterations > max_iter:
-                raise ConvergenceError(f"simplex exceeded {max_iter} pivots")
-            candidates = self.r < -rc_tol
-            if not candidates.any():
-                return "optimal"
-            if self.bland:
-                col = int(np.flatnonzero(candidates)[0])
-            else:
-                masked = np.where(candidates, self.r, np.inf)
-                col = int(np.argmin(masked))
-            colvals = self.T[:, col]
-            pos = colvals > piv_tol
-            if not pos.any():
-                return "unbounded"
-            # A basic value below zero is rounding: it takes a zero step,
-            # never a negative one that would push the entering column
-            # below its bound.
-            ratios = np.where(pos, np.maximum(self.rhs, 0.0) / np.where(pos, colvals, 1.0), np.inf)
-            best = ratios.min()
-            ties = np.flatnonzero(ratios <= best + 1e-12)
-            row = int(min(ties, key=lambda i: self.basis[i]))
-            before = self.v
-            self._pivot(row, col)
-            # v tracks the negated objective, so progress means v grows.
-            if self.v - before <= 1e-13 * (1.0 + abs(before)):
-                self._stall += 1
-                if self._stall > 100:
-                    self.bland = True
-            else:
-                self._stall = 0
+def _simplex(T, basis, tol, max_iter):
+    """Pivot T in place until optimal or unbounded; returns ``(status,
+    pivots, bland)``, ``bland`` telling whether degeneracy switched
+    pricing to Bland's rule.  T's last row holds the reduced costs and
+    the others the constraints in ``basis`` (a list, kept up to date); its
+    last column holds the basic values and, in the corner, the negated
+    objective.  More than ``max_iter`` pivots raise
+    :class:`ConvergenceError`."""
+    m = len(basis)
+    r = T[m, :-1]  # a view, which every pivot updates
+    rc_tol = tol * (1.0 + float(np.abs(r).max(initial=0.0)))
+    pivots, stall, bland = 0, 0, False
+    while True:
+        if pivots > max_iter:
+            raise ConvergenceError(f"simplex exceeded {max_iter} pivots")
+        candidates = r < -rc_tol
+        if not candidates.any():
+            return "optimal", pivots, bland
+        col = int(np.argmax(candidates)) if bland else int(np.argmin(np.where(candidates, r, np.inf)))
+        colvals = T[:m, col]
+        pos = colvals > 1e-10
+        if not pos.any():
+            return "unbounded", pivots, bland
+        # A basic value below zero is rounding: it takes a zero step,
+        # never a negative one that would push the entering column below
+        # its bound.
+        ratios = np.where(pos, np.maximum(T[:m, -1], 0.0) / np.where(pos, colvals, 1.0), np.inf)
+        ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+        row = int(min(ties, key=basis.__getitem__))
+        before = T[m, -1]
+        _pivot(T, basis, row, col)
+        pivots += 1
+        # The corner is the negated objective, so progress means it grows.
+        stall = stall + 1 if T[m, -1] - before <= 1e-13 * (1.0 + abs(before)) else 0
+        bland = bland or stall > 100
 
 
 def _basis_columns(lp: LPInstance, basis, n_slack: int) -> np.ndarray:
@@ -227,9 +200,10 @@ _BLOCK_CELLS = 1 << 14  # cells of B^-1 T formed at a time
 
 def _start_on_basis(T, rhs, start, feas_tol):
     """``(B0^-1 rhs, B0^-1)`` for B0 = T[:, start], or ``(rhs, None)`` when
-    B0 is the identity.  Otherwise T becomes B0^-1 T in place, formed in
-    column blocks of about ``_BLOCK_CELLS`` cells, so no second copy of a
-    wide tableau is built.
+    B0 is the identity; T is the tableau's constraint block, without the
+    rhs column.  Unless B0 is the identity, T becomes B0^-1 T in place,
+    formed in column blocks of about ``_BLOCK_CELLS`` cells, so no second
+    copy of a wide tableau is built.
 
     Raises ``ValueError`` before any pivot if B0 is numerically singular
     or if a basic value is below ``-feas_tol``; values above that but
@@ -278,10 +252,12 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
     the k-th '<=' row (a surplus once a row with b < 0 is flipped).  It
     is checked before any pivot: a basis of the wrong length, a
     numerically singular one, or one whose basic values B0^-1 b fall
-    below ``-tol (1 + ||b||_1)`` raises ``ValueError``.  The row duals
-    are read as y = (c_B0 - r_B0) B0^-1, whatever the start's cost.  A
-    solve that needs more than 20,000 + 40 (rows + columns) pivots raises
-    :class:`ConvergenceError`.
+    below ``-tol (1 + ||b||_1)`` raises ``ValueError``.  The simplex
+    runs on one (rows + 1) x (columns + slacks + 1) array, from which x
+    is read off the last column and the row duals as
+    y = (c_B0 - r_B0) B0^-1 off the reduced-cost row, whatever the
+    start's cost.  A solve that needs more than 20,000 + 40 (rows +
+    columns) pivots raises :class:`ConvergenceError`.
 
     An ``optimal`` result is certified on the original data before it is
     returned: x >= 0 and every row hold within ``tol`` (scaled by
@@ -303,24 +279,29 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
     # Slack columns, one per '<=' row in row order; a flipped row's is a
     # surplus.
     slack_rows = np.flatnonzero(le)
-    slack_cols = n + np.arange(len(slack_rows))
     start = _basis_columns(lp, basis, len(slack_rows))
 
-    T = np.zeros((m, n + len(slack_rows)))
-    np.multiply(lp.A, row_sign[:, None], out=T[:, :n])
-    T[slack_rows, slack_cols] = row_sign[slack_rows]
+    # The simplex state (see _simplex): constraints over reduced costs
+    # priced out against B0, with B0^-1 b and -c.x in the last column.
+    T = np.zeros((m + 1, n + len(slack_rows) + 1))
+    np.multiply(lp.A, row_sign[:, None], out=T[:m, :n])
+    T[slack_rows, n + np.arange(len(slack_rows))] = row_sign[slack_rows]
     feas_tol = tol * (1.0 + float(np.abs(b).sum()))
-    x_B, B_inv = _start_on_basis(T, b, start, feas_tol)
-    tab = _Tableau(T, x_B, np.concatenate([lp.c, np.zeros(len(slack_rows))]), start.tolist(), tol)
-    if tab.run(max_iter) == "unbounded":
-        return LPSolution(status="unbounded", iterations=tab.iterations)
+    T[:m, -1], B_inv = _start_on_basis(T[:m, :-1], b, start, feas_tol)
+    cost = np.zeros(T.shape[1])
+    cost[:n] = lp.c
+    T[m] = cost - cost[start] @ T[:m]
+    basis = start.tolist()  # updated in place by every pivot
+    status, pivots, _ = _simplex(T, basis, tol, max_iter)
+    if status == "unbounded":
+        return LPSolution(status="unbounded", iterations=pivots)
 
     x_std = np.zeros(T.shape[1])
-    x_std[tab.basis] = tab.rhs
+    x_std[basis] = T[:m, -1]
     x = x_std[:n] + 0.0  # + 0.0 turns a basic -0.0 into 0.0
     # Row duals from the start columns: r_j = c_j - y.T0[:, j] with
     # T0[:, start] = B0, then unflipped to the original rows.
-    y = tab.cost[start] - tab.r[start]
+    y = cost[start] - T[m, start]
     if B_inv is not None:
         y = y @ B_inv
     y *= row_sign
@@ -368,7 +349,7 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
         x=x,
         dual=y,
         gap=gap,
-        iterations=tab.iterations,
+        iterations=pivots,
     )
 
 

@@ -73,10 +73,18 @@ def _origin_barycentric(V: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _finite(P: np.ndarray, what: str) -> None:
+    """Reject NaN and inf, which pass every norm check (NaN compares false)."""
+    if not np.isfinite(P).all():
+        i, k = np.argwhere(~np.isfinite(P))[0]
+        raise ValueError(f"{what} {i} has coordinate {k} = {P[i, k]}, not finite")
+
+
 def _validated(vertices) -> np.ndarray:
     V = np.array(vertices, dtype=float)
     if V.ndim != 2 or V.shape[0] < 2:
         raise ValueError("need at least two vertices")
+    _finite(V, "vertex")
     norms = np.linalg.norm(V, axis=1)
     if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
         raise ValueError("vertices must lie on the unit sphere")
@@ -200,6 +208,13 @@ def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
     return chain
 
 
+def _face(X: np.ndarray, subset) -> FaceResult:
+    """The face on the rows ``subset`` of X, in that order, and its
+    distance from the origin."""
+    _, dist = min_distance_over_simplex(X[list(subset)].T, np.zeros(X.shape[1]), tol=1e-11)
+    return FaceResult(vertex_index_set=tuple(sorted(subset)), distance=dist)
+
+
 def near_face(vertices, k: int) -> FaceResult:
     """A k-face within alpha(n, k) of the origin.
 
@@ -211,22 +226,13 @@ def near_face(vertices, k: int) -> FaceResult:
     n = V.shape[0] - 1
     if not 0 <= k <= n - 1:
         raise ValueError(f"near_face needs 0 <= k <= n-1, got k={k} for n={n}")
-    subset = _descend(V, k)[-1]
-    _, dist = min_distance_over_simplex(V[list(subset)].T, np.zeros(V.shape[1]), tol=1e-11)
-    return FaceResult(vertex_index_set=tuple(sorted(subset)), distance=dist)
+    return _face(V, _descend(V, k)[-1])
 
 
 def face_chain(vertices) -> list[FaceResult]:
     """FaceResults for every k = 0..n-1 from a single descent."""
     V = _validated(vertices)
-    chain = _descend(V, 0)
-    out: list[FaceResult] = []
-    for subset in reversed(chain[1:]):  # sizes 1..n, i.e. k = 0..n-1
-        _, dist = min_distance_over_simplex(
-            V[list(subset)].T, np.zeros(V.shape[1]), tol=1e-11
-        )
-        out.append(FaceResult(vertex_index_set=tuple(sorted(subset)), distance=dist))
-    return out
+    return [_face(V, subset) for subset in reversed(_descend(V, 0)[1:])]  # k = 0..n-1
 
 
 def best_subset(points, j: int) -> FaceResult:
@@ -239,9 +245,12 @@ def best_subset(points, j: int) -> FaceResult:
     which can only be smaller.
     """
     P = np.array(points, dtype=float)
+    if P.ndim != 2:
+        raise ValueError(f"points must be the rows of a 2-D array, got shape {P.shape}")
     n = P.shape[0] - 1
     if not 1 <= j <= n:
         raise ValueError(f"best_subset needs 1 <= j <= n, got j={j} for n={n}")
+    _finite(P, "point")
     norms = np.linalg.norm(P, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("zero vector cannot be normalized onto the sphere")
@@ -251,6 +260,4 @@ def best_subset(points, j: int) -> FaceResult:
     if hull_dist > 1e-7:
         raise ValueError(f"origin is {hull_dist:.3e} from the hull of the points")
     V = _validated(P / norms[:, None])
-    subset = sorted(_descend(V, j - 1)[-1])
-    _, dist = min_distance_over_simplex(P[subset].T, np.zeros(P.shape[1]), tol=1e-11)
-    return FaceResult(vertex_index_set=tuple(subset), distance=dist)
+    return _face(P, sorted(_descend(V, j - 1)[-1]))

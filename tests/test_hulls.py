@@ -444,6 +444,15 @@ class TestHausdorffLb:
             expected = max(dist_to_set(w, A, norm) for w in witnesses)
             assert hausdorff_lb(A, witnesses, norm) == expected
 
+    def test_generator_witnesses_are_checked(self):
+        # A one-shot iterable must reach the membership certificate too.
+        A = SampledSet(np.eye(3))
+        with pytest.raises(ValueError, match="from the hull"):
+            hausdorff_lb(A, (w for w in [Vector({0: 10.0})]), L1)
+        with pytest.raises(ValueError, match="need at least one witness"):
+            hausdorff_lb(A, (w for w in []), L1)
+        assert hausdorff_lb(A, (w for w in rows(A)[:1]), L1) == 0.0
+
     def test_rejects_first_outside_witness(self):
         A = setof([0.0], [4.0])
         with pytest.raises(ValueError, match="witness Vector\\(\\{0: 9\\}\\)"):

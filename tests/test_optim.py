@@ -126,6 +126,14 @@ class TestLPSolve:
             with pytest.raises(TypeError, match="unexpected keyword"):
                 LPInstance(c=[1.0], A=[[1.0]], rel=("<=",), b=[1.0], **unsupported)
 
+    @pytest.mark.parametrize("name", ["c", "A", "b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_rejected(self, name, value):
+        data = {"c": np.array([1.0, 2.0]), "A": np.array([[1.0, 1.0]]), "b": np.array([1.0])}
+        data[name].flat[-1] = value
+        with pytest.raises(ValueError, match=rf"LP data must be finite: {name} holds {value}"):
+            LPInstance(rel=("<=",), **data)
+
     def test_random_against_brute_force(self, rng):
         checked = 0
         for _ in range(250):
@@ -193,14 +201,14 @@ class TestLPSolve:
         c = np.concatenate([r.integers(-3, 4, size=n), r.integers(1, 4, size=m)]).astype(float)
         lp = LPInstance(c=c, A=np.hstack([A, np.diag(np.where(b < 0.0, -1.0, 1.0))]), rel=("=",) * m, b=b)
         bland = []
-        run = optim._Tableau.run
+        simplex = optim._simplex
 
-        def recording_run(tab, *args):
-            status = run(tab, *args)
-            bland.append(tab.bland)
-            return status
+        def recording_simplex(*args):
+            status, pivots, switched = simplex(*args)
+            bland.append(switched)
+            return status, pivots, switched
 
-        monkeypatch.setattr(optim._Tableau, "run", recording_run)
+        monkeypatch.setattr(optim, "_simplex", recording_simplex)
         sol = lp_solve(lp, basis=n + np.arange(m))
         assert bland == [True]
         assert sol.status == "optimal"
@@ -225,23 +233,22 @@ class TestBasisStart:
         ([0, 3], r"basis is infeasible: its basic variable in row 1 is -1\.000e\+00"),
     ])
     def test_bad_basis_raises_before_any_pivot(self, monkeypatch, basis, message):
-        def no_tableau(*args):
-            raise AssertionError("a tableau was built for a rejected basis")
+        def no_simplex(*args):
+            raise AssertionError("the simplex ran from a rejected basis")
 
-        monkeypatch.setattr(optim, "_Tableau", no_tableau)
+        monkeypatch.setattr(optim, "_simplex", no_simplex)
         with pytest.raises(ValueError, match=message):
             lp_solve(self.lp, basis=basis)
 
-    def test_feasible_basis_skips_phase_one(self, monkeypatch):
-        # The simplex runs once, from the named basis.
+    def test_simplex_runs_once_from_the_named_basis(self, monkeypatch):
         runs = []
-        run = optim._Tableau.run
+        simplex = optim._simplex
 
-        def recording_run(tab, *args):
-            runs.append(list(tab.basis))
-            return run(tab, *args)
+        def recording_simplex(T, basis, *args):
+            runs.append(list(basis))
+            return simplex(T, basis, *args)
 
-        monkeypatch.setattr(optim._Tableau, "run", recording_run)
+        monkeypatch.setattr(optim, "_simplex", recording_simplex)
         sol = lp_solve(self.lp, basis=[0, 1])  # x0 = 1.5, x1 = 0.5
         assert runs == [[0, 1]]
         assert sol.value == pytest.approx(1.25, abs=1e-12)  # x = (0, 0.5, 0.75); HiGHS 1.25
@@ -323,23 +330,23 @@ class TestCertificates:
     original data, which names the first violating row or column."""
 
     def tampered(self, monkeypatch, change):
-        """Apply change(tab) to the tableau once the simplex has ended."""
-        run = optim._Tableau.run
+        """Apply change(T, basis) to the tableau once the simplex has ended."""
+        simplex = optim._simplex
 
-        def tampered_run(tab, *args):
-            status = run(tab, *args)
-            change(tab)
-            return status
+        def tampered_simplex(T, basis, *args):
+            result = simplex(T, basis, *args)
+            change(T, basis)
+            return result
 
-        monkeypatch.setattr(optim._Tableau, "run", tampered_run)
+        monkeypatch.setattr(optim, "_simplex", tampered_simplex)
 
     def shifted(self, monkeypatch, delta):
         """Add delta[j] to the recovered x_j of each basic variable j."""
 
-        def change(tab):
-            for i, j in enumerate(tab.basis):
+        def change(T, basis):
+            for i, j in enumerate(basis):
                 if j < len(delta):
-                    tab.rhs[i] += delta[j]
+                    T[i, -1] += delta[j]
 
         self.tampered(monkeypatch, change)
 
@@ -370,8 +377,8 @@ class TestCertificates:
     def test_names_first_dual_infeasible_column(self, monkeypatch):
         # Lowering the slack of row 0's reduced cost by 2 reads y0 = 1, so
         # column 0's reduced cost c0 - y0 becomes -2.
-        def change(tab):
-            tab.r[2] -= 2.0
+        def change(T, basis):
+            T[len(basis), 2] -= 2.0
 
         self.tampered(monkeypatch, change)
         with pytest.raises(ConvergenceError, match=r"duals are infeasible: column 0 has reduced cost -2\.000e\+00"):

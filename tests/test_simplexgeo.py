@@ -175,12 +175,38 @@ class TestBestSubset:
         with pytest.raises(ValueError, match="hull"):
             best_subset(P, 1)
 
+    @pytest.mark.parametrize("points", [[1.0, 0.5, 0.2], [math.nan, 0.5, 0.2]])
+    def test_rejects_non_2d_points(self, points):
+        with pytest.raises(ValueError, match=r"rows of a 2-D array, got shape \(3,\)"):
+            best_subset(points, 1)
+
     def test_j_range(self, rng):
         V = random_interior_simplex(rng, 3)
         with pytest.raises(ValueError):
             best_subset(V, 0)
         with pytest.raises(ValueError):
             best_subset(V, 4)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("call, what", [
+    (lambda V: near_face(V, 1), "vertex"),
+    (face_chain, "vertex"),
+    (lambda V: best_subset(V, 2), "point"),
+], ids=["near_face", "face_chain", "best_subset"])
+def test_non_finite_input_rejected_before_any_solve(monkeypatch, call, what, value):
+    # NaN passes the sphere and ball checks, so only an explicit check
+    # keeps it from LAPACK.
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a non-finite vertex reached a solver")
+
+    for name in ("_affine_solve", "min_distance_over_simplex", "min_quadratic_over_simplex"):
+        monkeypatch.setattr(simplexgeo, name, no_solve)
+    monkeypatch.setattr(np.linalg, "svd", no_solve)
+    V = regular_simplex(3)
+    V[2, 1] = value
+    with pytest.raises(ValueError, match=rf"{what} 2 has coordinate 1 = {value}, not finite"):
+        call(V)
 
 
 def _reference_descend(V, stop_dim, on_level=None):

@@ -220,6 +220,15 @@ class TestTreeNorm:
         with pytest.raises(ValueError, match="need M > 0"):
             tree_norm_dual_lp(Vector.unit(leaf(1)), M)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_coordinate_is_a_value_error(self, value):
+        # Rejected with the LP data, not reported as a numerical failure.
+        x = Vector({leaf(1): 1.0, pair(leaf(1), leaf(2)): value})
+        with pytest.raises(ValueError, match=r"LP data must be finite"):
+            tree_norm(x, 2.0)
+        with pytest.raises(ValueError, match=r"LP data must be finite"):
+            tree_norm_dual_lp(x, 2.0)
+
     def test_non_optimal_lps_are_numerical_failures(self, monkeypatch):
         # Both LPs are always feasible and bounded, so a non-optimal
         # status can only be numerical.
