@@ -48,8 +48,12 @@ _PAIRS: dict[tuple[TreeLabel, TreeLabel], TreeLabel] = {}
 
 
 def leaf(index: int) -> TreeLabel:
-    """The level-1 label with the given positive integer index."""
-    if not isinstance(index, int) or index < 1:
+    """The level-1 label with the given positive integer index.
+
+    A ``bool`` is rejected: ``True`` equals and hashes as 1, so it would
+    intern leaf 1 under the printed name ``True``, which
+    :func:`label_sort_key` orders by."""
+    if isinstance(index, bool) or not isinstance(index, int) or index < 1:
         raise ValueError(f"leaf index must be a positive integer, got {index!r}")
     lab = _LEAVES.get(index)
     if lab is None:

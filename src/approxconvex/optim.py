@@ -4,7 +4,9 @@ Two solvers used by every distance computation in the package:
 
 * a dense one-phase simplex LP solver for min c.x over x >= 0 with '='
   and '<=' rows (Dantzig pricing with a permanent switch to Bland's rule
-  once degeneracy is detected, which guarantees termination).  Every LP
+  once degeneracy is detected, which guarantees termination).  A pivot
+  prices the reduced-cost row in one pass and runs the ratio test on the
+  rows whose pivot-column entry is positive only.  Every LP
   starts on a feasible basis B0 its caller names: the tree-norm
   decomposition LP and the l1 and l-infinity hull-distance LPs build one
   in closed form, and the tree-norm dual-ball LP starts on its slacks.
@@ -121,14 +123,14 @@ class LPSolution:
     iterations: int = 0
 
 
-def _pivot(T, basis, row, col):
+def _pivot(T, basis, row, col, colvals):
     """Pivot T on (row, col), col entering the basis in row: one rank-1
-    update of every row, basic values and reduced costs included.  Only
+    update of every row, basic values and reduced costs included.
+    ``colvals`` is a copy of ``T[:, col]``, which this overwrites.  Only
     the rows where the pivot column is nonzero are updated when at most a
     quarter of them are; a denser column updates all of T, which avoids
     gathering a copy of a wide tableau."""
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
+    T[row] /= colvals[row]
     colvals[row] = 0.0
     nz = np.flatnonzero(colvals)
     if 4 * len(nz) <= len(colvals):
@@ -145,30 +147,40 @@ def _simplex(T, basis, tol, max_iter):
     the others the constraints in ``basis`` (a list, kept up to date); its
     last column holds the basic values and, in the corner, the negated
     objective.  More than ``max_iter`` pivots raise
-    :class:`ConvergenceError`."""
+    :class:`ConvergenceError`.
+
+    Dantzig pricing is one ``argmin`` over the reduced costs: the first
+    least entry enters unless it is not below ``-rc_tol``, which is
+    optimality.  The ratio test runs on the rows whose pivot-column entry
+    exceeds 1e-10 only, and breaks a tie (within 1e-12) by the lowest
+    basic column."""
     m = len(basis)
     r = T[m, :-1]  # a view, which every pivot updates
+    if not r.size:
+        return "optimal", 0, False
     rc_tol = tol * (1.0 + float(np.abs(r).max(initial=0.0)))
     pivots, stall, bland = 0, 0, False
     while True:
         if pivots > max_iter:
             raise ConvergenceError(f"simplex exceeded {max_iter} pivots")
-        candidates = r < -rc_tol
-        if not candidates.any():
+        col = int(np.argmax(r < -rc_tol)) if bland else int(np.argmin(r))
+        if r[col] != r[col]:
+            # argmin stops at the first NaN, which is never a candidate.
+            col = int(np.argmin(np.where(r < -rc_tol, r, np.inf)))
+        if not r[col] < -rc_tol:
             return "optimal", pivots, bland
-        col = int(np.argmax(candidates)) if bland else int(np.argmin(np.where(candidates, r, np.inf)))
-        colvals = T[:m, col]
-        pos = colvals > 1e-10
-        if not pos.any():
+        colvals = T[:, col].copy()
+        rows = np.flatnonzero(colvals[:m] > 1e-10)
+        if not len(rows):
             return "unbounded", pivots, bland
         # A basic value below zero is rounding: it takes a zero step,
         # never a negative one that would push the entering column below
         # its bound.
-        ratios = np.where(pos, np.maximum(T[:m, -1], 0.0) / np.where(pos, colvals, 1.0), np.inf)
-        ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+        ratios = np.maximum(T[rows, -1], 0.0) / colvals[rows]
+        ties = rows[ratios <= ratios.min() + 1e-12]
         row = int(min(ties, key=basis.__getitem__))
         before = T[m, -1]
-        _pivot(T, basis, row, col)
+        _pivot(T, basis, row, col, colvals)
         pivots += 1
         # The corner is the negated objective, so progress means it grows.
         stall = stall + 1 if T[m, -1] - before <= 1e-13 * (1.0 + abs(before)) else 0

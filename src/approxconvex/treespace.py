@@ -126,16 +126,23 @@ class DualFunctional:
     scale: float
 
     def validate(self, tol: float = 1e-9) -> "DualFunctional":
+        """Return self if the scale is finite and positive and every
+        constraint holds within ``tol``; else raise ``ValueError`` naming
+        the first violation.  A NaN value or defect fails its check."""
         M = self.scale
+        if not 0.0 < M < np.inf:
+            raise ValueError(f"the scale M must be finite and positive, got {M}")
         for lab, v in self.values.items():
-            if abs(v) > M + tol:
+            if not abs(v) <= M + tol:
+                if v != v:
+                    raise ValueError(f"phi({lab!r}) is nan")
                 raise ValueError(f"|phi({lab!r})| = {abs(v)} exceeds M = {M}")
             if not lab.is_leaf and lab.left in self.values and lab.right in self.values:
-                mid = 0.5 * (self.values[lab.left] + self.values[lab.right])
-                if abs(v - mid) > 1.0 + tol:
-                    raise ValueError(
-                        f"midpoint defect {abs(v - mid)} at {lab!r} exceeds 1"
-                    )
+                defect = abs(v - 0.5 * (self.values[lab.left] + self.values[lab.right]))
+                if not defect <= 1.0 + tol:
+                    if defect != defect:
+                        raise ValueError(f"midpoint defect at {lab!r} is nan")
+                    raise ValueError(f"midpoint defect {defect} at {lab!r} exceeds 1")
         return self
 
     def __contains__(self, lab: TreeLabel) -> bool:

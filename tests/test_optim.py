@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from approxconvex import optim
-from approxconvex.core import simplex_grid_array
+from approxconvex.core import NormSpec, Vector, simplex_grid_array
+from approxconvex.hulls import SampledSet
 from approxconvex.optim import (
     ConvergenceError,
     LPInstance,
@@ -16,7 +17,7 @@ from approxconvex.optim import (
     min_quadratic_over_simplex,
 )
 from approxconvex.treespace import tree_norm, tree_norm_dual_lp
-from conftest import assert_dual_certificate, lp_with_feasible_basis, random_tree_vector, tree_lps
+from conftest import assert_dual_certificate, hull_lps, lp_with_feasible_basis, random_tree_vector, tree_lps
 
 
 def vertices(A, rel, b):
@@ -190,16 +191,7 @@ class TestLPSolve:
         assert tree_norm_dual_lp(x, 2.0) == pytest.approx(dual, rel=1e-9)
 
     def test_degenerate_unit_column_start_switches_to_bland(self, monkeypatch):
-        # 35 equality rows, 30 with b_i = 0, each with a costed unit column:
-        # the basis of those columns is feasible but degenerate, and Dantzig
-        # pricing stalls long enough that Bland's rule must take over.
-        r = np.random.default_rng(36)
-        m = int(r.integers(20, 60))
-        n = int(r.integers(m, 3 * m))
-        A = r.normal(size=(m, n)).round(0)
-        b = np.where(r.random(m) < 0.8, 0.0, r.integers(-3, 4, size=m).astype(float))
-        c = np.concatenate([r.integers(-3, 4, size=n), r.integers(1, 4, size=m)]).astype(float)
-        lp = LPInstance(c=c, A=np.hstack([A, np.diag(np.where(b < 0.0, -1.0, 1.0))]), rel=("=",) * m, b=b)
+        lp, basis = bland_lp()
         bland = []
         simplex = optim._simplex
 
@@ -209,13 +201,159 @@ class TestLPSolve:
             return status, pivots, switched
 
         monkeypatch.setattr(optim, "_simplex", recording_simplex)
-        sol = lp_solve(lp, basis=n + np.arange(m))
+        sol = lp_solve(lp, basis=basis)
         assert bland == [True]
         assert sol.status == "optimal"
         # Certified optimum: dual feasible, and b.dual equals the value.
         assert (lp.c - lp.A.T @ sol.dual).min() >= -1e-9
         assert float(lp.b @ sol.dual) == pytest.approx(sol.value, abs=1e-9)
         assert sol.value == pytest.approx(23.12003618261667, abs=1e-9)  # HiGHS
+
+
+def bland_lp():
+    """35 equality rows, 30 with b_i = 0, each with a costed unit column,
+    and the basis of those columns: it is feasible but degenerate, and
+    Dantzig pricing stalls long enough that Bland's rule must take over."""
+    r = np.random.default_rng(36)
+    m = int(r.integers(20, 60))
+    n = int(r.integers(m, 3 * m))
+    A = r.normal(size=(m, n)).round(0)
+    b = np.where(r.random(m) < 0.8, 0.0, r.integers(-3, 4, size=m).astype(float))
+    c = np.concatenate([r.integers(-3, 4, size=n), r.integers(1, 4, size=m)]).astype(float)
+    lp = LPInstance(c=c, A=np.hstack([A, np.diag(np.where(b < 0.0, -1.0, 1.0))]), rel=("=",) * m, b=b)
+    return lp, n + np.arange(m)
+
+
+def reference_pivot(T, basis, row, col):
+    """The rank-1 pivot as first written, reading the pivot column from T
+    after the pivot row is scaled."""
+    T[row] /= T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    nz = np.flatnonzero(colvals)
+    if 4 * len(nz) <= len(colvals):
+        T[nz] -= np.outer(colvals[nz], T[row])
+    else:
+        T -= np.outer(colvals, T[row])
+    basis[row] = col
+
+
+def reference_simplex(T, basis, tol, max_iter):
+    """The simplex loop as first written, the reference its pivot rule is
+    pinned to: pricing masks the candidates (NaN is never one) and takes
+    the least with ``np.where``, and the ratio test runs over every row,
+    ineligible ones at +inf.  Returns ``(status, [(row, col), ...],
+    bland)``."""
+    m = len(basis)
+    r = T[m, :-1]
+    rc_tol = tol * (1.0 + float(np.abs(r).max(initial=0.0)))
+    path, stall, bland = [], 0, False
+    while True:
+        if len(path) > max_iter:
+            raise ConvergenceError(f"simplex exceeded {max_iter} pivots")
+        candidates = r < -rc_tol
+        if not candidates.any():
+            return "optimal", path, bland
+        col = int(np.argmax(candidates)) if bland else int(np.argmin(np.where(candidates, r, np.inf)))
+        colvals = T[:m, col]
+        pos = colvals > 1e-10
+        if not pos.any():
+            return "unbounded", path, bland
+        ratios = np.where(pos, np.maximum(T[:m, -1], 0.0) / np.where(pos, colvals, 1.0), np.inf)
+        ties = np.flatnonzero(ratios <= ratios.min() + 1e-12)
+        row = int(min(ties, key=basis.__getitem__))
+        before = T[m, -1]
+        reference_pivot(T, basis, row, col)
+        path.append((row, col))
+        stall = stall + 1 if T[m, -1] - before <= 1e-13 * (1.0 + abs(before)) else 0
+        bland = bland or stall > 100
+
+
+class TestPivotRule:
+    """`_simplex` takes the reference loop's pivots, (row, col) for (row,
+    col), and ends on a bit-identical tableau."""
+
+    def pinned(self, monkeypatch):
+        """Check every `_simplex` run against the reference loop on a copy
+        of its tableau; returns the list of checked runs' ``(status,
+        [(row, col), ...], bland)``."""
+        simplex, pivot = optim._simplex, optim._pivot
+        path, runs = [], []
+
+        def recording_pivot(T, basis, row, col, colvals):
+            path.append((row, col))
+            pivot(T, basis, row, col, colvals)
+
+        def checked_simplex(T, basis, tol, max_iter):
+            T_ref, basis_ref = T.copy(), list(basis)
+            status_ref, path_ref, bland_ref = reference_simplex(T_ref, basis_ref, tol, max_iter)
+            path.clear()
+            status, pivots, bland = simplex(T, basis, tol, max_iter)
+            assert (status, path, bland) == (status_ref, path_ref, bland_ref)
+            assert pivots == len(path)
+            assert basis == basis_ref
+            assert T.tobytes() == T_ref.tobytes()
+            runs.append((status, list(path), bland))
+            return status, pivots, bland
+
+        monkeypatch.setattr(optim, "_pivot", recording_pivot)
+        monkeypatch.setattr(optim, "_simplex", checked_simplex)
+        return runs
+
+    def test_random_lps(self, monkeypatch, rng):
+        runs = self.pinned(monkeypatch)
+        degenerate = 0
+        for _ in range(200):
+            lp, basis = lp_with_feasible_basis(rng)
+            slacks = np.eye(lp.n_rows)[:, [i for i, r in enumerate(lp.rel) if r == "<="]]
+            degenerate += np.abs(np.linalg.solve(np.hstack([lp.A, slacks])[:, basis], lp.b)).min() < 1e-9
+            lp_solve(lp, basis=basis)
+        lp_solve(*bland_lp())
+        assert len(runs) == 201
+        assert degenerate >= 200 // 3
+        assert runs[-1][2]  # the last LP switched to Bland's rule
+        assert sum(len(path) for _, path, _ in runs) >= 400
+
+    @pytest.mark.parametrize("closure", [30, 260])
+    def test_tree_lps(self, monkeypatch, closure):
+        runs = self.pinned(monkeypatch)
+        x = random_tree_vector(np.random.default_rng(closure), closure)
+        for M in (1.0, 3.0):
+            tree_lps(x, M)
+        assert len(runs) == 4
+        assert all(path for _, path, _ in runs)
+
+    def test_hull_lps(self, monkeypatch, rng):
+        runs = self.pinned(monkeypatch)
+        P = rng.normal(size=(40, 5))
+        A = SampledSet(P)
+        for xq in (P.mean(axis=0) + 3.0 * rng.normal(size=5), rng.dirichlet(np.ones(40)) @ P, np.zeros(5)):
+            for p in (1.0, math.inf):
+                hull_lps(Vector.from_array(xq), A, NormSpec.lp(p))
+        assert len(runs) == 6
+        assert sum(len(path) for _, path, _ in runs) >= 6
+
+    def test_zero_column_lp_is_optimal_without_pivots(self, monkeypatch):
+        runs = self.pinned(monkeypatch)
+        sol = lp_solve(LPInstance(c=[], A=np.zeros((0, 0)), rel=(), b=[]), basis=[])
+        assert (sol.status, sol.iterations, sol.value) == ("optimal", 0, 0.0)
+        assert runs == [("optimal", [], False)]
+
+    def test_nan_reduced_cost_never_enters(self, monkeypatch):
+        # Column 2 holds a NaN in row 0, so the first pivot (column 0 into
+        # row 0) turns its reduced cost into NaN while column 1's -0.5 is
+        # still a candidate; NaN is the row's first argmin.
+        T = np.array([
+            [1.0, 0.0, np.nan, 1.0, 0.0, 1.0],
+            [0.0, 1.0, 1.0, 0.0, 1.0, 1.0],
+            [-2.0, -0.5, 0.0, 0.0, 0.0, 0.0],
+        ])
+        runs = self.pinned(monkeypatch)
+        basis = [3, 4]
+        assert optim._simplex(T, basis, 1e-9, 10) == ("optimal", 2, False)
+        assert runs == [("optimal", [(0, 0), (1, 1)], False)]
+        assert basis == [0, 1]
+        assert np.isnan(T[2, 2])
 
 
 class TestBasisStart:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +65,14 @@ class TestLabels:
             leaf(0)
         with pytest.raises(TypeError):
             pair(leaf(1), "nope")
+
+    def test_leaf_rejects_bool(self):
+        # True equals and hashes as 1: accepted, it would intern leaf 1
+        # under the printed name "True", which label_sort_key orders by.
+        with pytest.raises(ValueError, match="leaf index must be a positive integer, got True"):
+            leaf(True)
+        assert repr(leaf(1)) == "1"
+        assert type(leaf(1).index) is int
 
     def test_concurrent_interning(self):
         def build(i):
@@ -263,6 +272,40 @@ class TestDualFunctional:
         values = {leaf(1): 0.0, leaf(2): 0.0, p: 1.5}
         with pytest.raises(ValueError, match="midpoint"):
             DualFunctional(values=values, scale=2.0).validate()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["leaf", "pair", "child", "scale"])
+    def test_validate_rejects_non_finite(self, where, value):
+        # A NaN fails no '>' test, so each check is written to fail it.
+        # "child" lists the pair before its children, so its midpoint is
+        # checked before the child's own value.
+        p = pair(leaf(1), leaf(2))
+        values = {leaf(1): 1.0, leaf(2): 1.0, p: 0.0}
+        scale = 2.0
+        if where == "scale":
+            scale = value
+            message = rf"the scale M must be finite and positive, got {value}"
+        elif where == "child":
+            values = {p: 0.0, leaf(1): value, leaf(2): 1.0}
+            message = r"midpoint defect at \(1,2\) is nan" if math.isnan(value) else r"midpoint defect inf at \(1,2\) exceeds 1"
+        else:
+            lab, name = (leaf(1), "1") if where == "leaf" else (p, r"\(1,2\)")
+            values[lab] = value
+            message = rf"phi\({name}\) is nan" if math.isnan(value) else rf"\|phi\({name}\)\| = inf exceeds M = 2.0"
+        with pytest.raises(ValueError, match=message):
+            DualFunctional(values=values, scale=scale).validate()
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_validate_rejects_non_positive_scale(self, scale):
+        with pytest.raises(ValueError, match=rf"finite and positive, got {scale}"):
+            DualFunctional(values={}, scale=scale).validate()
+
+    def test_extend_phi_rejects_nan_hypothesis(self):
+        p = pair(leaf(1), leaf(2))
+        phi0 = DualFunctional(values={leaf(1): math.nan, leaf(2): 1.0, p: 0.0}, scale=2.0)
+        # E is a set, so the NaN is met at leaf 1 or at its parent's midpoint.
+        with pytest.raises(ValueError, match=r"(phi\(1\)|midpoint defect at \(1,2\)) is nan"):
+            extend_phi({leaf(1), leaf(2), p}, phi0, {leaf(3)})
 
 
 class TestExtendPhi:
