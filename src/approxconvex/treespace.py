@@ -181,18 +181,21 @@ def _halving(x: TreeVector):
 def _primal_lp(x: TreeVector, M: float, tol: float):
     """Decomposition LP over the downward closure D of supp(x).
 
-    Variables (y+, y-, w+, w-) over D with y + S(w) = x; the objective
-    M||y||_1 + ||w||_1' is exact after sign splitting.  The row duals of
-    this LP are precisely a maximizing dual functional.  It starts on
-    y = x, w = 0 (y+ or y- by the sign of x), an identity basis once the
+    Variables y+, y- over D and w+, w- over D's pairs, with y + S(w) = x;
+    the objective M||y||_1 + ||w||_1' is exact after sign splitting.  A
+    leaf d needs no w column: S e_d = e_d and its weight is M, so w+-_d
+    would equal y+-_d, cost included, and the simplex, which breaks ties
+    by the lower column, would never bring it in.  The row duals of this
+    LP are precisely a maximizing dual functional.  It starts on y = x,
+    w = 0 (y+ or y- by the sign of x), an identity basis once the
     negative rows are flipped, so it is never inverted.
     """
-    D, S, _ = _halving(x)
+    D, S, pairs = _halving(x)
     N = len(D)
-    A = np.hstack([np.eye(N), -np.eye(N), S, -S])
+    W = S[:, pairs]
+    A = np.hstack([np.eye(N), -np.eye(N), W, -W])
     b = x.to_array(D)
-    wprime = np.array([M if lab.is_leaf else 1.0 for lab in D])
-    c = np.concatenate([np.full(N, M), np.full(N, M), wprime, wprime])
+    c = np.concatenate([np.full(2 * N, M), np.ones(2 * len(pairs))])
     sol = lp_solve(
         LPInstance(c=c, A=A, rel=("=",) * N, b=b),
         tol=min(tol, 1e-9),

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from approxconvex import treespace
 from approxconvex.core import NormSpec, Vector
 from approxconvex.hulls import SampledSet
+from approxconvex.labels import downward_closure
 from approxconvex.optim import LPInstance, lp_solve
 from conftest import assert_dual_certificate, hull_lps, lp_with_feasible_basis, random_tree_vector, tree_lps
 
@@ -129,6 +131,41 @@ def test_tree_lps(closure):
         # norm x.(u - M) is -value + M sum(c).
         dual_sol = assert_matches_highs(dual, dual_basis, rel=1e-9)
         assert -dual_sol.value + M * dual.c.sum() == pytest.approx(sol.value, rel=1e-9)
+
+
+def four_block_tree_lp(x: Vector, M: float) -> LPInstance:
+    """The decomposition LP with a w column for every label of the
+    closure D, leaves included: A = [I, -I, S, -S], cost M on y and on a
+    leaf's w, 1 on a pair's w."""
+    D, S, _ = treespace._halving(x)
+    N = len(D)
+    wprime = np.array([M if lab.is_leaf else 1.0 for lab in D])
+    return LPInstance(
+        c=np.concatenate([np.full(2 * N, M), wprime, wprime]),
+        A=np.hstack([np.eye(N), -np.eye(N), S, -S]),
+        rel=("=",) * N,
+        b=x.to_array(D),
+    )
+
+
+@pytest.mark.parametrize("closure", [260, 500])
+def test_tree_lp_has_no_leaf_w_columns(closure):
+    # A leaf's w columns equal its y columns, cost included, so dropping
+    # them leaves the value and, since ties go to the lower column, every
+    # pivot.
+    rng = np.random.default_rng(closure)
+    x = random_tree_vector(rng, closure)
+    D = downward_closure(x.support())
+    n_pairs = sum(not lab.is_leaf for lab in D)
+    for M in (1.0, 3.0):
+        (primal, basis), _ = tree_lps(x, M)
+        assert primal.n_vars == 2 * len(D) + 2 * n_pairs
+        four_block = four_block_tree_lp(x, M)
+        assert four_block.n_vars == 4 * len(D)
+        sol = lp_solve(primal, basis=basis)
+        _, value = highs(four_block)
+        assert abs(sol.value - value) <= 1e-9 * max(1.0, abs(value))
+        assert lp_solve(four_block, basis=basis).iterations == sol.iterations
 
 
 def highs_hull_distance(P: np.ndarray, x: np.ndarray, p: float) -> float:
