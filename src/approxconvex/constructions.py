@@ -88,7 +88,7 @@ class BoundReport:
     validity_condition: bool
 
     def __post_init__(self):
-        if self.hausdorff_lb > self.diam_ub + 1e-12:
+        if not self.hausdorff_lb <= self.diam_ub + 1e-12:  # NaN fails too
             raise ValueError("bound report violates hausdorff_lb <= diam_ub")
 
 
@@ -303,7 +303,7 @@ def general_bound(n: int, eps: float, dist_to_l1: float) -> BoundReport:
         raise ValueError(f"need n >= 2, got {n}")
     if not 0.0 < eps < 3.0:
         raise ValueError(f"general_bound needs eps in (0, 3), got {eps}")
-    if dist_to_l1 < 1.0:
+    if not dist_to_l1 >= 1.0:
         raise ValueError(f"Banach-Mazur distance is at least 1, got {dist_to_l1}")
     log2n = math.log2(n)
     return BoundReport(
@@ -338,7 +338,7 @@ def diam_factor(j: int, n: int) -> float:
 def dyadic_scale_ratio(alpha: float) -> float:
     """(log2(alpha) - 1)/sqrt(alpha - 1): the limiting diameter factor
     when n is alpha times a power of two."""
-    if alpha <= 1.0:
+    if not alpha > 1.0:
         raise ValueError(f"need alpha > 1, got {alpha}")
     return (math.log2(alpha) - 1.0) / math.sqrt(alpha - 1.0)
 
@@ -371,9 +371,9 @@ def typep_bound(p: float, Tp: float, d: float) -> float:
     distance d; hypothesis d >= 2."""
     if not 1.0 < p <= 2.0:
         raise ValueError(f"type exponent must satisfy 1 < p <= 2, got {p}")
-    if Tp < 1.0:
+    if not Tp >= 1.0:
         raise ValueError(f"type constant is at least 1, got {Tp}")
-    if d < 2.0:
+    if not d >= 2.0:
         raise ValueError(
             f"the bound requires hull distance d >= 2 (hypothesis), got {d}"
         )

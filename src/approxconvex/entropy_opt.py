@@ -46,16 +46,19 @@ class StepFunction:
         pieces = tuple((float(l), float(v)) for l, v in self.pieces)
         if not pieces:
             raise ValueError("need at least one piece")
+        if not 0.0 < self.domain < math.inf:
+            raise ValueError(f"the domain must be finite and positive, got {self.domain}")
         for l, v in pieces:
-            if l <= 0.0:
+            if not l > 0.0:
                 raise ValueError(f"piece lengths must be positive, got {l}")
             if not -1e-12 <= v <= 1.0 + 1e-12:
                 raise ValueError(f"values must lie in [0, 1], got {v}")
+        # Written so that a NaN fails each check.
         total = sum(l for l, _ in pieces)
-        if abs(total - self.domain) > 1e-9 * max(1.0, self.domain):
+        if not abs(total - self.domain) <= 1e-9 * max(1.0, self.domain):
             raise ValueError(f"piece lengths sum to {total}, domain is {self.domain}")
         mass = sum(l * v for l, v in pieces)
-        if abs(mass - 1.0) > MASS_TOL:
+        if not abs(mass - 1.0) <= MASS_TOL:
             raise ValueError(f"total mass {mass!r} is not 1")
         object.__setattr__(self, "pieces", pieces)
 

@@ -8,12 +8,12 @@ Hausdorff distance from a set to its hull is bounded below here via
 explicit witnesses and above by analytic arguments elsewhere; no attempt
 is made to solve the inner max-min globally (it is a non-concave
 maximization).  Euclidean hull distances go through the minimum-norm-point
-quadratic kernel.  l1 and l-infinity distances are exact LPs in equality
-form, P.T lam + s+ - s- = x with sum(lam) = 1, each built as one array
-and started on a feasible basis in closed form from the sample point
-nearest x, which `lp_solve` requires.  The hull LP is always
-feasible and bounded, so a status other than optimal can only be
-numerical and raises `ConvergenceError`.
+quadratic kernel.  l1 and l-infinity distances are exact LPs in
+standard form (see `dist_to_hull`), each built as one array and started
+on a feasible basis in closed form from the sample point nearest x,
+which `lp_solve` requires.  The hull LP is always feasible and bounded,
+so a status other than optimal can only be numerical and raises
+`ConvergenceError`.
 
 The convexity-defect scan is an exact pruned max-min: each midpoint is
 measured first against the DEFECT_HEAD samples nearest its first
@@ -150,18 +150,25 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
 
     Euclidean distances use Wolfe's minimum-norm-point kernel over the
     full weight simplex, certified by its Frank-Wolfe gap.  l1 and
-    l-infinity are linear programs in equality form over (lam, s+, s-):
-    P.T lam + s+ - s- = x and sum(lam) = 1, all variables nonnegative,
-    so s+ - s- is the residual x - P.T lam.  l1 minimizes sum(s+ + s-);
-    l-infinity adds a variable u with rows s+_i + s-_i - u <= 0 and
-    minimizes u.  At an optimum s+_i * s-_i = 0 can be taken, so either
-    value is the exact distance.  The simplex starts on a feasible basis
-    built from the sample point P_j nearest x in the same norm, r = x -
-    P_j: lam_j = 1 covers the convexity row, s+_i = r_i or s-_i = -r_i by
-    the sign of r_i covers coordinate row i, and under l-infinity u =
-    ||r||_inf with the slacks u - |r_i| of every `<=` row but one row
-    attaining the maximum covers the rest.  That basis is nonsingular
-    (its `<=` block [u | e_k, k != i*] has determinant +-1), and the
+    l-infinity are linear programs in standard form, all variables
+    nonnegative, with sum(lam) = 1 as the last row.  l1 is posed over
+    (lam, s+, s-) with rows P.T lam + s+ - s- = x, so s+ - s- is the
+    residual r = x - P.T lam, and minimizes sum(s+ + s-).  l-infinity is
+    posed over (lam, p, q, u) with rows P.T lam + u - p = x and then
+    P.T lam - u + q = x, so p = u - r and q = u + r, and minimizes u.
+    Either value is the exact distance: at an optimum s+_i * s-_i = 0
+    can be taken, and p, q >= 0 is |r_i| <= u.
+
+    The simplex starts on a feasible basis built from the sample point
+    P_j nearest x in the same norm, r = x - P_j; lam_j = 1 covers the
+    convexity row.  Under l1, s+_i = r_i or s-_i = -r_i by the sign of
+    r_i covers coordinate row i, a basis of unit columns and lam_j.
+    Under l-infinity, u = ||r||_inf, and p_i = u - r_i and q_i = u + r_i
+    cover the two rows of coordinate i, except at one i* with |r_i*| = u:
+    there u takes the row of whichever of p_i*, q_i* is zero, the top row
+    if r_i* >= 0, else the bottom row.  Eliminating the other unit
+    columns leaves u and lam_j on that row and the convexity row,
+    [[P_j,i*, +-1], [1, 0]], so the basis has determinant +-1 and the
     one-phase simplex starts on it.  Other norms are rejected.
     """
     P = A.matrix
@@ -170,45 +177,31 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
     if norm.p == 2.0:
         _, dist = min_distance_over_simplex(P.T, xv, tol=tol)
         return dist
+    I, Z = np.eye(d), np.zeros((d, d))
     if norm.p == 1.0:
-        n_u = 0
+        # Columns lam, s+, s-; rows: the coordinates, then convexity.
+        G = np.block([[P.T, I, -I], [np.ones((1, N)), np.zeros((1, 2 * d))]])
+        c = np.concatenate([np.zeros(N), np.ones(2 * d)])
+        rhs = np.append(xv, 1.0)
     elif np.isinf(norm.p):
-        n_u = 1
+        # Columns lam, p, q, u; rows: P.T lam + u - p = x, then
+        # P.T lam - u + q = x, then convexity.
+        one = np.ones((d, 1))
+        G = np.block([[P.T, -I, Z, one], [P.T, Z, I, -one], [np.ones((1, N)), np.zeros((1, 2 * d + 1))]])
+        c = np.append(np.zeros(N + 2 * d), 1.0)
+        rhs = np.concatenate([xv, xv, [1.0]])
     else:
         raise ValueError(f"dist_to_hull supports l1/l2/linf, not {norm}")
-    # Columns lam (N), s+ (d), s- (d), then u under l-infinity; rows: the
-    # d coordinates, convexity, then under l-infinity the d rows
-    # s+_i + s-_i - u <= 0.
-    n_ub = d * n_u
-    n_cols = N + 2 * d + n_u
-    G = np.zeros((d + 1 + n_ub, n_cols))
-    G[:d, :N] = P.T
-    G[d, :N] = 1.0
-    eye = np.arange(d)
-    G[eye, N + eye] = 1.0
-    G[eye, N + d + eye] = -1.0
-    c = np.zeros(n_cols)
-    if n_ub:
-        G[d + 1 + eye, N + eye] = 1.0
-        G[d + 1 + eye, N + d + eye] = 1.0
-        G[d + 1 :, -1] = -1.0
-        c[-1] = 1.0
-    else:
-        c[N:] = 1.0
-    rhs = np.zeros(d + 1 + n_ub)
-    rhs[:d] = xv
-    rhs[d] = 1.0
     # The closed-form feasible start described above.
     j = int(np.argmin(_dists_to_points(xv[None, :], P, norm)))
     r = xv - P[j]
-    basis = np.concatenate(([j], N + eye + d * (r < 0.0)))
-    if n_ub:
-        basis = np.concatenate((basis, [n_cols - 1], n_cols + np.delete(eye, np.argmax(np.abs(r)))))
-    sol = lp_solve(
-        LPInstance(c=c, A=G, rel=("=",) * (d + 1) + ("<=",) * n_ub, b=rhs),
-        tol=tol,
-        basis=basis,
-    )
+    if norm.p == 1.0:
+        basis = np.concatenate(([j], N + np.arange(d) + d * (r < 0.0)))
+    else:
+        basis = np.append(N + np.arange(2 * d), j)
+        i = int(np.argmax(np.abs(r)))
+        basis[i + d * (r[i] < 0.0)] = N + 2 * d
+    sol = lp_solve(LPInstance(c=c, A=G, b=rhs), tol=tol, basis=basis)
     if sol.status != "optimal":
         # The LP is feasible (any lam on the simplex) and bounded below
         # by 0, so any other status is a numerical failure.

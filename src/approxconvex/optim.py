@@ -2,23 +2,24 @@
 
 Two solvers used by every distance computation in the package:
 
-* a dense one-phase simplex LP solver for min c.x over x >= 0 with '='
-  and '<=' rows (Dantzig pricing with a permanent switch to Bland's rule
-  once degeneracy is detected, which guarantees termination).  A pivot
-  prices the reduced-cost row in one pass and runs the ratio test on the
-  rows whose pivot-column entry is positive only.  Every LP
-  starts on a feasible basis B0 its caller names: the tree-norm
-  decomposition LP and the l1 and l-infinity hull-distance LPs build one
-  in closed form, and the tree-norm dual-ball LP starts on its slacks.
-  The basis is checked before any pivot, the constraints become
-  B0^-1 [A b] (formed in column blocks) unless B0 is the identity, and
-  the simplex runs from there; there is no phase 1 and no artificial
-  column.  Its whole state is one array, the constraint rows over the
-  reduced-cost row, with the basic values and the negated objective in
-  the last column, so a pivot is one rank-1 update.  Row duals are read
-  from B0, and every optimum is certified on the original data (primal
-  and dual feasibility, duality gap), with no Python loop over
-  variables,
+* a dense one-phase simplex LP solver for the standard form min c.x
+  over A x = b, x >= 0 (Dantzig pricing with a permanent switch to
+  Bland's rule once degeneracy is detected, which guarantees
+  termination).  A pivot prices the reduced-cost row in one pass and
+  runs the ratio test on the rows whose pivot-column entry is positive
+  only.  An inequality is written as a row with its own slack column.
+  Every LP starts on a feasible basis B0 its caller names: the
+  tree-norm decomposition LP and the l1 and l-infinity hull-distance
+  LPs build one in closed form, and the tree-norm dual-ball LP starts
+  on its slack columns.  The basis is checked before any pivot, the
+  constraints become B0^-1 [A b] (formed in column blocks) unless B0 is
+  the identity, and the simplex runs from there; there is no phase 1
+  and no artificial column.  Its whole state is one array, the
+  constraint rows over the reduced-cost row, with the basic values and
+  the negated objective in the last column, so a pivot is one rank-1
+  update.  Row duals are read from B0, and every optimum is certified on
+  the original data (primal and dual feasibility, duality gap), with no
+  Python loop over variables,
 * minimization of ``f(t) = ||c - L t||^2`` over the probability simplex
   by Wolfe's minimum-norm-point algorithm, exact in finitely many steps.
   Its affine steps are least-squares solves on edge vectors against the
@@ -58,17 +59,14 @@ class ConvergenceError(RuntimeError):
 # Linear programming
 # ---------------------------------------------------------------------------
 
-_RELATIONS = ("<=", "=")
-
-
 @dataclass(frozen=True)
 class LPInstance:
-    """A dense LP: minimize c.x over x >= 0 subject to rows A x (rel) b,
-    each relation '<=' or '=', with b of either sign and all data finite."""
+    """A dense LP in standard form: minimize c.x over A x = b, x >= 0,
+    with b of either sign and all data finite.  An inequality row takes
+    a slack column of its own, with zero cost."""
 
     c: np.ndarray
     A: np.ndarray
-    rel: tuple[str, ...]
     b: np.ndarray
 
     def __post_init__(self):
@@ -85,12 +83,8 @@ class LPInstance:
         for name, data in (("c", c), ("A", A), ("b", b)):
             if not np.isfinite(data).all():
                 raise ValueError(f"LP data must be finite: {name} holds {data[~np.isfinite(data)][0]}")
-        rel = tuple(self.rel)
-        if len(rel) != A.shape[0] or any(r not in _RELATIONS for r in rel):
-            raise ValueError(f"relations must be '<=' or '=', one per row; got {rel}")
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "b", b)
 
     @property
@@ -107,6 +101,12 @@ class LPInstance:
         # _lp_work; it goes once the benchmark stops reading it (ROADMAP
         # item 1).
         return ((0.0, None),) * self.n_vars
+
+    @property
+    def rel(self) -> tuple[str, ...]:
+        # Every row is '=', read only by perfbench/tracing.py's _lp_work;
+        # it goes with ``bounds`` (ROADMAP item 1).
+        return ("=",) * self.n_rows
 
 
 @dataclass(frozen=True)
@@ -187,23 +187,18 @@ def _simplex(T, basis, tol, max_iter):
         bland = bland or stall > 100
 
 
-def _basis_columns(lp: LPInstance, basis, n_slack: int) -> np.ndarray:
-    """A caller's basis as tableau columns, one entry per row of ``lp``:
-    entry ``j < lp.n_vars`` is variable j, ``lp.n_vars + k`` the slack of
-    the k-th '<=' row.  A basis of the wrong length, or with an entry that
-    names no column, raises ``ValueError``.
+def _basis_columns(lp: LPInstance, basis) -> np.ndarray:
+    """A caller's basis as column indices, one entry per row of ``lp``.
+    A basis of the wrong length, or with an entry that names no column,
+    raises ``ValueError``.
     """
     basis = np.asarray(basis)
-    n_cols = lp.n_vars + n_slack
     if basis.shape != (lp.n_rows,):
         raise ValueError(f"basis needs one column per row, {lp.n_rows} entries; got shape {basis.shape}")
     if basis.size and (
-        not np.issubdtype(basis.dtype, np.integer) or basis.min() < 0 or basis.max() >= n_cols
+        not np.issubdtype(basis.dtype, np.integer) or basis.min() < 0 or basis.max() >= lp.n_vars
     ):
-        raise ValueError(
-            f"basis entries must be integers in [0, {n_cols}): the {lp.n_vars} variables, "
-            f"then the slacks of the {n_slack} '<=' rows"
-        )
+        raise ValueError(f"basis entries must be integers in [0, {lp.n_vars}), the columns of the LP")
     return basis.astype(np.intp)
 
 
@@ -259,22 +254,21 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
     """One-phase dense simplex from a caller's feasible basis, with a
     certified optimum.
 
-    ``basis`` names a feasible basis, one column per row of ``lp``: entry
-    ``j < lp.n_vars`` is variable j, entry ``lp.n_vars + k`` the slack of
-    the k-th '<=' row (a surplus once a row with b < 0 is flipped).  It
+    ``basis`` names a feasible basis, one column of ``lp`` per row.  It
     is checked before any pivot: a basis of the wrong length, a
     numerically singular one, or one whose basic values B0^-1 b fall
-    below ``-tol (1 + ||b||_1)`` raises ``ValueError``.  The simplex
-    runs on one (rows + 1) x (columns + slacks + 1) array, from which x
-    is read off the last column and the row duals as
-    y = (c_B0 - r_B0) B0^-1 off the reduced-cost row, whatever the
+    below ``-tol (1 + ||b||_1)`` raises ``ValueError``.  Rows with
+    b_i < 0 are negated first, so a caller's slack column of such a row
+    is a surplus.  The simplex runs on one (rows + 1) x (columns + 1)
+    array, from which x is read off the last column and the row duals
+    as y = (c_B0 - r_B0) B0^-1 off the reduced-cost row, whatever the
     start's cost.  A solve that needs more than 20,000 + 40 (rows +
     columns) pivots raises :class:`ConvergenceError`.
 
     An ``optimal`` result is certified on the original data before it is
     returned: x >= 0 and every row hold within ``tol`` (scaled by
-    1 + |b_i|), y is dual feasible (c - A^T y >= -e and y <= e on '<='
-    rows, e = tol (1 + ||c||_inf + max|A_ij| ||y||_1)), and
+    1 + |b_i|), y is dual feasible (c - A^T y >= -e with
+    e = tol (1 + ||c||_inf + max|A_ij| ||y||_1)), and
     |c.x - b.y| <= tol (1 + |c.x| + |b.y|).
     A failed check is a numerical failure: it raises
     :class:`ConvergenceError` naming the first bad row or column instead
@@ -282,25 +276,19 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
     """
     m, n = lp.A.shape
     max_iter = 20_000 + 40 * (m + n)
+    start = _basis_columns(lp, basis)
 
     # Flip rows to make the rhs nonnegative, remembering the sign for duals.
     row_sign = np.where(lp.b < 0.0, -1.0, 1.0)
     b = lp.b * row_sign
-    le = np.asarray(lp.rel, dtype=str) == "<="
-
-    # Slack columns, one per '<=' row in row order; a flipped row's is a
-    # surplus.
-    slack_rows = np.flatnonzero(le)
-    start = _basis_columns(lp, basis, len(slack_rows))
 
     # The simplex state (see _simplex): constraints over reduced costs
     # priced out against B0, with B0^-1 b and -c.x in the last column.
-    T = np.zeros((m + 1, n + len(slack_rows) + 1))
+    T = np.zeros((m + 1, n + 1))
     np.multiply(lp.A, row_sign[:, None], out=T[:m, :n])
-    T[slack_rows, n + np.arange(len(slack_rows))] = row_sign[slack_rows]
     feas_tol = tol * (1.0 + float(np.abs(b).sum()))
     T[:m, -1], B_inv = _start_on_basis(T[:m, :-1], b, start, feas_tol)
-    cost = np.zeros(T.shape[1])
+    cost = np.zeros(n + 1)
     cost[:n] = lp.c
     T[m] = cost - cost[start] @ T[:m]
     basis = start.tolist()  # updated in place by every pivot
@@ -308,9 +296,9 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
     if status == "unbounded":
         return LPSolution(status="unbounded", iterations=pivots)
 
-    x_std = np.zeros(T.shape[1])
-    x_std[basis] = T[:m, -1]
-    x = x_std[:n] + 0.0  # + 0.0 turns a basic -0.0 into 0.0
+    x = np.zeros(n)
+    x[basis] = T[:m, -1]
+    x += 0.0  # turns a basic -0.0 into 0.0
     # Row duals from the start columns: r_j = c_j - y.T0[:, j] with
     # T0[:, start] = B0, then unflipped to the original rows.
     y = cost[start] - T[m, start]
@@ -321,8 +309,7 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
     # Certify on the original data before reporting; a NaN fails every
     # comparison, so it counts as a violation.
     resid = lp.A @ x - lp.b
-    scale = tol * (1.0 + np.abs(lp.b))
-    bad = ~np.where(le, resid <= scale, np.abs(resid) <= scale)
+    bad = ~(np.abs(resid) <= tol * (1.0 + np.abs(lp.b)))
     if bad.any():
         i = int(np.argmax(bad))
         raise ConvergenceError(f"optimal basis violates row {i} by {resid[i]:.3e}")
@@ -330,8 +317,8 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
     if bad.any():
         j = int(np.argmax(bad))
         raise ConvergenceError(f"variable {j} violates its lower bound: x = {x[j]:.3e}")
-    # Dual feasibility on the columns of A and the slacks of the '<='
-    # rows (reduced cost -y_i); the scale covers the rounding of A^T y.
+    # Dual feasibility on every column, a slack's reduced cost included;
+    # the scale covers the rounding of A^T y.
     reduced = lp.c - lp.A.T @ y
     a_max = max(lp.A.max(initial=0.0), -lp.A.min(initial=0.0))
     rc_tol = tol * (1.0 + float(np.abs(lp.c).max(initial=0.0)) + a_max * float(np.abs(y).sum()))
@@ -341,12 +328,6 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
         raise ConvergenceError(
             f"duals are infeasible: column {j} has reduced cost {reduced[j]:.3e} "
             f"(tolerance {-rc_tol:.3e})"
-        )
-    bad = le & ~(y <= rc_tol)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ConvergenceError(
-            f"duals are infeasible: '<=' row {i} has dual {y[i]:.3e} (tolerance {rc_tol:.3e})"
         )
     value = float(np.dot(lp.c, x))
     dual_value = float(np.dot(lp.b, y))
@@ -442,8 +423,6 @@ def _mnp(L, c, stop):
     iterations raise :class:`ConvergenceError`.  Returns (lam, f, gap,
     iterations); the callers check lam with :func:`_check_simplex`.
     """
-    L = np.asarray(L, dtype=float)
-    c = np.asarray(c, dtype=float)
     d, N = L.shape
     lam = np.zeros(N)
     if N <= d + 1:
@@ -499,6 +478,18 @@ def _mnp(L, c, stop):
             S.append(s)
 
 
+def _kernel_data(L, c) -> tuple[np.ndarray, np.ndarray]:
+    """L and c as float arrays, rejected with ``ValueError`` before any
+    solve unless L is (d, N) with N >= 1, c is (d,), and both are
+    finite."""
+    L, c = np.asarray(L, dtype=float), np.asarray(c, dtype=float)
+    if L.ndim != 2 or L.shape[1] == 0 or c.shape != L.shape[:1]:
+        raise ValueError(f"need L of shape (d, N), N >= 1, and c of shape (d,); got {L.shape} and {c.shape}")
+    if not (np.isfinite(L).all() and np.isfinite(c).all()):
+        raise ValueError("L and c must be finite")
+    return L, c
+
+
 def min_quadratic_over_simplex(
     L: np.ndarray, c: np.ndarray, tol: float = 1e-9
 ) -> tuple[np.ndarray, float]:
@@ -510,8 +501,11 @@ def min_quadratic_over_simplex(
     :class:`ConvergenceError` if the gap cannot be certified within the
     iteration budget, once iterations stop lowering the value first, or
     if ``t`` leaves the simplex (a negative entry, or a sum more than
-    1e-12 from one).
+    1e-12 from one).  An L that is not (d, N) with N >= 1, a c that is
+    not (d,), or a non-finite entry in either raises ``ValueError``
+    before any solve.
     """
+    L, c = _kernel_data(L, c)
     lam, f, _, _ = _mnp(L, c, lambda f_, g_: g_ <= tol)
     _check_simplex(lam)
     return lam, f
@@ -533,6 +527,7 @@ def min_distance_over_simplex(
         # sqrt(gap), so it still pins the distance to ~3e-8 absolute.
         return gap <= max(tol * tol, 0.5 * tol * np.sqrt(max(f, 0.0)), 1e-15 * (1.0 + abs(f)))
 
+    L, c = _kernel_data(L, c)
     lam, f, _, _ = _mnp(L, c, stop)
     _check_simplex(lam)
     return lam, float(np.sqrt(max(f, 0.0)))

@@ -197,7 +197,7 @@ def _primal_lp(x: TreeVector, M: float, tol: float):
     b = x.to_array(D)
     c = np.concatenate([np.full(2 * N, M), np.ones(2 * len(pairs))])
     sol = lp_solve(
-        LPInstance(c=c, A=A, rel=("=",) * N, b=b),
+        LPInstance(c=c, A=A, b=b),
         tol=min(tol, 1e-9),
         basis=np.arange(N) + N * (b < 0.0),
     )
@@ -249,7 +249,8 @@ def tree_norm_dual_lp(x: TreeVector, M: float, tol: float = 1e-9) -> float:
 
     ``lp_solve`` takes x >= 0 only, so the LP is posed in u = phi + M:
     minimize -x.u subject to the midpoint-defect rows and the box rows
-    u <= 2M, and the value is x.(u - M).  Its b is 1 on the defect rows
+    u <= 2M, each an equality with its own slack column after the u
+    columns, and the value is x.(u - M).  Its b is 1 on the defect rows
     and 2M on the box rows, so it starts on its slacks (u = 0, phi = -M),
     an identity basis that is never inverted."""
     _check_tree_indices(x)
@@ -267,9 +268,8 @@ def tree_norm_dual_lp(x: TreeVector, M: float, tol: float = 1e-9) -> float:
     rows = len(A) + N
     sol = lp_solve(
         LPInstance(
-            c=-xd,
-            A=np.vstack([A, np.eye(N)]),
-            rel=("<=",) * rows,
+            c=np.concatenate([-xd, np.zeros(rows)]),
+            A=np.hstack([np.vstack([A, np.eye(N)]), np.eye(rows)]),
             b=np.concatenate([1.0 - A @ np.full(N, -M), np.full(N, 2.0 * M)]),
         ),
         tol=tol,
@@ -277,7 +277,7 @@ def tree_norm_dual_lp(x: TreeVector, M: float, tol: float = 1e-9) -> float:
     )
     if sol.status != "optimal":  # phi = 0 is feasible; the box rows bound it
         raise ConvergenceError(f"dual norm LP ended with status {sol.status}")
-    return float(np.dot(xd, sol.x - M))
+    return float(np.dot(xd, sol.x[:N] - M))
 
 
 def extend_phi(
@@ -359,6 +359,8 @@ def haus_experiment(
         raise ValueError(f"the scale must be a positive integer, got {M!r}")
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
+    if candidates is not None and not candidates:
+        raise ValueError("need at least one candidate")
     leaves = [leaf(i) for i in range(1, N + 1)]
     if candidates is None:
         candidates = [leaf(N + 1)]

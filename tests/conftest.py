@@ -88,10 +88,10 @@ def random_tree_vector(rng, closure: int, max_level: int = 12) -> Vector:
 
 def tree_lps(x: Vector, M: float):
     """The (LP, basis) pairs `treespace` passes to `lp_solve` for the tree
-    norm of x, captured at its call site: the decomposition LP (equality
-    rows, started on y = x) and the dual-ball LP ('<=' rows in
-    u = phi + M >= 0, the box rows u <= 2M last, started on its
-    slacks)."""
+    norm of x, captured at its call site: the decomposition LP (started
+    on y = x) and the dual-ball LP (in u = phi + M >= 0, the box rows
+    u <= 2M last, each row with its slack column after the u columns,
+    started on its slacks)."""
     captured = []
     solve = treespace.lp_solve
 
@@ -120,9 +120,20 @@ def hull_lps(x: Vector, A, norm):
     return value, captured
 
 
+def with_slacks(c, A, rel, b) -> LPInstance:
+    """The LP min c.x over A x (rel) b, x >= 0, each relation '<=' or '=',
+    in `lp_solve`'s standard form: a zero-cost slack column for each '<='
+    row, appended after the variables in row order."""
+    A = np.asarray(A, dtype=float)
+    ineq = [i for i, r in enumerate(rel) if r == "<="]
+    S = np.zeros((len(rel), len(ineq)))
+    S[ineq, range(len(ineq))] = 1.0
+    return LPInstance(c=np.concatenate([np.asarray(c, dtype=float), np.zeros(len(ineq))]), A=np.hstack([A, S]), b=b)
+
+
 def lp_with_feasible_basis(rng):
-    """A random bounded LP and a feasible basis of it, in `lp_solve`'s
-    numbering (variables, then the slacks of the '<=' rows).  b is B x_B
+    """A random bounded LP and a feasible basis of it, the LP's '<=' rows
+    written with slack columns by `with_slacks`.  b is B x_B
     for basic values x_B >= 0, a third of them zero (degenerate starts),
     so it takes either sign; the last row, 1.x <= 1.x_B + 1 with its
     slack basic, bounds the LP whatever the sign of c."""
@@ -142,7 +153,7 @@ def lp_with_feasible_basis(rng):
     x = np.zeros(full.shape[1])
     x[basis] = x_B
     bound = x[:n].sum() + 1.0
-    lp = LPInstance(
+    lp = with_slacks(
         c=rng.normal(size=n),
         A=np.vstack([A, np.ones(n)]),
         rel=rel + ("<=",),
@@ -152,11 +163,9 @@ def lp_with_feasible_basis(rng):
 
 
 def assert_dual_certificate(lp, sol, tol: float = 1e-7):
-    """For min c.x, A x (rel) b, x >= 0: y = sol.dual is <= 0 on '<='
-    rows, c - A.T y >= 0, and b.y equals the value."""
+    """For min c.x over A x = b, x >= 0: y = sol.dual has c - A.T y >= 0,
+    and b.y equals the value."""
     y = sol.dual
-    for yi, r in zip(y, lp.rel):
-        assert r != "<=" or yi <= tol
     assert (lp.c - lp.A.T @ y).min() >= -tol * (1.0 + np.abs(lp.c).max())
     assert float(lp.b @ y) == pytest.approx(sol.value, abs=tol * (1.0 + abs(sol.value)))
 

@@ -120,6 +120,17 @@ class TestExitCodes:
         assert code == 1
         assert "d >= 2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("typep-bound", "--p", "2", "--Tp", "nan", "--d", "3"),
+        ("typep-bound", "--p", "2", "--d", "nan"),
+        ("general-bound", "--n", "8", "--eps", "1", "--dist", "nan"),
+    ])
+    def test_nan_bound_input_is_one(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "got nan" in err
+
     def test_entropy_defect_needs_two_vertices(self, capsys):
         code, out, err = run_cli(capsys, "entropy-defect", "--n", "0", "--samples", "10")
         assert code == 1

@@ -292,6 +292,14 @@ class TestBounds:
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):
             BoundReport(M_used=1.0, hausdorff_lb=5.0, diam_ub=1.0, validity_condition=True)
+        for lb, ub in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="hausdorff_lb <= diam_ub"):
+                BoundReport(M_used=1.0, hausdorff_lb=lb, diam_ub=ub, validity_condition=True)
+
+    @pytest.mark.parametrize("args", [(8, math.nan, 1.0), (8, 1.0, math.nan)])
+    def test_general_rejects_nan(self, args):
+        with pytest.raises(ValueError, match="got nan"):
+            general_bound(*args)
 
     def test_lp_distance_validation(self):
         with pytest.raises(ValueError):
@@ -333,6 +341,8 @@ class TestLowbound3:
             diam_factor(0, 5)
         with pytest.raises(ValueError):
             dyadic_scale_ratio(1.0)
+        with pytest.raises(ValueError, match="got nan"):
+            dyadic_scale_ratio(math.nan)
 
 
 class TestTypePBound:
@@ -356,6 +366,11 @@ class TestTypePBound:
             typep_bound(2.5, 1.0, 3.0)
         with pytest.raises(ValueError):
             typep_bound(2.0, 0.5, 3.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 3.0), (2.0, math.nan, 3.0), (2.0, 1.0, math.nan)])
+    def test_rejects_nan(self, args):
+        with pytest.raises(ValueError, match="got nan"):
+            typep_bound(*args)
 
     def test_sqrt_n_scaling(self):
         # With d = log2(n) - 1 the bound scales like sqrt(n) for p = 2.

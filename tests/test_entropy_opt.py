@@ -48,6 +48,16 @@ class TestStepFunction:
         with pytest.raises(ValueError, match="positive"):
             StepFunction(pieces=((0.0, 1.0), (2.0, 0.5)), domain=2.0)
 
+    @pytest.mark.parametrize("pieces, domain, message", [
+        (((math.nan, 1.0),), 1.0, "lengths must be positive"),
+        (((1.0, 1.0),), math.nan, "domain must be finite"),
+        (((1.0, 1.0),), math.inf, "domain must be finite"),
+        (((1.0, 1.0), (math.nan, 0.0)), 1.0, "lengths must be positive"),
+    ])
+    def test_nan_rejected(self, pieces, domain, message):
+        with pytest.raises(ValueError, match=message):
+            StepFunction(pieces=pieces, domain=domain)
+
 
 class TestIEval:
     def test_uniform(self):

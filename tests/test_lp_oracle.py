@@ -1,17 +1,25 @@
 """`lp_solve` against HiGHS (`scipy.optimize.linprog`), an independent
 LP solver used only as a test oracle."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from approxconvex import treespace
+from approxconvex import optim, treespace
 from approxconvex.core import NormSpec, Vector
 from approxconvex.hulls import SampledSet
 from approxconvex.labels import downward_closure
 from approxconvex.optim import LPInstance, lp_solve
-from conftest import assert_dual_certificate, hull_lps, lp_with_feasible_basis, random_tree_vector, tree_lps
+from conftest import (
+    assert_dual_certificate,
+    hull_lps,
+    lp_with_feasible_basis,
+    random_tree_vector,
+    tree_lps,
+    with_slacks,
+)
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -20,14 +28,10 @@ HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
 
 def highs(lp: LPInstance):
     """(status, value) of the same LP solved by HiGHS."""
-    ub = [i for i, r in enumerate(lp.rel) if r == "<="]
-    eq = [i for i, r in enumerate(lp.rel) if r == "="]
     res = linprog(
         lp.c,
-        A_ub=lp.A[ub] if ub else None,
-        b_ub=lp.b[ub] if ub else None,
-        A_eq=lp.A[eq] if eq else None,
-        b_eq=lp.b[eq] if eq else None,
+        A_eq=lp.A if lp.n_rows else None,
+        b_eq=lp.b if lp.n_rows else None,
         bounds=(0.0, None),
         method="highs",
     )
@@ -58,18 +62,13 @@ def test_random_feasible(rng):
 
 def test_random_unbounded(rng):
     # Two columns a and -a with costs -1 and 0.5: the direction (1, 1)
-    # keeps every row and lowers the objective forever.  The slacks move
-    # two places right in the basis numbering.
+    # keeps every row and lowers the objective forever.  They go after
+    # the slack columns, so the basis keeps its numbering.
     for _ in range(30):
         lp, basis = lp_with_feasible_basis(rng)
         a = rng.normal(size=(lp.n_rows, 1))
-        unb = LPInstance(
-            c=np.concatenate([lp.c, [-1.0, 0.5]]),
-            A=np.hstack([lp.A, a, -a]),
-            rel=lp.rel,
-            b=lp.b,
-        )
-        assert assert_matches_highs(unb, np.where(basis < lp.n_vars, basis, basis + 2)).status == "unbounded"
+        unb = LPInstance(c=np.concatenate([lp.c, [-1.0, 0.5]]), A=np.hstack([lp.A, a, -a]), b=lp.b)
+        assert assert_matches_highs(unb, basis).status == "unbounded"
 
 
 def test_random_degenerate(rng):
@@ -81,7 +80,6 @@ def test_random_degenerate(rng):
         lp = LPInstance(
             c=np.concatenate([rng.normal(size=n), np.abs(rng.normal(size=m)) + 0.1]),
             A=np.hstack([rng.normal(size=(m, n)).round(0), np.diag(np.where(b < 0.0, -1.0, 1.0))]),
-            rel=("=",) * m,
             b=b,
         )
         sol = assert_matches_highs(lp, n + np.arange(m))
@@ -103,8 +101,8 @@ def test_unit_columns_with_cost_on_negative_rows(rng):
         flip = np.where(b < 0.0, -1.0, 1.0)
         # Once flipped, a row is '=', '<=' (b >= 0) or '>=' (b < 0, a
         # surplus); the unit column only stands in for a slack on '=' and
-        # '>=' rows.
-        lp = LPInstance(
+        # '>=' rows.  The '<=' rows' slack columns come after it.
+        lp = with_slacks(
             c=np.concatenate([rng.normal(size=n), rng.normal(size=m) + 0.5]),
             A=np.hstack([rng.normal(size=(m, n)), np.diag(flip)]),
             rel=rel,
@@ -122,13 +120,13 @@ def test_tree_lps(closure):
     for M in (1.0, 3.0):
         (primal, basis), (dual, dual_basis) = tree_lps(x, M)
         assert primal.n_rows >= closure
-        assert list(dual_basis) == list(dual.n_vars + np.arange(dual.n_rows))
+        assert list(dual_basis) == list(dual.n_vars - dual.n_rows + np.arange(dual.n_rows))
         # The decomposition LP starts on y = x, the dual-ball LP on its
-        # slacks.
+        # slack columns, the last ones.
         sol = assert_matches_highs(primal, basis, rel=1e-9)
         assert_dual_certificate(primal, sol, tol=1e-9)
-        # The dual-ball LP minimizes -x.u over u = phi + M >= 0, so the
-        # norm x.(u - M) is -value + M sum(c).
+        # The dual-ball LP minimizes -x.u over u = phi + M >= 0, and its
+        # slacks cost 0, so the norm x.(u - M) is -value + M sum(c).
         dual_sol = assert_matches_highs(dual, dual_basis, rel=1e-9)
         assert -dual_sol.value + M * dual.c.sum() == pytest.approx(sol.value, rel=1e-9)
 
@@ -143,7 +141,6 @@ def four_block_tree_lp(x: Vector, M: float) -> LPInstance:
     return LPInstance(
         c=np.concatenate([np.full(2 * N, M), wprime, wprime]),
         A=np.hstack([np.eye(N), -np.eye(N), S, -S]),
-        rel=("=",) * N,
         b=x.to_array(D),
     )
 
@@ -225,3 +222,35 @@ def test_hull_lps(d):
                 assert_dual_certificate(lp, sol)
                 ref = highs_hull_distance(P, xq, p)
                 assert abs(value - ref) <= 1e-7 * max(1.0, ref)
+
+
+@pytest.mark.parametrize("r", [
+    [0.0, 0.0, 0.0],  # x is a sample point
+    [0.5, -0.5, 0.25],  # |r| ties with opposite signs, the first r_i* > 0
+    [-0.5, 0.5, 0.25],  # the same tie, the first r_i* < 0
+    [0.25, -0.75, 0.5],
+    [0.25, 0.75, -0.5],
+])
+def test_linf_start_basis(r):
+    # The closed-form l-infinity start from the nearest sample P_j: lam_j
+    # = 1, u = ||r||_inf with r = x - P_j, p = u - r and q = u + r,
+    # except that u takes the row of the zero one of p_i*, q_i*.  The
+    # samples are 4 apart, so P_j is the nearest, and every value is exact.
+    P = 4.0 * np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=3)))
+    N, d = P.shape
+    j, r = 13, np.array(r)
+    x = P[j] + r
+    value, ((lp, basis),) = hull_lps(Vector.from_array(x), SampledSet(P), NormSpec.lp(math.inf))
+    u = np.abs(r).max()
+    i = int(np.argmax(np.abs(r)))
+    want = np.append(N + np.arange(2 * d), j)
+    want[i + d * (r[i] < 0.0)] = N + 2 * d
+    assert list(basis) == list(want)
+    sign = np.where(lp.b < 0.0, -1.0, 1.0)
+    x_B, _ = optim._start_on_basis(sign[:, None] * lp.A, sign * lp.b, basis, 1e-9)
+    start = np.concatenate([np.zeros(N), u - r, u + r, [u]])
+    start[j] = 1.0
+    assert x_B == pytest.approx(start[basis], abs=1e-12)
+    sol = assert_matches_highs(lp, basis, rel=1e-9)
+    assert_dual_certificate(lp, sol)
+    assert abs(value - highs_hull_distance(P, x, math.inf)) <= 1e-9 * max(1.0, value)

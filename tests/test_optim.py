@@ -17,11 +17,18 @@ from approxconvex.optim import (
     min_quadratic_over_simplex,
 )
 from approxconvex.treespace import tree_norm, tree_norm_dual_lp
-from conftest import assert_dual_certificate, hull_lps, lp_with_feasible_basis, random_tree_vector, tree_lps
+from conftest import (
+    assert_dual_certificate,
+    hull_lps,
+    lp_with_feasible_basis,
+    random_tree_vector,
+    tree_lps,
+    with_slacks,
+)
 
 
-def vertices(A, rel, b):
-    """Vertices of {x >= 0, A x (rel) b}: every choice of n of the rows and
+def vertices(A, b):
+    """Vertices of {x >= 0, A x = b}: every choice of n of the rows and
     the x_j = 0 faces, solved as equalities, that is feasible."""
     n = A.shape[1]
     faces = np.vstack([A, np.eye(n)])
@@ -33,9 +40,7 @@ def vertices(A, rel, b):
             continue
         x = np.linalg.solve(F, rhs[list(sub)])
         resid = A @ x - b
-        if x.min() >= -1e-7 and all(
-            v <= 1e-7 if r == "<=" else abs(v) <= 1e-7 for v, r in zip(resid, rel)
-        ):
+        if x.min() >= -1e-7 and np.abs(resid).max(initial=0.0) <= 1e-7:
             out.append(x)
     return out
 
@@ -44,27 +49,22 @@ def brute_force_lp(lp: LPInstance):
     """Vertex-enumeration oracle for tiny LPs: (status, optimal value or
     None).  x >= 0 makes a nonempty feasible set have a vertex, and the LP
     is unbounded exactly when c.d < 0 at a vertex of the recession cone's
-    slice {d >= 0, A d (rel) 0, 1.d = 1}."""
-    points = vertices(lp.A, lp.rel, lp.b)
+    slice {d >= 0, A d = 0, 1.d = 1}."""
+    points = vertices(lp.A, lp.b)
     if not points:
         return "infeasible", None
-    rays = vertices(
-        np.vstack([lp.A, np.ones(lp.n_vars)]), lp.rel + ("=",), np.append(np.zeros(lp.n_rows), 1.0)
-    )
+    rays = vertices(np.vstack([lp.A, np.ones(lp.n_vars)]), np.append(np.zeros(lp.n_rows), 1.0))
     if any(float(lp.c @ d) < -1e-9 for d in rays):
         return "unbounded", None
     return "optimal", min(float(lp.c @ x) for x in points)
 
 
 def feasible_basis(lp: LPInstance):
-    """The first feasible basis of lp in `lp_solve`'s numbering
-    (variables, then the slacks of the '<=' rows), by enumeration: a
-    nonsingular column subset B with B^-1 b >= 0.  None if there is none,
-    as when the LP is infeasible or its rows are dependent."""
-    slacks = np.eye(lp.n_rows)[:, [i for i, r in enumerate(lp.rel) if r == "<="]]
-    full = np.hstack([lp.A, slacks])
-    for sub in combinations(range(full.shape[1]), lp.n_rows):
-        B = full[:, list(sub)]
+    """The first feasible basis of lp by enumeration: a nonsingular column
+    subset B with B^-1 b >= 0.  None if there is none, as when the LP is
+    infeasible or its rows are dependent."""
+    for sub in combinations(range(lp.n_vars), lp.n_rows):
+        B = lp.A[:, list(sub)]
         if abs(np.linalg.det(B)) > 1e-9 and np.linalg.solve(B, lp.b).min(initial=0.0) >= -1e-9:
             return list(sub)
     return None
@@ -83,27 +83,27 @@ def assert_agrees_with_brute_force(lp: LPInstance, basis):
 
 class TestLPSolve:
     def test_simple_max(self):
-        # max x over x <= 1, as min -x.
-        sol = lp_solve(LPInstance(c=[-1.0], A=[[1.0]], rel=("<=",), b=[1.0]), basis=[1])
+        # max x over x <= 1, as min -x; column 1 is the slack.
+        sol = lp_solve(with_slacks(c=[-1.0], A=[[1.0]], rel=("<=",), b=[1.0]), basis=[1])
         assert sol.status == "optimal"
         assert sol.value == pytest.approx(-1.0, abs=1e-9)
         assert sol.gap <= 1e-9
 
     def test_two_var(self):
         # min x+y s.t. x+2y >= 2: oracle by vertex enumeration.
-        lp = LPInstance(c=[1.0, 1.0], A=[[-1.0, -2.0]], rel=("<=",), b=[-2.0])
+        lp = with_slacks(c=[1.0, 1.0], A=[[-1.0, -2.0]], rel=("<=",), b=[-2.0])
         assert brute_force_lp(lp) == ("optimal", pytest.approx(1.0))
         sol = lp_solve(lp, basis=[0])  # x = 2, y = 0
         assert sol.value == pytest.approx(1.0, abs=1e-9)
-        assert sol.x == pytest.approx([0.0, 1.0], abs=1e-9)
+        assert sol.x == pytest.approx([0.0, 1.0, 0.0], abs=1e-9)
 
     def test_unbounded(self):
-        sol = lp_solve(LPInstance(c=[-1.0], A=np.zeros((0, 1)), rel=(), b=[]), basis=[])
+        sol = lp_solve(LPInstance(c=[-1.0], A=np.zeros((0, 1)), b=[]), basis=[])
         assert sol.status == "unbounded"
 
     def test_degenerate_cycling_candidate(self):
         # Beale's example: classic cycling instance for naive pivoting.
-        lp = LPInstance(
+        lp = with_slacks(
             c=[-0.75, 150.0, -0.02, 6.0],
             A=[
                 [0.25, -60.0, -0.04, 9.0],
@@ -119,13 +119,10 @@ class TestLPSolve:
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
-            LPInstance(c=[1.0, 2.0], A=[[1.0]], rel=("<=",), b=[1.0])
-        for rel in (("<",), (">=",)):
-            with pytest.raises(ValueError, match="relations must be '<=' or '='"):
-                LPInstance(c=[1.0], A=[[1.0]], rel=rel, b=[1.0])
-        for unsupported in ({"bounds": ((0.0, 1.0),)}, {"maximize": True}):
+            LPInstance(c=[1.0, 2.0], A=[[1.0]], b=[1.0])
+        for unsupported in ({"bounds": ((0.0, 1.0),)}, {"maximize": True}, {"rel": ("<=",)}):
             with pytest.raises(TypeError, match="unexpected keyword"):
-                LPInstance(c=[1.0], A=[[1.0]], rel=("<=",), b=[1.0], **unsupported)
+                LPInstance(c=[1.0], A=[[1.0]], b=[1.0], **unsupported)
 
     @pytest.mark.parametrize("name", ["c", "A", "b"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -133,14 +130,14 @@ class TestLPSolve:
         data = {"c": np.array([1.0, 2.0]), "A": np.array([[1.0, 1.0]]), "b": np.array([1.0])}
         data[name].flat[-1] = value
         with pytest.raises(ValueError, match=rf"LP data must be finite: {name} holds {value}"):
-            LPInstance(rel=("<=",), **data)
+            LPInstance(**data)
 
     def test_random_against_brute_force(self, rng):
         checked = 0
         for _ in range(250):
             n = int(rng.integers(1, 4))
             m = int(rng.integers(1, 4))
-            lp = LPInstance(
+            lp = with_slacks(
                 c=rng.normal(size=n).round(1),
                 A=rng.normal(size=(m, n)).round(1),
                 rel=tuple(rng.choice(["<=", "="]) for _ in range(m)),
@@ -157,7 +154,7 @@ class TestLPSolve:
         for _ in range(50):
             n = int(rng.integers(2, 5))
             m = int(rng.integers(1, 4))
-            lp = LPInstance(
+            lp = with_slacks(
                 c=rng.normal(size=n),
                 A=rng.normal(size=(m, n)),
                 rel=("<=",) * m,
@@ -220,7 +217,7 @@ def bland_lp():
     A = r.normal(size=(m, n)).round(0)
     b = np.where(r.random(m) < 0.8, 0.0, r.integers(-3, 4, size=m).astype(float))
     c = np.concatenate([r.integers(-3, 4, size=n), r.integers(1, 4, size=m)]).astype(float)
-    lp = LPInstance(c=c, A=np.hstack([A, np.diag(np.where(b < 0.0, -1.0, 1.0))]), rel=("=",) * m, b=b)
+    lp = LPInstance(c=c, A=np.hstack([A, np.diag(np.where(b < 0.0, -1.0, 1.0))]), b=b)
     return lp, n + np.arange(m)
 
 
@@ -305,8 +302,7 @@ class TestPivotRule:
         degenerate = 0
         for _ in range(200):
             lp, basis = lp_with_feasible_basis(rng)
-            slacks = np.eye(lp.n_rows)[:, [i for i, r in enumerate(lp.rel) if r == "<="]]
-            degenerate += np.abs(np.linalg.solve(np.hstack([lp.A, slacks])[:, basis], lp.b)).min() < 1e-9
+            degenerate += np.abs(np.linalg.solve(lp.A[:, basis], lp.b)).min() < 1e-9
             lp_solve(lp, basis=basis)
         lp_solve(*bland_lp())
         assert len(runs) == 201
@@ -335,7 +331,7 @@ class TestPivotRule:
 
     def test_zero_column_lp_is_optimal_without_pivots(self, monkeypatch):
         runs = self.pinned(monkeypatch)
-        sol = lp_solve(LPInstance(c=[], A=np.zeros((0, 0)), rel=(), b=[]), basis=[])
+        sol = lp_solve(LPInstance(c=[], A=np.zeros((0, 0)), b=[]), basis=[])
         assert (sol.status, sol.iterations, sol.value) == ("optimal", 0, 0.0)
         assert runs == [("optimal", [], False)]
 
@@ -358,8 +354,8 @@ class TestPivotRule:
 
 class TestBasisStart:
     # min x0 + x1 + x2 over x0 + x1 + 2 x2 = 2, x0 - x1 + 2 x2 <= 1: column 2
-    # is twice column 0, and index 3 is the slack of the '<=' row.
-    lp = LPInstance(c=[1.0, 1.0, 1.0], A=[[1.0, 1.0, 2.0], [1.0, -1.0, 2.0]], rel=("=", "<="), b=[2.0, 1.0])
+    # is twice column 0, and column 3 is the slack of the second row.
+    lp = with_slacks(c=[1.0, 1.0, 1.0], A=[[1.0, 1.0, 2.0], [1.0, -1.0, 2.0]], rel=("=", "<="), b=[2.0, 1.0])
 
     @pytest.mark.parametrize("basis, message", [
         ([0], r"basis needs one column per row, 2 entries; got shape \(1,\)"),
@@ -409,14 +405,13 @@ class TestBasisStart:
 
 
 def pivot_walk(lp: LPInstance, basis, rng, steps: int = 3):
-    """A feasible basis a few primal pivots from ``basis``, in
-    `lp_solve`'s numbering: each step brings in a random nonbasic column
+    """A feasible basis a few primal pivots from ``basis``: each step
+    brings in a random nonbasic column
     and drops the row of the ratio test, so B^-1 b stays >= 0.  A pivot
     on an entry below 1e-2, or one that leaves B ill-conditioned, is
     not taken."""
     sign = np.where(lp.b < 0.0, -1.0, 1.0)
-    slacks = np.eye(lp.n_rows)[:, [i for i, r in enumerate(lp.rel) if r == "<="]]
-    full = sign[:, None] * np.hstack([lp.A, slacks])
+    full = sign[:, None] * lp.A
     b = sign * lp.b
     basis = np.array(basis)
     for _ in range(steps):
@@ -443,11 +438,12 @@ small = st.integers(-4, 4).map(float)
 
 @st.composite
 def narrowed_lps(draw):
-    """min c.x over x >= 0 with '<=' and '=' rows, b of either sign."""
+    """min c.x over x >= 0 with '<=' and '=' rows, b of either sign, the
+    '<=' rows written with slack columns."""
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 4))
     row = st.lists(small, min_size=n, max_size=n)
-    return LPInstance(
+    return with_slacks(
         c=draw(row),
         A=np.array(draw(st.lists(row, min_size=m, max_size=m))).reshape(m, n),
         rel=tuple(draw(st.lists(st.sampled_from(["<=", "="]), min_size=m, max_size=m))),
@@ -489,12 +485,12 @@ class TestCertificates:
         self.tampered(monkeypatch, change)
 
     # min -x0 - x1 over x0 <= 1, x1 <= 1, from the slacks (columns 2 and
-    # 3): x = (1, 1), both basic, and y = (-1, -1) on the slacks.
-    boxed = LPInstance(c=[-1.0, -1.0], A=np.eye(2), rel=("<=", "<="), b=[1.0, 1.0])
+    # 3): x = (1, 1), both basic, and y = (-1, -1) on the slacks' rows.
+    boxed = with_slacks(c=[-1.0, -1.0], A=np.eye(2), rel=("<=", "<="), b=[1.0, 1.0])
 
     def test_names_first_violated_row(self, monkeypatch):
         # x = (1, 1) is optimal; moving x1 to -4 breaks rows 1 and 2.
-        lp = LPInstance(
+        lp = with_slacks(
             c=[1.0, 1.0, 0.0], A=[[-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]],
             rel=("<=", "=", "<="), b=[-1.0, 1.0, 0.0],
         )
@@ -502,15 +498,20 @@ class TestCertificates:
         with pytest.raises(ConvergenceError, match=r"violates row 1 by -5\.000e\+00"):
             lp_solve(lp, basis=[0, 1, 4])  # x0 = x1 = 1, row 2's slack 2
 
+    # min 0 over x0 + x2 = 100, x1 + x2 = 100, x2 = 100, from its only
+    # basis: x = (0, 0, 100), optimal without a pivot.
+    degenerate = LPInstance(c=np.zeros(3), A=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]], b=[100.0] * 3)
+
     @pytest.mark.parametrize("delta, message", [
-        ([0.0, -2.0], r"variable 1 violates its lower bound: x = -1\.000e\+00"),
-        ([-3.0, -2.0], r"variable 0 violates its lower bound: x = -2\.000e\+00"),
+        ([0.0, -1e-8], r"variable 1 violates its lower bound: x = -1\.000e-08"),
+        ([-3e-8, -1e-8], r"variable 0 violates its lower bound: x = -3\.000e-08"),
     ])
     def test_names_first_violated_bound(self, monkeypatch, delta, message):
-        # x = (1, 1) moved below zero, which no '<=' row sees.
+        # x0 and x1 moved below zero by less than their rows' tolerance,
+        # tol (1 + 100), but by more than the bound's, tol.
         self.shifted(monkeypatch, delta)
         with pytest.raises(ConvergenceError, match=message):
-            lp_solve(self.boxed, basis=[2, 3])
+            lp_solve(self.degenerate, basis=[0, 1, 2])
 
     def test_names_first_dual_infeasible_column(self, monkeypatch):
         # Lowering the slack of row 0's reduced cost by 2 reads y0 = 1, so
@@ -587,6 +588,23 @@ class TestQuadraticKernel:
             gap = float(g @ t) - float(g.min())
             assert gap <= max(tol * tol, 0.5 * tol * math.sqrt(f), 1e-15 * (1.0 + f))
             assert dist == math.sqrt(f)
+
+    @pytest.mark.parametrize("kernel", [min_quadratic_over_simplex, min_distance_over_simplex])
+    @pytest.mark.parametrize("L, c, message", [
+        (np.zeros((3, 0)), np.zeros(3), "N >= 1"),
+        (np.ones(3), np.zeros(3), "N >= 1"),
+        (np.array([[1.0, math.nan], [0.0, 1.0]]), np.zeros(2), "finite"),
+        (np.eye(2), np.array([math.nan, 0.0]), "finite"),
+        (np.eye(2), np.array([0.0, -math.inf]), "finite"),
+        (np.eye(2), np.zeros(3), "shape"),
+    ], ids=["no-columns", "1-D", "nan-in-L", "nan-in-c", "inf-in-c", "c-length"])
+    def test_bad_input_rejected_before_any_solve(self, monkeypatch, kernel, L, c, message):
+        def no_solve(*args):
+            raise AssertionError("the kernel ran on rejected input")
+
+        monkeypatch.setattr(optim, "_mnp", no_solve)
+        with pytest.raises(ValueError, match=message):
+            kernel(L, c)
 
     def test_distance_mode_scale(self, rng):
         for _ in range(20):

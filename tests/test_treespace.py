@@ -436,6 +436,8 @@ class TestHausExperiment:
             haus_experiment(2.5, 16)
         with pytest.raises(ValueError):
             haus_experiment(2, 0)
+        with pytest.raises(ValueError, match="need at least one candidate"):
+            haus_experiment(2, 4, candidates=[])
 
 
 class TestJensenDefect:
