@@ -68,6 +68,9 @@ class ConstructionSpec:
     variant: str = "full"
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("grid", self.grid)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         if not self.M > 0.0:
@@ -122,6 +125,8 @@ def witness(spec: ConstructionSpec) -> Vector:
 def critical_scale(n: int) -> float:
     """The scale sqrt((2/ln2) n log2 n) at which the Euclidean witness
     distance is exactly log2 n."""
+    if not n < math.inf:
+        raise ValueError(f"need a finite n, got {n}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return math.sqrt((2.0 / _LN2) * n * math.log2(n))
@@ -352,6 +357,8 @@ def lowbound3(n: int) -> tuple[int, float]:
     argmax is attained at a power of two (or at j = n); only those
     O(log n) candidates are evaluated.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     candidates = [1 << k for k in range(n.bit_length()) if (1 << k) <= n]

@@ -128,6 +128,8 @@ def kappa(n: int) -> KappaReport:
     closed formula floor(log2(n+1)) + 2 - 2^(1+floor(log2(n+1)))/(n+1)
     always lies inside the bracket and is exact when n+1 is a power of 2.
     """
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"kappa needs an integer n, got {n!r}")
     if n < 1:
         raise ValueError(f"kappa needs n >= 1, got {n}")
     m = n + 1

@@ -65,6 +65,8 @@ class StepFunction:
 
 def I_eval(y: StepFunction, M: float) -> float:
     """M^2 sum len*val^2 + (sum len*phi(val))^2."""
+    if not 0.0 < M < math.inf:
+        raise ValueError(f"need M > 0 and finite, got {M}")
     quad = sum(l * v * v for l, v in y.pieces)
     ent = sum(l * phi(min(max(v, 0.0), 1.0)) for l, v in y.pieces)
     return M * M * quad + ent * ent

@@ -10,11 +10,10 @@ Two solvers used by every distance computation in the package:
   only.  An inequality is written as a row with its own slack column.
   Every LP starts on a feasible basis B0 its caller names: the
   tree-norm decomposition LP and the l1 and l-infinity hull-distance
-  LPs build one in closed form, and the tree-norm dual-ball LP starts
-  on its slack columns.  The basis is checked before any pivot, the
-  constraints become B0^-1 [A b] (formed in column blocks) unless B0 is
-  the identity, and the simplex runs from there; there is no phase 1
-  and no artificial column.  Its whole state is one array, the
+  LPs build one in closed form.  The basis is checked before any
+  pivot, the constraints become B0^-1 [A b] (formed in column blocks)
+  unless B0 is the identity, and the simplex runs from there; there is
+  no phase 1 and no artificial column.  Its whole state is one array, the
   constraint rows over the reduced-cost row, with the basic values and
   the negated objective in the last column, so a pivot is one rank-1
   update.  Row duals are read from B0, and every optimum is certified on

@@ -88,10 +88,8 @@ def random_tree_vector(rng, closure: int, max_level: int = 12) -> Vector:
 
 def tree_lps(x: Vector, M: float):
     """The (LP, basis) pairs `treespace` passes to `lp_solve` for the tree
-    norm of x, captured at its call site: the decomposition LP (started
-    on y = x) and the dual-ball LP (in u = phi + M >= 0, the box rows
-    u <= 2M last, each row with its slack column after the u columns,
-    started on its slacks)."""
+    norm of x, captured at its call site: only the decomposition LP,
+    started on y = x."""
     captured = []
     solve = treespace.lp_solve
 
@@ -101,7 +99,6 @@ def tree_lps(x: Vector, M: float):
 
     with mock.patch.object(treespace, "lp_solve", record):
         treespace.tree_norm(x, M, tol=1e-7)
-        treespace.tree_norm_dual_lp(x, M)
     return captured
 
 

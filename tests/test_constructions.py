@@ -104,6 +104,15 @@ class TestBuildEntropySet:
         with pytest.raises(ValueError):
             ConstructionSpec(space=L2, n=3, M=1.0, grid=2, variant="weird")
 
+    @pytest.mark.parametrize("field, value", [
+        ("n", math.nan), ("n", 2.5), ("n", 4.0),
+        ("grid", math.nan), ("grid", 2.5), ("grid", 3.0), ("grid", True),
+    ])
+    def test_spec_rejects_non_integer_counts(self, field, value):
+        # build_entropy_set would fail later, in math.comb.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ConstructionSpec(space=L2, **{"n": 3, "M": 1.0, "grid": 2, field: value})
+
 
 class TestWitness:
     def test_two_axes(self):
@@ -134,6 +143,11 @@ class TestWitness:
 class TestEuclidWitnessDistance:
     def test_critical_scale_value(self):
         assert critical_scale(16) == pytest.approx(math.sqrt(128.0 / LN2), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_critical_scale_rejects_non_finite(self, n):
+        with pytest.raises(ValueError, match="need a finite n"):
+            critical_scale(n)
 
     @pytest.mark.parametrize("n,expected", [(16, 4.0), (4, 2.0)])
     def test_analytic(self, n, expected):
@@ -343,6 +357,11 @@ class TestLowbound3:
             dyadic_scale_ratio(1.0)
         with pytest.raises(ValueError, match="got nan"):
             dyadic_scale_ratio(math.nan)
+
+    @pytest.mark.parametrize("n", [20.0, math.nan, True])
+    def test_rejects_non_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            lowbound3(n)
 
 
 class TestTypePBound:

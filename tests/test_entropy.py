@@ -150,6 +150,11 @@ class TestKappa:
         with pytest.raises(ValueError):
             kappa(0)
 
+    @pytest.mark.parametrize("n", [3.0, math.nan, True])
+    def test_rejects_non_integer(self, n):
+        with pytest.raises(ValueError, match="kappa needs an integer n"):
+            kappa(n)
+
     def test_exact_at_powers(self):
         for k in range(1, 21):
             assert kappa(2**k - 1).formula == float(k)

@@ -74,6 +74,12 @@ class TestIEval:
         y = StepFunction(pieces=((2.0, 0.5),), domain=2.0)
         assert I_eval(y, 3.0) == pytest.approx(9.0 / 2.0 + 1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("M", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_scale(self, M):
+        y = StepFunction(pieces=((2.0, 0.5),), domain=2.0)
+        with pytest.raises(ValueError, match="need M > 0 and finite"):
+            I_eval(y, M)
+
 
 class TestMinimizeI:
     @pytest.mark.parametrize("n", [4, 8, 16])

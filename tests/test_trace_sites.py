@@ -42,7 +42,7 @@ def test_matrix_keeps_func():
 
 
 def test_lp_work_reads_real_lps():
-    # Both tree LPs and an l1 hull LP, as their call sites pass them.
+    # The tree-norm LP and an l1 hull LP, as their call sites pass them.
     x = random_tree_vector(np.random.default_rng(3), 30)
     P = np.random.default_rng(4).normal(size=(7, 3))
     _, hull = hull_lps(Vector.from_array(np.full(3, 2.0)), SampledSet(P), NormSpec.lp(1.0))

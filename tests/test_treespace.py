@@ -25,6 +25,7 @@ from approxconvex.treespace import (
     tree_norm_dual_lp,
     tree_norm_functional,
 )
+from conftest import random_tree_vector as closure_vector
 
 
 def random_label(rng, max_level, leaf_hi=40):
@@ -47,6 +48,24 @@ def random_tree_vector(rng, max_labels=6, max_level=8):
     labs = {_join(random_label(rng, max_level)) for _ in range(int(rng.integers(1, max_labels + 1)))}
     x = Vector({lab: float(rng.uniform(-2.0, 2.0)) for lab in labs})
     return x if x else Vector.unit(leaf(1))
+
+
+def highs_dual_ball(linprog, x: Vector, M: float) -> float:
+    """max x.phi over the dual ball on the closure of supp(x), by HiGHS:
+    bounds -M <= phi <= M and rows +-(phi(a) - phi(b)/2 - phi(c)/2) <= 1
+    for each pair a = (b, c)."""
+    D = list(downward_closure(x.support()))
+    pos = {lab: i for i, lab in enumerate(D)}
+    pairs = [lab for lab in D if not lab.is_leaf]
+    R = np.zeros((len(pairs), len(D)))
+    for r, lab in enumerate(pairs):
+        R[r, pos[lab]] += 1.0
+        R[r, pos[lab.left]] -= 0.5
+        R[r, pos[lab.right]] -= 0.5
+    xd = np.array([x.get(lab) for lab in D])
+    res = linprog(-xd, A_ub=np.vstack([R, -R]), b_ub=np.ones(2 * len(pairs)), bounds=(-M, M), method="highs")
+    assert res.status == 0
+    return float(-res.fun)
 
 
 class TestLabels:
@@ -174,7 +193,6 @@ class TestTreeNorm:
             pr, du = tree_norm(v, M)
             assert pr == pytest.approx(1.0, abs=1e-9)
             assert du == pytest.approx(1.0, abs=1e-9)
-            assert tree_norm_dual_lp(v, M) == pytest.approx(1.0, abs=1e-9)
 
     def test_sandwich(self, rng):
         for _ in range(40):
@@ -206,13 +224,32 @@ class TestTreeNorm:
             assert nax == pytest.approx(abs(a) * nx, abs=1e-7)
 
     def test_dual_lp_cross_check(self, rng):
-        for _ in range(20):
-            x = random_tree_vector(rng, max_labels=4, max_level=6)
-            M = float(rng.integers(1, 4))
+        # Both sides against HiGHS on the dual-ball LP itself, an
+        # independent formulation and solver.
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        cases = [(random_tree_vector(rng, max_labels=4, max_level=6), float(rng.integers(1, 4))) for _ in range(20)]
+        cases += [(closure_vector(np.random.default_rng(n), n), 2.0) for n in (260, 500)]
+        for x, M in cases:
             pr, du = tree_norm(x, M)
-            via_lp = tree_norm_dual_lp(x, M)
-            assert pr == pytest.approx(via_lp, abs=1e-7)
-            assert du == pytest.approx(via_lp, abs=1e-7)
+            via_lp = highs_dual_ball(linprog, x, M)
+            assert pr == pytest.approx(via_lp, rel=1e-9)
+            assert du == pytest.approx(via_lp, rel=1e-9)
+
+    def test_one_lp_per_call(self, monkeypatch):
+        # Only the decomposition LP is solved, one row per closure label;
+        # the dual-ball LP had two more rows per pair.
+        rows = []
+        solve = treespace.lp_solve
+
+        def spy(lp, *args, **kwargs):
+            rows.append(lp.n_rows)
+            return solve(lp, *args, **kwargs)
+
+        monkeypatch.setattr(treespace, "lp_solve", spy)
+        x = Vector({pair(pair(leaf(1), leaf(2)), leaf(3)): 1.0, leaf(4): -0.5})
+        tree_norm(x, 2.0)
+        tree_norm_dual_lp(x, 2.0)
+        assert rows == [6, 6]
 
     def test_unit_vectors_inside_ball(self, rng):
         for _ in range(25):
@@ -229,6 +266,18 @@ class TestTreeNorm:
         with pytest.raises(ValueError, match="need M > 0"):
             tree_norm_dual_lp(Vector.unit(leaf(1)), M)
 
+    def test_infinite_M_rejected_before_the_lp(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an LP was built for an infinite scale")
+
+        monkeypatch.setattr(treespace, "lp_solve", forbidden)
+        x = Vector.unit(pair(leaf(1), leaf(2)))
+        for call in (tree_norm, tree_norm_functional, tree_norm_dual_lp):
+            with pytest.raises(ValueError, match="need M > 0 and finite"):
+                call(x, math.inf)
+        with pytest.raises(ValueError, match="need M > 0 and finite"):
+            jensen_defect(leaf(1), leaf(2), math.inf)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_coordinate_is_a_value_error(self, value):
         # Rejected with the LP data, not reported as a numerical failure.
@@ -239,14 +288,12 @@ class TestTreeNorm:
             tree_norm_dual_lp(x, 2.0)
 
     def test_non_optimal_lps_are_numerical_failures(self, monkeypatch):
-        # Both LPs are always feasible and bounded, so a non-optimal
-        # status can only be numerical.
+        # The LP is always feasible and bounded, so a non-optimal status
+        # can only be numerical.
         x = Vector.unit(pair(leaf(1), leaf(2)))
         monkeypatch.setattr(treespace, "lp_solve", lambda *a, **k: LPSolution(status="unbounded"))
         with pytest.raises(ConvergenceError, match="norm LP ended with status unbounded"):
             tree_norm(x, 2.0)
-        with pytest.raises(ConvergenceError, match="dual norm LP ended with status unbounded"):
-            tree_norm_dual_lp(x, 2.0)
 
     def test_duality_gap_is_a_numerical_failure(self, monkeypatch):
         x = Vector.unit(pair(leaf(1), leaf(2)))
@@ -438,6 +485,20 @@ class TestHausExperiment:
             haus_experiment(2, 0)
         with pytest.raises(ValueError, match="need at least one candidate"):
             haus_experiment(2, 4, candidates=[])
+
+    @pytest.mark.parametrize("M, N, message", [
+        (True, 4, "the scale must be a positive integer, got True"),
+        (2, 4.0, "N must be an integer, got 4.0"),
+        (2, math.nan, "N must be an integer, got nan"),
+        (2, True, "N must be an integer, got True"),
+    ])
+    def test_rejects_non_integer_counts(self, M, N, message):
+        with pytest.raises(ValueError, match=message):
+            haus_experiment(M, N)
+
+    def test_build_phi_rejects_bool_scale(self):
+        with pytest.raises(ValueError, match="the scale must be a positive integer, got True"):
+            build_phi(leaf(1), True, set())
 
 
 class TestJensenDefect:
