@@ -510,6 +510,16 @@ def min_quadratic_over_simplex(
     return lam, f
 
 
+def _distance_stop(f, gap, tol):
+    """The stop rule of :func:`min_distance_over_simplex` for the value f
+    and Frank-Wolfe gap of weights on the simplex: the distance sqrt(f)
+    is then within ``tol`` of the minimum.  Shared with callers that
+    certify weights of their own by the rule the kernel exits on."""
+    # The 1e-15 floor is the float64 limit: |sqrt(f)-sqrt(f*)| <=
+    # sqrt(gap), so it still pins the distance to ~3e-8 absolute.
+    return gap <= max(tol * tol, 0.5 * tol * np.sqrt(max(f, 0.0)), 1e-15 * (1.0 + abs(f)))
+
+
 def min_distance_over_simplex(
     L: np.ndarray, c: np.ndarray, tol: float = 1e-9
 ) -> tuple[np.ndarray, float]:
@@ -520,14 +530,8 @@ def min_distance_over_simplex(
     returned ``(t, distance)`` has the distance within ``tol`` of the true
     minimum even when the optimum is far from zero.
     """
-
-    def stop(f, gap):
-        # The 1e-15 floor is the float64 limit: |sqrt(f)-sqrt(f*)| <=
-        # sqrt(gap), so it still pins the distance to ~3e-8 absolute.
-        return gap <= max(tol * tol, 0.5 * tol * np.sqrt(max(f, 0.0)), 1e-15 * (1.0 + abs(f)))
-
     L, c = _kernel_data(L, c)
-    lam, f, _, _ = _mnp(L, c, stop)
+    lam, f, _, _ = _mnp(L, c, lambda f_, g_: _distance_stop(f_, g_, tol))
     _check_simplex(lam)
     return lam, float(np.sqrt(max(f, 0.0)))
 

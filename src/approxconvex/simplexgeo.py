@@ -6,11 +6,10 @@ interior, some k-face lies within alpha(n, k) = sqrt((n-k)/(n(k+1))) of
 the origin, with equality for the regular simplex.  The face is found
 constructively: take the nearest facet, recenter at its nearest point,
 rescale the facet back onto a unit sphere, and recurse one dimension
-down.  Nearest points on facets that the closed form below cannot
-certify are computed by the minimum-norm-point quadratic kernel, and
-affine coordinates by its affine solve, so that the module shares the
-hull distances' code path.  Vertices and points are the rows of a dense
-array.
+down.  Nearest points that a closed form below cannot certify are
+computed by the minimum-norm-point quadratic kernel, so that the module
+shares the hull distances' code path.  Vertices and points are the rows
+of a dense array.
 
 At each level one solve with the Gram matrix of the edges gives every
 barycentric gradient (Wolfe's affine step for all facets at once).  From
@@ -20,6 +19,14 @@ facets whose bound does not rule them out of a tie with the nearest are
 evaluated.  A foot inside its facet whose squared norm is within the
 kernel's tolerance of the squared bound is the facet's nearest point;
 any other facet goes to the kernel.
+
+The faces of a chain are nested, each one vertex more than the last, so
+one Cholesky factor of the edge Gram matrix of the largest gives the
+affine foot of the origin on every face (the leading block of the factor
+is the factor of the leading block).  A foot whose weights are
+nonnegative is the face's nearest point (Wolfe 1976); it is accepted
+when its Frank-Wolfe gap meets the kernel's own stop rule, and any other
+face goes to the kernel.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import _affine_solve, min_distance_over_simplex, min_quadratic_over_simplex
+from .optim import _distance_stop, min_distance_over_simplex, min_quadratic_over_simplex
 
 __all__ = ["FaceResult", "alpha", "near_face", "face_chain", "best_subset"]
 
@@ -59,22 +66,37 @@ def alpha(n: int, k: int) -> float:
 
 def _origin_barycentric(V: np.ndarray) -> np.ndarray:
     """Affine coordinates of the origin; rejects degenerate input or an
-    origin outside the affine hull."""
-    lam = _affine_solve(V.T, np.zeros(V.shape[1]))
+    origin outside the affine hull.
+
+    One SVD U s W^T of the edges V[1:] - V[0] gives both: the coordinates
+    as the minimum-norm least-squares step from the barycenter (singular
+    values up to eps max(m - 1, d) s_0 count as zero, as in lstsq), and
+    the degeneracy test on s."""
+    m = V.shape[0]
+    spread = V[1:] - V[0]
+    U, sv, Wt = np.linalg.svd(spread, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(spread.shape) * sv[0]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
+    step = U @ (inv * (Wt @ (V.sum(axis=0) / -m)))
+    lam = np.concatenate(([1.0 / m - step.sum()], 1.0 / m + step))
     resid = float(np.linalg.norm(V.T @ lam))
     if resid > 1e-7:
         raise ValueError(
             f"origin is {resid:.3e} from the affine hull of the vertices"
         )
-    spread = V[1:] - V[0]
-    sv = np.linalg.svd(spread, compute_uv=False)
     if sv[-1] <= 1e-12 * max(1.0, sv[0]) or sv[0] / max(sv[-1], 1e-300) > 1e12:
         raise ValueError("degenerate simplex: vertices are affinely dependent")
     return lam
 
 
-def _finite(P: np.ndarray, what: str) -> None:
-    """Reject NaN and inf, which pass every norm check (NaN compares false)."""
+def _simplex_rows(P: np.ndarray, what: str) -> None:
+    """Reject more rows than a simplex in R^d has vertices, d + 1, which
+    are affinely dependent however they lie (the degeneracy test sees
+    only d singular values of their edges), and NaN and inf, which pass
+    every norm check (NaN compares false)."""
+    m, d = P.shape
+    if m > d + 1:
+        raise ValueError(f"got {m} {what} rows in R^{d}: more than d + 1 = {d + 1} are affinely dependent")
     if not np.isfinite(P).all():
         i, k = np.argwhere(~np.isfinite(P))[0]
         raise ValueError(f"{what} {i} has coordinate {k} = {P[i, k]}, not finite")
@@ -84,7 +106,7 @@ def _validated(vertices) -> np.ndarray:
     V = np.array(vertices, dtype=float)
     if V.ndim != 2 or V.shape[0] < 2:
         raise ValueError("need at least two vertices")
-    _finite(V, "vertex")
+    _simplex_rows(V, "vertex")
     norms = np.linalg.norm(V, axis=1)
     if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
         raise ValueError("vertices must lie on the unit sphere")
@@ -187,7 +209,7 @@ def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
     coords = V.copy()
     chain = [tuple(idx)]
     while len(idx) - 1 > stop_dim:
-        order = sorted(range(len(idx)), key=lambda a: -idx[a])
+        order = range(len(idx) - 1, -1, -1)  # idx ascends: largest index first
         bounds, grads = _facet_bounds(coords)
         first = int(np.argmin(bounds))
         solved = {first: _facet_foot(coords, grads, first, bounds[first])}
@@ -206,6 +228,45 @@ def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
         idx = [idx[r] for r in rows]
         chain.append(tuple(idx))
     return chain
+
+
+def _prefix_distances(P: np.ndarray) -> list[float | None]:
+    """Distance from the origin to the hull of each prefix P[:k + 1] of
+    the rows of P, k = 0..m-1, or None where the closed form below does
+    not certify it.
+
+    With E = P[1:] - P[0] and E E^T = L L^T, the foot of the origin on
+    the affine hull of P[:k + 1] is P[0] + y_k^T E[:k] with
+    y_k = -L_k^-T z_k, z = L^-1 E P[0] and L_k the leading k x k block
+    of L, whose inverse is the leading block of L^-1.  So row k - 1 of
+    the running sum over the rows of diag(z) L^-1 is -y_k, with zeros
+    beyond.  A foot is accepted, as the kernel accepts its exit, when its
+    weights lie on the simplex (nonnegative, summing to one within
+    1e-12) and its Frank-Wolfe gap g.w - min g, computed from those
+    weights on the rows of P, meets min_distance_over_simplex's stop
+    rule at tol 1e-11.  A negative weight means that the nearest point
+    lies on the prefix's boundary; a singular Gram matrix certifies
+    nothing.
+    """
+    m = P.shape[0]
+    E = P[1:] - P[0]
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(E @ E.T))
+    except np.linalg.LinAlgError:
+        return [None] * m
+    z = Linv @ (E @ P[0])
+    W = np.zeros((m, m))
+    W[1:, 1:] = -np.cumsum(Linv * z[:, None], axis=0)
+    W[:, 0] = 1.0 - W[:, 1:].sum(axis=1)
+    Q = W @ P
+    f = np.einsum("ij,ij->i", Q, Q)
+    G = 2.0 * (Q @ P.T)  # row k: the gradient of prefix k's f at each vertex
+    gap = np.einsum("ij,ij->i", G, W) - np.where(np.tri(m, dtype=bool), G, np.inf).min(axis=1)
+    on_simplex = (W.min(axis=1) >= 0.0) & (np.abs(W.sum(axis=1) - 1.0) <= 1e-12)
+    return [
+        math.sqrt(f[k]) if on_simplex[k] and _distance_stop(f[k], gap[k], 1e-11) else None
+        for k in range(m)
+    ]
 
 
 def _face(X: np.ndarray, subset) -> FaceResult:
@@ -230,9 +291,20 @@ def near_face(vertices, k: int) -> FaceResult:
 
 
 def face_chain(vertices) -> list[FaceResult]:
-    """FaceResults for every k = 0..n-1 from a single descent."""
+    """FaceResults for every k = 0..n-1 from a single descent.
+
+    Face k is face k - 1 and one more vertex, so with the vertices in the
+    order the chain adds them every face is a prefix, and one
+    factorization gives every distance (_prefix_distances); a face it
+    does not certify goes to the kernel.
+    """
     V = _validated(vertices)
-    return [_face(V, subset) for subset in reversed(_descend(V, 0)[1:])]  # k = 0..n-1
+    faces = _descend(V, 0)[:0:-1]  # k = 0..n-1
+    order = list(faces[0]) + [(set(big) - set(small)).pop() for small, big in zip(faces, faces[1:])]
+    return [
+        _face(V, face) if dist is None else FaceResult(tuple(sorted(face)), dist)
+        for face, dist in zip(faces, _prefix_distances(V[order]))
+    ]
 
 
 def best_subset(points, j: int) -> FaceResult:
@@ -250,7 +322,7 @@ def best_subset(points, j: int) -> FaceResult:
     n = P.shape[0] - 1
     if not 1 <= j <= n:
         raise ValueError(f"best_subset needs 1 <= j <= n, got j={j} for n={n}")
-    _finite(P, "point")
+    _simplex_rows(P, "point")
     norms = np.linalg.norm(P, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("zero vector cannot be normalized onto the sphere")

@@ -240,7 +240,9 @@ class TestExitCodes:
             return lam * (1.0 + 1e-11), f, gap, it
 
         monkeypatch.setattr(optim, "_mnp", off_simplex)
-        code, out, err = run_cli(capsys, "simplex-face", "--n", "3", "--trials", "1")
+        # best-subset's hull check always runs the kernel; simplex-face
+        # certifies its faces in closed form and runs it only as a fallback.
+        code, out, err = run_cli(capsys, "best-subset", "--n", "3", "--trials", "1")
         assert code == 3
         assert out == ""
         assert err.startswith("numerical failure: ")

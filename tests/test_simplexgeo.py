@@ -14,7 +14,7 @@ from conftest import (
 from approxconvex import simplexgeo
 from approxconvex.core import NormSpec, Vector
 from approxconvex.hulls import SampledSet, dist_to_hull
-from approxconvex.optim import min_quadratic_over_simplex
+from approxconvex.optim import min_distance_over_simplex, min_quadratic_over_simplex
 from approxconvex.simplexgeo import alpha, best_subset, face_chain, near_face
 
 
@@ -113,6 +113,33 @@ class TestNearFace:
         with pytest.raises(ValueError):
             near_face(V, 1)
 
+    @pytest.mark.parametrize("call", [
+        lambda V: near_face(V, 1),
+        face_chain,
+        lambda V: best_subset(0.9 * V, 2),
+    ], ids=["near_face", "face_chain", "best_subset"])
+    def test_rejects_more_vertices_than_a_simplex_has(self, monkeypatch, call):
+        # Five points of the unit circle are affinely dependent, but the
+        # SVD of their four edges has only two singular values, so the
+        # degeneracy test alone would pass them.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("too many vertices reached a solver")
+
+        for name in ("min_distance_over_simplex", "min_quadratic_over_simplex"):
+            monkeypatch.setattr(simplexgeo, name, no_solve)
+        ang = 2.0 * np.pi * np.arange(5) / 5
+        V = np.column_stack([np.cos(ang), np.sin(ang)])
+        with pytest.raises(ValueError, match=r"got 5 (vertex|point) rows in R\^2: more than d \+ 1 = 3"):
+            call(V)
+
+    def test_origin_coordinates_from_one_svd(self, rng):
+        simplices = [random_interior_simplex(rng, n) for n in range(1, 9)]
+        simplices.append(np.column_stack([regular_simplex(2), np.zeros(3)]))  # a triangle in R^3
+        for V in simplices:
+            lam = simplexgeo._origin_barycentric(V)
+            assert np.abs(lam - origin_barycentric(V)).max() <= 1e-12
+            assert np.linalg.norm(lam @ V) <= 1e-14
+
     def test_k_range(self):
         V = regular_simplex(3)
         with pytest.raises(ValueError):
@@ -200,9 +227,10 @@ def test_non_finite_input_rejected_before_any_solve(monkeypatch, call, what, val
     def no_solve(*args, **kwargs):
         raise AssertionError("a non-finite vertex reached a solver")
 
-    for name in ("_affine_solve", "min_distance_over_simplex", "min_quadratic_over_simplex"):
+    for name in ("min_distance_over_simplex", "min_quadratic_over_simplex"):
         monkeypatch.setattr(simplexgeo, name, no_solve)
-    monkeypatch.setattr(np.linalg, "svd", no_solve)
+    for name in ("cholesky", "svd"):
+        monkeypatch.setattr(np.linalg, name, no_solve)
     V = regular_simplex(3)
     V[2, 1] = value
     with pytest.raises(ValueError, match=rf"{what} 2 has coordinate 1 = {value}, not finite"):
@@ -387,3 +415,64 @@ class TestFacetFeet:
         # on these draws the closed form certifies it at every level.
         assert len(least_accepted) == sum(2 + i % 8 for i in range(160))
         assert all(least_accepted)
+
+
+class TestChainDistances:
+    def test_every_distance_agrees_with_the_kernel(self):
+        rng = np.random.default_rng(25)
+        simplices = [_interior_simplex(rng, 2 + i % 8) for i in range(96)]
+        simplices += [regular_simplex(n) for n in range(2, 10)]
+        for V in simplices:
+            for res in face_chain(V):
+                P = simplexgeo._validated(V)[list(res.vertex_index_set)]
+                _, dist = min_distance_over_simplex(P.T, np.zeros(P.shape[1]), tol=1e-11)
+                assert abs(res.distance - dist) <= 1e-11
+
+    def test_regular_simplex_needs_no_kernel(self, monkeypatch):
+        # Every face's foot is its circumcenter, inside it with equal weights.
+        calls = _count_calls(monkeypatch, "min_distance_over_simplex")
+        chain = face_chain(regular_simplex(8))
+        assert len(calls) == 0
+        for k, res in enumerate(chain):
+            assert res.distance == pytest.approx(alpha(8, k), abs=1e-12)
+
+    def test_face_whose_foot_is_outside_goes_to_the_kernel(self, monkeypatch):
+        # Vertices 1-3 are an obtuse triangle on the circle z = -0.6 of
+        # the unit sphere, so the origin's foot on its plane, (0, 0, -0.6),
+        # lies outside it, while the foot on the chord 1-3 is its
+        # midpoint.  A chain through that chord to the triangle sends the
+        # triangle, and only the triangle, to the kernel.
+        ang = np.radians([0.0, 20.0, 40.0])
+        base = np.column_stack([0.8 * np.cos(ang), 0.8 * np.sin(ang), np.full(3, -0.6)])
+        top = -base.mean(axis=0)
+        V = np.vstack([top / np.linalg.norm(top), base])
+        chain = [(0, 1, 2, 3), (1, 2, 3), (1, 3), (1,)]
+        monkeypatch.setattr(simplexgeo, "_descend", lambda W, stop_dim: chain)
+        faces = []
+        kernel = simplexgeo.min_distance_over_simplex
+
+        def recorded(L, c, tol):
+            faces.append(L.T.copy())
+            return kernel(L, c, tol=tol)
+
+        monkeypatch.setattr(simplexgeo, "min_distance_over_simplex", recorded)
+        results = face_chain(V)
+        assert [res.vertex_index_set for res in results] == [(1,), (1, 3), (1, 2, 3)]
+        assert len(faces) == 1 and np.array_equal(faces[0], V[[1, 2, 3]])
+        assert results[0].distance == pytest.approx(1.0, abs=1e-15)
+        assert results[1].distance == pytest.approx(np.linalg.norm(V[1] + V[3]) / 2, abs=1e-15)
+        assert results[2].distance == kernel(V[[1, 2, 3]].T, np.zeros(3), tol=1e-11)[1]
+
+    def test_singular_gram_matrix_sends_every_face_to_the_kernel(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        V = _interior_simplex(np.random.default_rng(26), 5)
+        expected = face_chain(V)
+        calls = _count_calls(monkeypatch, "min_distance_over_simplex")
+        monkeypatch.setattr(np.linalg, "cholesky", singular)
+        results = face_chain(V)
+        assert len(calls) == 5
+        assert [res.vertex_index_set for res in results] == [res.vertex_index_set for res in expected]
+        for res, ref in zip(results, expected):
+            assert abs(res.distance - ref.distance) <= 1e-11
