@@ -14,7 +14,11 @@ midpoint defect |phi(a) - (phi(b)+phi(c))/2| <= 1 on pairs.  One linear
 program, the decomposition over the downward closure of the support,
 gives both sides: its row duals are a maximizing functional, so every
 reported norm carries an explicitly validated dual functional as
-certificate.
+certificate.  A functional is held as arrays over a fixed label order:
+its values, and the positions of each pair and of the pair's children,
+so validating it is two array comparisons.  ``haus_experiment`` stores
+one only on the closure of its candidates; the fresh leaves it averages
+are one block at -M, which needs no check, added in one step.
 
 The label interner is the only state shared between calls; everything
 else is confined to one call.
@@ -22,7 +26,7 @@ else is confined to one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -113,70 +117,119 @@ def order_classes(a: TreeLabel) -> dict[int, set[TreeLabel]]:
         frontier = nxt
 
 
-def _orders(a: TreeLabel) -> dict[TreeLabel, int]:
-    return {lab: k for k, cls in order_classes(a).items() for lab in cls}
+def _layout(labels: list[TreeLabel]):
+    """(pos, pairs, left, right) for labels in a fixed order: each label's
+    position, and as int arrays the positions of the pairs whose two
+    children are among the labels, in order, and of those children."""
+    pos = {lab: i for i, lab in enumerate(labels)}
+    pairs = [j for j, lab in enumerate(labels) if not lab.is_leaf and lab.left in pos and lab.right in pos]
+    left = [pos[labels[j].left] for j in pairs]
+    right = [pos[labels[j].right] for j in pairs]
+    return pos, np.array(pairs, dtype=np.intp), np.array(left, dtype=np.intp), np.array(right, dtype=np.intp)
 
 
-@dataclass(frozen=True, eq=False)
 class DualFunctional:
     """A label function phi with |phi| <= M and midpoint defect <= 1 on
     every stored pair whose children are stored: exactly a point of the
-    dual unit ball, restricted to a finite label set."""
+    dual unit ball, restricted to a finite label set.
 
-    values: dict[TreeLabel, float]
-    scale: float
+    It is held as arrays over ``labels``, a list in a fixed order:
+    ``array[i]`` is phi(labels[i]); ``pairs`` holds the positions of the
+    stored pairs whose children are stored, and ``left`` and ``right``
+    the positions of their children.  ``DualFunctional(values, scale)``
+    takes a mapping, in whose order the labels are kept; ``values``
+    reads the functional back as a dict.
+    """
+
+    __slots__ = ("labels", "array", "scale", "pairs", "left", "right", "_pos")
+
+    def __init__(self, values: Mapping[TreeLabel, float], scale: float):
+        labels = list(values)
+        self._set(labels, np.array(list(values.values()), dtype=float), scale, _layout(labels))
+
+    @classmethod
+    def _of(cls, labels, array, scale, layout) -> "DualFunctional":
+        phi = cls.__new__(cls)
+        phi._set(labels, array, scale, layout)
+        return phi
+
+    def _set(self, labels, array, scale, layout):
+        self.labels, self.array, self.scale = labels, array, scale
+        self._pos, self.pairs, self.left, self.right = layout
+
+    @property
+    def values(self) -> dict[TreeLabel, float]:
+        return dict(zip(self.labels, self.array.tolist()))
+
+    def __repr__(self) -> str:
+        return f"DualFunctional(values={self.values!r}, scale={self.scale!r})"
 
     def validate(self, tol: float = 1e-9) -> "DualFunctional":
         """Return self if the scale is finite and positive and every
         constraint holds within ``tol``; else raise ``ValueError`` naming
-        the first violation.  A NaN value or defect fails its check."""
+        the first violation in label order, a label's bound before its
+        midpoint defect.  A NaN value or defect fails its check."""
         M = self.scale
         if not 0.0 < M < np.inf:
             raise ValueError(f"the scale M must be finite and positive, got {M}")
-        for lab, v in self.values.items():
-            if not abs(v) <= M + tol:
-                if v != v:
-                    raise ValueError(f"phi({lab!r}) is nan")
-                raise ValueError(f"|phi({lab!r})| = {abs(v)} exceeds M = {M}")
-            if not lab.is_leaf and lab.left in self.values and lab.right in self.values:
-                defect = abs(v - 0.5 * (self.values[lab.left] + self.values[lab.right]))
-                if not defect <= 1.0 + tol:
-                    if defect != defect:
-                        raise ValueError(f"midpoint defect at {lab!r} is nan")
-                    raise ValueError(f"midpoint defect {defect} at {lab!r} exceeds 1")
-        return self
+        bound_ok = np.abs(self.array) <= M + tol
+        # count_nonzero costs a third of .all() on the tiny arrays of most norms.
+        if np.count_nonzero(bound_ok) == bound_ok.size:  # so every defect is finite
+            defect_ok = self._defects() <= 1.0 + tol
+            if np.count_nonzero(defect_ok) == defect_ok.size:
+                return self
+        else:
+            with np.errstate(all="ignore"):  # inf - inf is a NaN defect
+                defect_ok = self._defects() <= 1.0 + tol
+        bad = ~bound_ok
+        bad[self.pairs[~defect_ok]] = True
+        lab = self.labels[int(np.argmax(bad))]
+        x = self[lab]
+        if not abs(x) <= M + tol:
+            raise ValueError(f"phi({lab!r}) is nan" if x != x else f"|phi({lab!r})| = {abs(x)} exceeds M = {M}")
+        defect = abs(x - 0.5 * (self[lab.left] + self[lab.right]))
+        if defect != defect:
+            raise ValueError(f"midpoint defect at {lab!r} is nan")
+        raise ValueError(f"midpoint defect {defect} at {lab!r} exceeds 1")
+
+    def _defects(self) -> np.ndarray:
+        """|phi(a) - (phi(b) + phi(c))/2| at each stored pair a = (b, c)."""
+        v = self.array
+        return np.abs(v[self.pairs] - 0.5 * (v[self.left] + v[self.right]))
 
     def __contains__(self, lab: TreeLabel) -> bool:
-        return lab in self.values
+        return lab in self._pos
 
     def __getitem__(self, lab: TreeLabel) -> float:
-        return self.values[lab]
+        return float(self.array[self._pos[lab]])
 
 
 def functional_eval(phi: DualFunctional, x: TreeVector) -> float:
-    """sum x(d) phi(d); every support label must be in phi's domain."""
+    """sum x(d) phi(d), added left to right in x's order; every support
+    label must be in phi's domain."""
+    pos, values = phi._pos, phi.array.tolist()
     total = 0.0
     for lab, v in x.items():
-        if lab not in phi.values:
+        if lab not in pos:
             raise ValueError(f"functional is undefined at {lab!r}")
-        total += v * phi.values[lab]
+        total += v * values[pos[lab]]
     return total
 
 
 def _halving(x: TreeVector):
-    """(D, S, pairs): the downward closure D of supp(x) in label order,
+    """(D, S, layout): the downward closure D of supp(x) in label order,
     S = I - T on it as an (N, N) array whose column j is S(e_D[j]), and
-    the positions in D of its pairs.
+    D's ``_layout``, whose pairs are all of D's pairs.
 
     Each child gets its -1/2 from its own statement, so a pair (a, a)
     puts -1 on a."""
     D = sorted(downward_closure(x.support()), key=label_sort_key)
-    pos = {lab: i for i, lab in enumerate(D)}
-    pairs = [j for j, lab in enumerate(D) if not lab.is_leaf]
+    layout = _layout(D)
+    _, pairs, left, right = layout
     S = np.eye(len(D))
-    S[[pos[D[j].left] for j in pairs], pairs] -= 0.5
-    S[[pos[D[j].right] for j in pairs], pairs] -= 0.5
-    return D, S, pairs
+    S[left, pairs] -= 0.5
+    S[right, pairs] -= 0.5
+    return D, S, layout
 
 
 def _primal_lp(x: TreeVector, M: float, tol: float):
@@ -189,9 +242,11 @@ def _primal_lp(x: TreeVector, M: float, tol: float):
     by the lower column, would never bring it in.  The row duals of this
     LP are precisely a maximizing dual functional.  It starts on y = x,
     w = 0 (y+ or y- by the sign of x), an identity basis once the
-    negative rows are flipped, so it is never inverted.
+    negative rows are flipped, so it is never inverted.  Returns D, its
+    layout and the solution.
     """
-    D, S, pairs = _halving(x)
+    D, S, layout = _halving(x)
+    pairs = layout[1]
     N = len(D)
     W = S[:, pairs]
     A = np.hstack([np.eye(N), -np.eye(N), W, -W])
@@ -204,7 +259,7 @@ def _primal_lp(x: TreeVector, M: float, tol: float):
     )
     if sol.status != "optimal":  # y = x, w = 0 is feasible; values are >= 0
         raise ConvergenceError(f"norm LP ended with status {sol.status}")
-    return D, sol
+    return D, layout, sol
 
 
 def tree_norm_functional(x: TreeVector, M: float, tol: float = DUALITY_TOL):
@@ -212,16 +267,15 @@ def tree_norm_functional(x: TreeVector, M: float, tol: float = DUALITY_TOL):
 
     Returns (primal, phi) where primal is the decomposition-LP value and
     phi is the dual functional read off the LP row multipliers, clamped
-    into [-M, M] and validated.
+    into [-M, M] and validated, over the closure in label order.
     """
     _check_tree_indices(x)
     if not 0.0 < M < np.inf:
         raise ValueError(f"need M > 0 and finite, got {M}")
     if not x:
         return 0.0, DualFunctional(values={}, scale=M)
-    D, sol = _primal_lp(x, M, tol)
-    phi_vals = dict(zip(D, np.clip(sol.dual, -M, M).tolist()))
-    phi = DualFunctional(values=phi_vals, scale=M).validate(tol=tol)
+    D, layout, sol = _primal_lp(x, M, tol)
+    phi = DualFunctional._of(D, np.clip(sol.dual, -M, M), M, layout).validate(tol=tol)
     return float(sol.value), phi
 
 
@@ -234,7 +288,7 @@ def tree_norm(x: TreeVector, M: float, tol: float = DUALITY_TOL) -> tuple[float,
     an inconsistency rather than returned.
     """
     primal, phi = tree_norm_functional(x, M, tol)
-    dual = functional_eval(phi, x) if phi.values else 0.0
+    dual = functional_eval(phi, x)
     gap = primal - dual
     if gap < -tol or gap > tol:
         raise ConvergenceError(
@@ -260,28 +314,35 @@ def extend_phi(
 
     E must be closed under children and phi0 must satisfy the dual-ball
     constraints on it.  New leaves default to -M; new pairs take the
-    exact midpoint of their children (defect zero), processed upward by
-    level.  Only the extension is validated: the new values can break no
-    constraint, and E's labels come first, so a violation on E raises
-    the same error it would on phi0 alone.
+    exact midpoint of their children (defect zero), filled one level at
+    a time: children have lower levels, so a level reads only values
+    already set.  The result lists E's labels first, in phi0's order,
+    then the new ones in label order, and is validated: the new values
+    can break no constraint, so a violation on E raises the same error
+    it would on phi0 restricted to E.
     """
     M = phi0.scale
     E = set(E)
     for lab in E:
         if not lab.is_leaf and not (lab.left in E and lab.right in E):
             raise ValueError(f"{lab!r} is in E but its children are not")
-        if lab not in phi0.values:
+        if lab not in phi0:
             raise ValueError(f"phi0 is undefined on {lab!r} in E")
-    values = {l: phi0.values[l] for l in E}
+    head = [lab for lab in phi0.labels if lab in E]
     # E is closed under children, so the closure of universe | E is E
     # together with the closure of the rest.
-    domain = downward_closure(set(universe) - E) | E
-    for lab in sorted(domain - E, key=label_sort_key):
-        if lab.is_leaf:
-            values[lab] = -M
-        else:
-            values[lab] = 0.5 * (values[lab.left] + values[lab.right])
-    return DualFunctional(values=values, scale=M).validate()
+    new = sorted(downward_closure(set(universe) - E) - E, key=label_sort_key)
+    labels = head + new
+    layout = _layout(labels)
+    _, pairs, left, right = layout
+    v = np.full(len(labels), -float(M))
+    v[: len(head)] = phi0.array[[phi0._pos[lab] for lab in head]]
+    k = int(np.searchsorted(pairs, len(head)))  # pairs[k:] are the new pairs
+    levels = [labels[j].level for j in pairs.tolist()]
+    cuts = [i for i in range(k + 1, len(pairs)) if levels[i] != levels[i - 1]]
+    for lo, hi in zip([k, *cuts], [*cuts, len(pairs)]):
+        v[pairs[lo:hi]] = 0.5 * (v[left[lo:hi]] + v[right[lo:hi]])
+    return DualFunctional._of(labels, v, M, layout).validate()
 
 
 def build_phi(a: TreeLabel, M: int, universe: set[TreeLabel]) -> DualFunctional:
@@ -290,31 +351,20 @@ def build_phi(a: TreeLabel, M: int, universe: set[TreeLabel]) -> DualFunctional:
 
     phi(a) = M; leaves outside the closure of a get -M; a label d in the
     closure at hitting order k gets at least max(M - k, -M), leaves
-    exactly that, pairs the recursive value min(M, midpoint + 1).
+    exactly that, pairs the recursive value min(M, midpoint + 1).  The
+    closure of a, a handful of labels, is filled first; ``extend_phi``
+    fills the rest of the closure of universe | {a}.
     """
     if isinstance(M, bool) or not isinstance(M, int) or M < 1:
         raise ValueError(f"the scale must be a positive integer, got {M!r}")
-    return _norming_functional(a, M, downward_closure(set(universe) | {a}))
-
-
-def _norming_functional(a: TreeLabel, M: int, domain: set[TreeLabel]) -> DualFunctional:
-    """build_phi on a domain already closed under children and holding a."""
-    E_a = downward_closure({a})
-    orders = _orders(a)
+    orders = {lab: k for k, cls in order_classes(a).items() for lab in cls}
     phi0: dict[TreeLabel, float] = {}
-    for lab in sorted(E_a, key=label_sort_key):
+    for lab in sorted(orders, key=label_sort_key):
         if lab.is_leaf:
             phi0[lab] = float(max(M - orders[lab], -M))
         else:
-            phi0[lab] = min(
-                float(M), 0.5 * (phi0[lab.left] + phi0[lab.right]) + 1.0
-            )
-    E = set(E_a)
-    for lab in domain:
-        if lab.is_leaf and lab not in E:
-            phi0[lab] = float(-M)
-            E.add(lab)
-    return extend_phi(E, DualFunctional(values=phi0, scale=float(M)), domain)
+            phi0[lab] = min(float(M), 0.5 * (phi0[lab.left] + phi0[lab.right]) + 1.0)
+    return extend_phi(phi0.keys(), DualFunctional(values=phi0, scale=float(M)), universe)
 
 
 def haus_experiment(
@@ -327,6 +377,12 @@ def haus_experiment(
     evaluates it at e_a - (1/N) sum e_k; each value is a lower bound on
     the corresponding norm, and every one is at least
     2M - 2^(2M+1) M / N.  Returns the minimum over candidates.
+
+    Only the closure C of the candidates is stored and validated.  The
+    fresh leaves, those of 1..N outside C, are never made: the norming
+    functional is -M on each of them, a value that needs no check since
+    |-M| <= M and no pair of C has a fresh leaf as a child.  Together
+    they add their exact share, fresh * M / N, to every value.
     """
     if isinstance(M, bool) or not isinstance(M, int) or M < 1:
         raise ValueError(f"the scale must be a positive integer, got {M!r}")
@@ -336,19 +392,20 @@ def haus_experiment(
         raise ValueError(f"need N >= 1, got {N}")
     if candidates is not None and not candidates:
         raise ValueError("need at least one candidate")
-    leaves = [leaf(i) for i in range(1, N + 1)]
     if candidates is None:
         candidates = [leaf(N + 1)]
         if N >= 2:
-            candidates.append(pair(leaves[0], leaves[1]))
+            candidates.append(pair(leaf(1), leaf(2)))
         if N >= 3:
-            candidates.append(pair(pair(leaves[0], leaves[1]), leaves[2]))
-    avg = Vector({lab: 1.0 / N for lab in leaves})
-    universe = downward_closure(set(leaves) | set(candidates))
+            candidates.append(pair(pair(leaf(1), leaf(2)), leaf(3)))
+    closure = downward_closure(candidates)
+    averaged = sorted((lab for lab in closure if lab.is_leaf and lab.index <= N), key=lambda lab: lab.index)
+    avg = Vector({lab: 1.0 / N for lab in averaged})
+    block = (N - len(averaged)) * M / N
     best = None
     for a in candidates:
-        phi = _norming_functional(a, M, universe)
-        value = functional_eval(phi, Vector.unit(a) - avg)
+        phi = build_phi(a, M, closure)
+        value = functional_eval(phi, Vector.unit(a) - avg) + block
         best = value if best is None else min(best, value)
     return float(best)
 

@@ -31,9 +31,15 @@ def origin_barycentric(V: np.ndarray) -> np.ndarray:
 
 
 def random_interior_simplex(rng, n: int, margin: float = 1e-2) -> np.ndarray:
-    """Unit-sphere vertices with the origin comfortably inside."""
+    """Unit-sphere vertices with the origin comfortably inside.
+
+    n random unit vectors plus the unit vector opposite a random positive
+    (Dirichlet) combination of them, so the origin is inside by
+    construction; plain rejection sampling of n + 1 unit vectors accepts
+    only about 2^-n of its draws."""
     while True:
         V = rng.standard_normal((n + 1, n))
+        V[0] = -rng.dirichlet(np.ones(n)) @ V[1:]
         V /= np.linalg.norm(V, axis=1, keepdims=True)
         if origin_barycentric(V).min() > margin:
             return V

@@ -54,6 +54,13 @@ class TestReports:
         assert rep["results"]["bound"] == pytest.approx(3.5)
         assert rep["results"]["certified"] is True
 
+    def test_tree_haus_million_leaves(self, capsys):
+        # The fresh leaves are one block, never made as labels.
+        code, out, _ = run_cli(capsys, "tree-haus", "--M", "3", "--N", "1000000")
+        assert code == 0
+        (rep,) = parse_lines(out)
+        assert rep["results"]["certified"] is True
+
     def test_determinism_modulo_timing(self, capsys):
         def snap():
             code, out, _ = run_cli(

@@ -174,7 +174,7 @@ class TestDistToHull:
 # points the library's sets are built from.  Samples that mix magnitudes
 # far apart (entries near 1e-7 next to entries near 10) are outside this
 # property: there the dense tableau can lose its certificate and raise
-# ConvergenceError (see ROADMAP item 8).
+# ConvergenceError (see ROADMAP item 9).
 coordinates = st.integers(-80, 80).map(lambda k: k / 8.0)
 weights = st.one_of(st.just(0.0), st.floats(0.0, 1.0, allow_subnormal=False))
 

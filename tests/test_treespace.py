@@ -1,10 +1,14 @@
 import concurrent.futures
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from approxconvex import treespace
+import treespace_reference as reference
+from approxconvex import labels, treespace
 from approxconvex.core import Vector
 from approxconvex.optim import ConvergenceError, LPSolution
 from approxconvex.treespace import (
@@ -25,6 +29,7 @@ from approxconvex.treespace import (
     tree_norm_dual_lp,
     tree_norm_functional,
 )
+from approxconvex.labels import label_sort_key
 from conftest import random_tree_vector as closure_vector
 
 
@@ -66,6 +71,50 @@ def highs_dual_ball(linprog, x: Vector, M: float) -> float:
     res = linprog(-xd, A_ub=np.vstack([R, -R]), b_ub=np.ones(2 * len(pairs)), bounds=(-M, M), method="highs")
     assert res.status == 0
     return float(-res.fun)
+
+
+# Labels over leaves 1..6 of level at most 8, and coordinates k/8: every
+# sum and halving the operators make of them is exact in float64.
+tree_labels = st.recursive(
+    st.integers(1, 6).map(leaf),
+    lambda kids: st.tuples(kids, kids).map(lambda t: pair(*t)),
+    max_leaves=8,
+)
+eighths = st.integers(-16, 16).map(lambda k: k / 8.0)
+
+
+@st.composite
+def tree_vectors(draw):
+    labs = draw(st.lists(tree_labels, min_size=1, max_size=5, unique=True))
+    return Vector(dict(zip(labs, draw(st.lists(eighths, min_size=len(labs), max_size=len(labs))))))
+
+
+@st.composite
+def label_functions(draw):
+    """(values, scale, tol): a closed label set in a drawn order, or one
+    with some labels dropped, so that some pairs lack a child; dyadic
+    values within or beyond the scale, a few of them NaN or infinite."""
+    closure = sorted(downward_closure(draw(st.lists(tree_labels, min_size=1, max_size=4))), key=label_sort_key)
+    labs = draw(st.permutations(closure))
+    if draw(st.booleans()):
+        labs = [lab for lab in labs if draw(st.integers(0, 5))]
+    M = draw(st.sampled_from([1.0, 2.0, 3]))
+    value = st.one_of(
+        st.integers(-4 * int(M) - 4, 4 * int(M) + 4).map(lambda k: k / 4.0),
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+    )
+    values = {lab: draw(value) if draw(st.integers(0, 7)) else float(M) for lab in labs}
+    scale = draw(st.sampled_from([M, M, M, M, 0.0, math.nan]))
+    return values, scale, draw(st.sampled_from([0.0, 1e-9, 0.25]))
+
+
+def outcome(phi, tol):
+    """None if phi validates, else the message it raises."""
+    try:
+        phi.validate(tol)
+    except ValueError as err:
+        return str(err)
+    return None
 
 
 class TestLabels:
@@ -159,6 +208,12 @@ class TestOperators:
     def test_rejects_non_tree_vector(self):
         with pytest.raises(ValueError):
             apply_T(Vector({0: 1.0}))
+
+    @given(tree_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_S_and_S_inv_are_inverse_exactly(self, x):
+        assert apply_S_inv(apply_S(x)) == x
+        assert apply_S(apply_S_inv(x)) == x
 
 
 class TestOrderClasses:
@@ -301,6 +356,15 @@ class TestTreeNorm:
         with pytest.raises(ConvergenceError, match="duality gap"):
             tree_norm(x, 2.0)
 
+    @given(tree_vectors(), st.sampled_from([1.0, 2.0, 3.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_sandwich_and_duality_property(self, x, M):
+        tol = treespace.DUALITY_TOL
+        primal, dual = tree_norm(x, M)
+        l1 = sum(abs(v) for _, v in x.items())
+        assert 0.5 * l1 - tol <= primal <= M * l1 + tol
+        assert abs(primal - dual) <= tol
+
     def test_functional_is_certificate(self, rng):
         for _ in range(10):
             x = random_tree_vector(rng)
@@ -347,6 +411,30 @@ class TestDualFunctional:
         with pytest.raises(ValueError, match=rf"finite and positive, got {scale}"):
             DualFunctional(values={}, scale=scale).validate()
 
+    @given(label_functions())
+    @settings(max_examples=400, deadline=None)
+    def test_validate_matches_reference_loop(self, drawn):
+        values, scale, tol = drawn
+        expected = outcome(reference.RefFunctional(values=values, scale=scale), tol)
+        assert outcome(DualFunctional(values=values, scale=scale), tol) == expected
+
+    def test_arrays_follow_the_mapping_order(self):
+        p = pair(leaf(1), leaf(2))
+        phi = DualFunctional(values={p: 0.5, leaf(1): 1.0, leaf(3): -1.0, leaf(2): 0.0}, scale=2.0)
+        assert phi.labels == [p, leaf(1), leaf(3), leaf(2)]
+        assert phi.array.tolist() == [0.5, 1.0, -1.0, 0.0]
+        assert (phi.pairs.tolist(), phi.left.tolist(), phi.right.tolist()) == ([0], [1], [3])
+        assert phi.values == {p: 0.5, leaf(1): 1.0, leaf(3): -1.0, leaf(2): 0.0}
+        assert phi[leaf(3)] == -1.0 and p in phi and leaf(4) not in phi
+        with pytest.raises(KeyError):
+            phi[leaf(4)]
+
+    def test_pair_without_both_children_has_no_defect(self):
+        p = pair(leaf(1), leaf(2))
+        phi = DualFunctional(values={p: 2.0, leaf(1): -2.0}, scale=2.0)
+        assert phi.pairs.size == 0
+        assert phi.validate() is phi
+
     def test_extend_phi_rejects_nan_hypothesis(self):
         p = pair(leaf(1), leaf(2))
         phi0 = DualFunctional(values={leaf(1): math.nan, leaf(2): 1.0, p: 0.0}, scale=2.0)
@@ -385,6 +473,16 @@ class TestExtendPhi:
             phi = extend_phi(E, DualFunctional(values=vals, scale=2.0), universe)
             phi.validate()  # raises on violation
 
+    def test_matches_reference(self, rng):
+        for _ in range(20):
+            a = _join(random_label(rng, 6))
+            E = downward_closure({a})
+            vals = reference.build_phi(a, 2, E).values
+            universe = {_join(random_label(rng, 5)) for _ in range(3)}
+            phi0 = DualFunctional(values=vals, scale=2.0)
+            ref = reference.extend_phi(E, reference.RefFunctional(values=vals, scale=2.0), universe)
+            assert extend_phi(E, phi0, universe).values == ref.values
+
     def test_rejects_open_E(self):
         p = pair(leaf(1), leaf(2))
         with pytest.raises(ValueError, match="children"):
@@ -419,6 +517,14 @@ class TestBuildPhi:
             for k, cls in order_classes(a).items():
                 for d in cls:
                     assert phi[d] >= max(M - k, -M) - 1e-12
+
+    def test_matches_reference(self, rng):
+        for _ in range(30):
+            a = _join(random_label(rng, 8))
+            M = int(rng.integers(1, 5))
+            universe = {_join(random_label(rng, 6)) for _ in range(4)}
+            phi = build_phi(a, M, universe)
+            assert phi.values == reference.build_phi(a, M, universe).values
 
     def test_rejects_non_integer_scale(self):
         with pytest.raises(ValueError):
@@ -475,6 +581,32 @@ class TestHausExperiment:
     def test_custom_candidates(self):
         val = haus_experiment(1, 64, candidates=[leaf(65)])
         assert val == pytest.approx(2.0, abs=1e-12)  # fresh leaf: exact diameter
+
+    @pytest.mark.parametrize("M", [1, 2, 3, 4])
+    def test_matches_reference(self, M):
+        # The fresh leaves add fresh * M / N in one step, where the
+        # reference adds their shares one leaf at a time; the two sums
+        # agree exactly when 1/N is a power of two, and otherwise within
+        # the reference's accumulated rounding.
+        for N in (1, 2, 3, 5, 64, 100, 1000):
+            callers = [pair(leaf(N + 1), leaf(1)), leaf(1), pair(pair(leaf(2), leaf(N + 2)), pair(leaf(1), leaf(1)))]
+            for candidates in (None, callers):
+                value = haus_experiment(M, N, candidates)
+                expected = reference.haus_experiment(M, N, candidates)
+                if N & (N - 1) == 0:
+                    assert value == expected
+                else:
+                    assert abs(value - expected) <= 4 * N * np.finfo(float).eps * abs(expected)
+
+    def test_million_leaves_in_bounded_memory(self):
+        M, N = 3, 10**6
+        before = len(labels._LEAVES)
+        start = time.perf_counter()
+        value = haus_experiment(M, N)
+        assert time.perf_counter() - start < 1.0
+        assert value >= 2 * M - 2 ** (2 * M + 1) * M / N
+        closure = downward_closure({leaf(N + 1), pair(pair(leaf(1), leaf(2)), leaf(3))})
+        assert len(labels._LEAVES) - before <= len(closure)
 
     def test_validation(self):
         with pytest.raises(ValueError):
