@@ -44,6 +44,7 @@ _UNIT_TOL = 1e-9
 _INTERIOR_TOL = 1e-10
 _JITTER = 1e-8
 _TIE_TOL = 1e-12
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def _origin_barycentric(V: np.ndarray) -> np.ndarray:
     m = V.shape[0]
     spread = V[1:] - V[0]
     U, sv, Wt = np.linalg.svd(spread, full_matrices=False)
-    cutoff = np.finfo(float).eps * max(spread.shape) * sv[0]
+    cutoff = _EPS * max(spread.shape) * sv[0]
     inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
     step = U @ (inv * (Wt @ (V.sum(axis=0) / -m)))
     lam = np.concatenate(([1.0 / m - step.sum()], 1.0 / m + step))
@@ -87,6 +88,12 @@ def _origin_barycentric(V: np.ndarray) -> np.ndarray:
     if sv[-1] <= 1e-12 * max(1.0, sv[0]) or sv[0] / max(sv[-1], 1e-300) > 1e12:
         raise ValueError("degenerate simplex: vertices are affinely dependent")
     return lam
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=1) for a real X, bit for bit (numpy's own
+    formula for it), without its per-call dispatch."""
+    return np.sqrt(np.add.reduce(X * X, axis=1))
 
 
 def _simplex_rows(P: np.ndarray, what: str) -> None:
@@ -107,7 +114,7 @@ def _validated(vertices) -> np.ndarray:
     if V.ndim != 2 or V.shape[0] < 2:
         raise ValueError("need at least two vertices")
     _simplex_rows(V, "vertex")
-    norms = np.linalg.norm(V, axis=1)
+    norms = _row_norms(V)
     if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
         raise ValueError("vertices must lie on the unit sphere")
     lam = _origin_barycentric(V)
@@ -115,18 +122,20 @@ def _validated(vertices) -> np.ndarray:
         # Mirror the boundary case by a deterministic jitter and retry.
         rng = np.random.default_rng(0)
         W = V + _JITTER * rng.standard_normal(V.shape)
-        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        W /= _row_norms(W)[:, None]
         lam = _origin_barycentric(W)
         if lam.min() <= 0.0:
-            raise ValueError("origin is not strictly inside the simplex")
+            raise ValueError("origin is not strictly inside the hull of the vertices")
         V = W
     return V
 
 
-def _facet_bounds(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _facet_bounds(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lower bounds on the distance from the origin to the hull of each
-    facet of the simplex with vertex rows C, and the barycentric gradients
-    they come from; entry (row) a is for the facet without vertex a.
+    facet of the simplex with vertex rows C, the barycentric gradients
+    they come from, and the barycentric coordinates beta = 1 - <g_i, v_i>
+    of the origin's projection onto the simplex's affine hull, which
+    _facet_foot needs; entry (row) a is for the facet without vertex a.
 
     With E = C[1:] - C[0], one solve with the Gram matrix E E^T gives the
     gradients of lambda_1, lambda_2, ... within the affine hull, the rows
@@ -141,20 +150,21 @@ def _facet_bounds(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is the distance to the nearest facet's hyperplane, whose foot lies in
     that facet.
     """
-    d = C.shape[1]
+    m, d = C.shape
     E = C[1:] - C[0]
+    grads = np.empty_like(C)
     try:
-        grads = np.linalg.solve(E @ E.T, E)
+        grads[1:] = np.linalg.solve(E @ E.T, E)
     except np.linalg.LinAlgError:
-        grads = np.full_like(E, np.nan)
-    grads = np.vstack([-grads.sum(axis=0), grads])
-    nu = -grads / np.linalg.norm(grads, axis=1, keepdims=True)
+        grads[1:] = np.nan
+    grads[0] = -grads[1:].sum(axis=0)
+    nu = -grads / _row_norms(grads)[:, None]
     dots = C @ nu.T
-    np.fill_diagonal(dots, np.inf)
+    dots.flat[:: m + 1] = np.inf
     lo = dots.min(axis=0)
-    eps = np.finfo(float).eps
-    bounds = lo - eps * (d * np.linalg.norm(C, axis=1).max() + (d + 3) * np.abs(lo))
-    return np.where(np.isfinite(bounds) & (bounds > 0.0), bounds, 0.0), grads
+    bounds = lo - _EPS * (d * _row_norms(C).max() + (d + 3) * np.abs(lo))
+    beta = 1.0 - np.einsum("ij,ij->i", grads, C)
+    return np.where(np.isfinite(bounds) & (bounds > 0.0), bounds, 0.0), grads, beta
 
 
 def _nearest_on_facet(C: np.ndarray, a: int) -> tuple[float, np.ndarray]:
@@ -166,22 +176,20 @@ def _nearest_on_facet(C: np.ndarray, a: int) -> tuple[float, np.ndarray]:
 
 
 def _facet_foot(
-    C: np.ndarray, grads: np.ndarray, a: int, bound: float
+    C: np.ndarray, grads: np.ndarray, beta: np.ndarray, a: int, bound: float
 ) -> tuple[float, np.ndarray]:
     """What _nearest_on_facet(C, a) returns, from the closed-form foot of
     the origin on the facet's affine hull wherever that foot is certified.
 
-    beta = 1 - <g_i, v_i> are the barycentric coordinates of the origin's
-    projection onto the simplex's affine hull; stepping from there along
-    -g_a until lambda_a = 0 reaches the foot, with weights
-    w = beta - (beta_a / G_aa) G[a], G = grads grads^T.  When w >= 0 the
-    foot q lies in the facet, so f = ||q||^2 >= f*, the squared distance,
-    while bound^2 <= f* (see _facet_bounds).  The foot is accepted when
-    f - bound^2 <= 1e-13, the tolerance the kernel is given, so
-    f - f* <= 1e-13 as from the kernel.  Any other facet goes to the
-    kernel.
+    Stepping from the origin's projection onto the simplex's affine hull,
+    with barycentric coordinates beta, along -g_a until lambda_a = 0
+    reaches the foot, with weights w = beta - (beta_a / G_aa) G[a],
+    G = grads grads^T.  When w >= 0 the foot q lies in the facet, so
+    f = ||q||^2 >= f*, the squared distance, while bound^2 <= f* (see
+    _facet_bounds).  The foot is accepted when f - bound^2 <= 1e-13, the
+    tolerance the kernel is given, so f - f* <= 1e-13 as from the kernel.
+    Any other facet goes to the kernel.
     """
-    beta = 1.0 - np.einsum("ij,ij->i", grads, C)
     g = grads @ grads[a]
     w = beta - (beta[a] / g[a]) * g
     w[a] = 0.0
@@ -206,25 +214,26 @@ def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
     nor tie with the nearest.
     """
     idx = list(range(V.shape[0]))
-    coords = V.copy()
+    coords = V
     chain = [tuple(idx)]
     while len(idx) - 1 > stop_dim:
         order = range(len(idx) - 1, -1, -1)  # idx ascends: largest index first
-        bounds, grads = _facet_bounds(coords)
-        first = int(np.argmin(bounds))
-        solved = {first: _facet_foot(coords, grads, first, bounds[first])}
+        bounds, grads, beta = _facet_bounds(coords)
+        bounds = bounds.tolist()
+        first = bounds.index(min(bounds))
+        solved = {first: _facet_foot(coords, grads, beta, first, bounds[first])}
         cutoff = solved[first][0] + _TIE_TOL
         for a in order:
             if a not in solved and bounds[a] ** 2 <= cutoff:
-                solved[a] = _facet_foot(coords, grads, a, bounds[a])
+                solved[a] = _facet_foot(coords, grads, beta, a, bounds[a])
         f_min = min(f for f, _ in solved.values())
         best_a = next(a for a in order if a in solved and solved[a][0] <= f_min + _TIE_TOL)
         best_q = solved[best_a][1]
         rows = [r for r in range(len(idx)) if r != best_a]
         coords = coords[rows] - best_q
-        norms = np.linalg.norm(coords, axis=1, keepdims=True)
+        norms = _row_norms(coords)
         norms[norms == 0.0] = 1.0
-        coords = coords / norms
+        coords = coords / norms[:, None]
         idx = [idx[r] for r in rows]
         chain.append(tuple(idx))
     return chain
@@ -283,10 +292,10 @@ def near_face(vertices, k: int) -> FaceResult:
     array, on the unit sphere with the origin strictly inside; inputs
     on the boundary within 1e-10 are jittered by 1e-8 and retried.
     """
-    V = _validated(vertices)
-    n = V.shape[0] - 1
+    n = len(vertices) - 1 if np.ndim(vertices) else 0
     if not 0 <= k <= n - 1:
         raise ValueError(f"near_face needs 0 <= k <= n-1, got k={k} for n={n}")
+    V = _validated(vertices)
     return _face(V, _descend(V, k)[-1])
 
 
@@ -315,6 +324,17 @@ def best_subset(points, j: int) -> FaceResult:
     Normalizes the points onto the sphere, finds a near (j-1)-face there,
     and reports the distance for the original (un-normalized) subset,
     which can only be smaller.
+
+    One barycentric check, _validated's on the normalized points v_i =
+    p_i / r_i, decides hull membership: scaling rows by positive factors
+    keeps the origin in (or out of) the hull.  If 0 = sum mu_i v_i + e
+    with mu on the simplex, then sum (mu_i / r_i) p_i = -e, and dividing
+    by s = sum mu_i / r_i >= 1 / (1 + 1e-9) puts the origin within
+    (1 + 1e-9) |e| of the hull of the p_i.  Here |e| is at most the
+    affine residual _origin_barycentric admits (1e-7; rounding for n + 1
+    points in R^n) plus, on the jitter path, the largest move
+    |v_i - w_i| <= 1e-8 |z_i| / (1 - 1e-8 |z_i|) of a vertex, with z the
+    fixed jitter draw (|z_i| < 3.7 for n <= 9).
     """
     P = np.array(points, dtype=float)
     if P.ndim != 2:
@@ -323,13 +343,10 @@ def best_subset(points, j: int) -> FaceResult:
     if not 1 <= j <= n:
         raise ValueError(f"best_subset needs 1 <= j <= n, got j={j} for n={n}")
     _simplex_rows(P, "point")
-    norms = np.linalg.norm(P, axis=1)
+    norms = _row_norms(P)
     if np.any(norms < 1e-12):
         raise ValueError("zero vector cannot be normalized onto the sphere")
     if np.any(norms > 1.0 + _UNIT_TOL):
         raise ValueError("points must lie in the unit ball")
-    _, hull_dist = min_distance_over_simplex(P.T, np.zeros(P.shape[1]), tol=1e-9)
-    if hull_dist > 1e-7:
-        raise ValueError(f"origin is {hull_dist:.3e} from the hull of the points")
     V = _validated(P / norms[:, None])
     return _face(P, sorted(_descend(V, j - 1)[-1]))

@@ -241,18 +241,22 @@ class TestExitCodes:
 
     def test_kernel_weights_off_the_simplex_are_numerical(self, capsys, monkeypatch):
         mnp = optim._mnp
+        calls = []
 
         def off_simplex(L, c, stop):
+            calls.append(1)
             lam, f, gap, it = mnp(L, c, stop)
             return lam * (1.0 + 1e-11), f, gap, it
 
         monkeypatch.setattr(optim, "_mnp", off_simplex)
-        # best-subset's hull check always runs the kernel; simplex-face
-        # certifies its faces in closed form and runs it only as a fallback.
+        # best-subset always runs the kernel on its chosen face (_face);
+        # simplex-face certifies its faces in closed form and runs it only
+        # as a fallback.
         code, out, err = run_cli(capsys, "best-subset", "--n", "3", "--trials", "1")
+        assert calls
         assert code == 3
         assert out == ""
-        assert err.startswith("numerical failure: ")
+        assert err.startswith("numerical failure: weights leave the simplex")
 
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "no-such-thing")

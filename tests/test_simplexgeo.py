@@ -11,6 +11,8 @@ from conftest import (
     regular_simplex,
 )
 
+import simplexgeo_reference as reference
+
 from approxconvex import simplexgeo
 from approxconvex.core import NormSpec, Vector
 from approxconvex.hulls import SampledSet, dist_to_hull
@@ -140,10 +142,16 @@ class TestNearFace:
             assert np.abs(lam - origin_barycentric(V)).max() <= 1e-12
             assert np.linalg.norm(lam @ V) <= 1e-14
 
-    def test_k_range(self):
+    def test_k_range(self, monkeypatch):
+        # A bad k is rejected before _validated's SVD, the first real work.
+        def no_svd(*args, **kwargs):
+            raise AssertionError("a bad k reached the SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
         V = regular_simplex(3)
-        with pytest.raises(ValueError):
-            near_face(V, 3)
+        for k in (-1, 3):
+            with pytest.raises(ValueError, match=rf"near_face needs 0 <= k <= n-1, got k={k} for n=3"):
+                near_face(V, k)
 
     def test_boundary_jitter_path(self):
         # Origin exactly on a facet of the square's inscribed triangle:
@@ -213,6 +221,78 @@ class TestBestSubset:
             best_subset(V, 0)
         with pytest.raises(ValueError):
             best_subset(V, 4)
+
+
+def _missing_by(delta, d, Q):
+    """d + 1 unit vectors of R^d, rotated by Q, whose hull misses the
+    origin by delta: a regular facet on the hyperplane <e_0, x> = delta,
+    centred on the origin's foot delta e_0, and the apex e_0 beyond it."""
+    R = regular_simplex(d - 1)
+    base = R @ np.linalg.svd(R)[2][: d - 1].T
+    F = np.column_stack([np.full(d, delta), math.sqrt(1.0 - delta * delta) * base])
+    return np.vstack([np.eye(d)[0], F]) @ Q.T
+
+
+def _decision(call, P, j):
+    """The FaceResult, or the message of the ValueError, of call(P, j)."""
+    try:
+        return call(P, j)
+    except ValueError as exc:
+        return str(exc)
+
+
+BAND = (1e-9, 1e-8, 1e-7, 1e-6, 1e-3)
+
+
+def _band_inputs():
+    """(delta, points) for each band edge, d = 2..6 and 8 rotations."""
+    rng = np.random.default_rng(27)
+    for d in range(2, 7):
+        for _ in range(8):
+            Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            for delta in BAND:
+                yield delta, _missing_by(delta, d, Q)
+
+
+class TestSingleHullCheck:
+    """best_subset decides hull membership by _validated's barycentric
+    check alone; the reference keeps the former kernel check before it."""
+
+    def test_band_edges_decide_as_the_former_check(self):
+        rejected = {delta: 0 for delta in BAND}
+        for delta, P in _band_inputs():
+            new, old = _decision(best_subset, P, 1), _decision(reference.best_subset, P, 1)
+            if isinstance(new, str):
+                assert isinstance(old, str) and "hull" in new
+                rejected[delta] += 1
+            else:
+                assert new == old
+        # The jitter moves each vertex by at most 1e-8 |z| / (1 - 1e-8 |z|)
+        # with |z| < 3 here, so from 1e-7 on it cannot bring the origin in.
+        assert rejected[1e-7] == rejected[1e-6] == rejected[1e-3] == 40
+        assert rejected[1e-9] < 40
+
+    def test_positive_rescaling_keeps_the_decision(self):
+        rng = np.random.default_rng(28)
+        inputs = [P for _, P in _band_inputs()]
+        inputs += [_missing_by(0.0, d, np.linalg.qr(rng.standard_normal((d, d)))[0]) for d in range(2, 7)]
+        inputs += [_interior_simplex(rng, 2 + i % 5) for i in range(20)]
+        for P in inputs:
+            accepted = not isinstance(_decision(best_subset, P, 1), str)
+            for _ in range(3):
+                scaled = P * rng.uniform(0.4, 1.0, size=(P.shape[0], 1))
+                assert (not isinstance(_decision(best_subset, scaled, 1), str)) == accepted
+
+    def test_origin_on_a_facet_takes_the_jitter_path(self, monkeypatch):
+        V = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        P = V * np.array([[0.5], [0.9], [0.7]])
+        calls = _count_calls(monkeypatch, "_origin_barycentric")
+        for j in (1, 2):
+            calls.clear()
+            res = best_subset(P, j)
+            assert len(calls) == 2
+            assert res.vertex_index_set == near_face(V, j - 1).vertex_index_set
+            assert res == reference.best_subset(P, j)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -321,7 +401,7 @@ class TestPrunedDescent:
         levels = []
 
         def check(coords, values):
-            bounds, _ = simplexgeo._facet_bounds(coords)
+            bounds = simplexgeo._facet_bounds(coords)[0]
             for a, f in values.items():
                 assert bounds[a] <= math.sqrt(f)
             # The least bound is the nearest facet's exact distance, to
@@ -367,10 +447,10 @@ class TestFacetFeet:
         assert np.linalg.solve(base.T, [0.0, 0.0, -0.6]).min() < 0.0
         top = -base.mean(axis=0)
         C = np.vstack([top / np.linalg.norm(top), base])
-        bounds, grads = simplexgeo._facet_bounds(C)
+        bounds, grads, beta = simplexgeo._facet_bounds(C)
         nearest = simplexgeo._nearest_on_facet
         calls = _count_calls(monkeypatch, "_nearest_on_facet")
-        f, q = simplexgeo._facet_foot(C, grads, 0, bounds[0])
+        f, q = simplexgeo._facet_foot(C, grads, beta, 0, bounds[0])
         assert len(calls) == 1
         f_kernel, q_kernel = nearest(C, 0)
         assert f == f_kernel
@@ -385,8 +465,8 @@ class TestFacetFeet:
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        bounds, grads = simplexgeo._facet_bounds(simplices[0])
-        assert np.array_equal(bounds, np.zeros(3)) and np.isnan(grads).all()
+        bounds, grads, beta = simplexgeo._facet_bounds(simplices[0])
+        assert np.array_equal(bounds, np.zeros(3)) and np.isnan(grads).all() and np.isnan(beta).all()
         for V in simplices:
             chain = _reference_descend(simplexgeo._validated(V), 0)
             expected = [tuple(sorted(sub)) for sub in reversed(chain[1:])]
@@ -398,10 +478,10 @@ class TestFacetFeet:
         least_accepted = []
 
         def check(coords, values):
-            bounds, grads = simplexgeo._facet_bounds(coords)
+            bounds, grads, beta = simplexgeo._facet_bounds(coords)
             for a, f_kernel in values.items():
                 before = len(fallbacks)
-                f, _ = simplexgeo._facet_foot(coords, grads, a, bounds[a])
+                f, _ = simplexgeo._facet_foot(coords, grads, beta, a, bounds[a])
                 if len(fallbacks) == before:
                     lower2 = bounds[a] ** 2
                     assert lower2 <= f <= lower2 + 1e-13
@@ -476,3 +556,58 @@ class TestChainDistances:
         assert [res.vertex_index_set for res in results] == [res.vertex_index_set for res in expected]
         for res, ref in zip(results, expected):
             assert abs(res.distance - ref.distance) <= 1e-11
+
+
+class TestSameAsReference:
+    """The descent computes what it computed before its per-level numpy
+    calls were trimmed (tests/simplexgeo_reference.py), bit for bit."""
+
+    def _assert_same_descent(self, V):
+        coords = V
+        while True:
+            bounds, grads, beta = simplexgeo._facet_bounds(coords)
+            ref_bounds, ref_grads = reference.facet_bounds(coords)
+            assert np.array_equal(bounds, ref_bounds)
+            assert np.array_equal(grads, ref_grads, equal_nan=True)
+            for a, bound in enumerate(bounds.tolist()):
+                f, q = simplexgeo._facet_foot(coords, grads, beta, a, bound)
+                ref_f, ref_q = reference.facet_foot(coords, ref_grads, a, ref_bounds[a])
+                assert f == ref_f and np.array_equal(q, ref_q)
+            if coords.shape[0] == 2:
+                break
+            coords = coords[:-1] - q  # the facet without the last vertex, recentred
+            coords = coords / np.linalg.norm(coords, axis=1, keepdims=True)
+        assert simplexgeo._descend(V, 0) == reference.descend(V, 0)
+
+    def test_random_interior_simplices(self):
+        rng = np.random.default_rng(29)
+        for i in range(160):
+            self._assert_same_descent(_interior_simplex(rng, 2 + i % 8))
+
+    def test_regular_simplices(self):
+        for n in range(2, 10):
+            self._assert_same_descent(regular_simplex(n))
+
+    def test_jittered_inputs(self):
+        rng = np.random.default_rng(30)
+        inputs = [np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])]
+        inputs += [_missing_by(0.0, d, np.linalg.qr(rng.standard_normal((d, d)))[0]) for d in range(2, 7)]
+        jittered = 0
+        for P in inputs:
+            try:
+                V = simplexgeo._validated(P)
+            except ValueError:
+                continue
+            jittered += not np.array_equal(V, P)
+            self._assert_same_descent(V)
+            for k in range(V.shape[0] - 1):
+                assert near_face(P, k) == simplexgeo._face(V, reference.descend(V, k)[-1])
+        assert jittered >= 2
+
+    def test_scaled_best_subset_inputs(self):
+        rng = np.random.default_rng(31)
+        for i in range(60):
+            n = 2 + i % 5
+            P = _interior_simplex(rng, n) * rng.uniform(0.4, 1.0, size=(n + 1, 1))
+            for j in range(1, n + 1):
+                assert best_subset(P, j) == reference.best_subset(P, j)
