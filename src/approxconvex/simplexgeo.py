@@ -11,22 +11,23 @@ computed by the minimum-norm-point quadratic kernel, so that the module
 shares the hull distances' code path.  Vertices and points are the rows
 of a dense array.
 
-At each level one solve with the Gram matrix of the edges gives every
-barycentric gradient (Wolfe's affine step for all facets at once).  From
-them come a certified lower bound on each facet's distance and, in closed
-form, the foot of the origin on each facet's affine hull.  Only the
-facets whose bound does not rule them out of a tie with the nearest are
+All affine algebra comes from one Cholesky factor of the edge Gram
+matrix per simplex: the input's, which validates it and serves the
+descent's first level; each lower level's; and a chain's largest face's.
+At each level the factor gives every barycentric gradient and, from them,
+a certified lower bound on each facet's distance and, in closed form,
+the foot of the origin on each facet's affine hull.  Only the facets
+whose bound does not rule them out of a tie with the nearest are
 evaluated.  A foot inside its facet whose squared norm is within the
 kernel's tolerance of the squared bound is the facet's nearest point;
 any other facet goes to the kernel.
 
 The faces of a chain are nested, each one vertex more than the last, so
-one Cholesky factor of the edge Gram matrix of the largest gives the
-affine foot of the origin on every face (the leading block of the factor
-is the factor of the leading block).  A foot whose weights are
-nonnegative is the face's nearest point (Wolfe 1976); it is accepted
-when its Frank-Wolfe gap meets the kernel's own stop rule, and any other
-face goes to the kernel.
+the leading blocks of the largest face's factor give the affine foot of
+the origin on every face.  A foot whose weights are nonnegative is the
+face's nearest point (Wolfe 1976); it is accepted when its Frank-Wolfe
+gap meets the kernel's own stop rule, and any other face goes to the
+kernel.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ __all__ = ["FaceResult", "alpha", "near_face", "face_chain", "best_subset"]
 
 _UNIT_TOL = 1e-9
 _INTERIOR_TOL = 1e-10
-_JITTER = 1e-8
+_SHIFT = 1e-8
 _TIE_TOL = 1e-12
 _EPS = np.finfo(float).eps
 
@@ -65,29 +66,43 @@ def alpha(n: int, k: int) -> float:
     return math.sqrt((n - k) / (n * (k + 1)))
 
 
-def _origin_barycentric(V: np.ndarray) -> np.ndarray:
-    """Affine coordinates of the origin; rejects degenerate input or an
-    origin outside the affine hull.
+def _edge_factor(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The barycentric gradients g of the simplex with vertex rows P, the
+    affine coordinates beta of the origin's foot on its affine hull, and
+    L^-1, from one Cholesky factor L L^T = E E^T, E = P[1:] - P[0].
 
-    One SVD U s W^T of the edges V[1:] - V[0] gives both: the coordinates
-    as the minimum-norm least-squares step from the barycenter (singular
-    values up to eps max(m - 1, d) s_0 count as zero, as in lstsq), and
-    the degeneracy test on s."""
-    m = V.shape[0]
-    spread = V[1:] - V[0]
-    U, sv, Wt = np.linalg.svd(spread, full_matrices=False)
-    cutoff = _EPS * max(spread.shape) * sv[0]
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > cutoff)
-    step = U @ (inv * (Wt @ (V.sum(axis=0) / -m)))
-    lam = np.concatenate(([1.0 / m - step.sum()], 1.0 / m + step))
-    resid = float(np.linalg.norm(V.T @ lam))
-    if resid > 1e-7:
-        raise ValueError(
-            f"origin is {resid:.3e} from the affine hull of the vertices"
-        )
-    if sv[-1] <= 1e-12 * max(1.0, sv[0]) or sv[0] / max(sv[-1], 1e-300) > 1e12:
+    g[1:] = (E E^T)^-1 E = L^-T (L^-1 E) and g[0] = -sum(g[1:]) (Wolfe's
+    affine step for every facet at once).  beta = e_0 - g v_0 sums to one
+    up to rounding, and one refinement beta -= g (P^T beta) takes back
+    what the Gram matrix's squared condition number costs.  A failed
+    factorization gives NaN throughout, which certifies nothing."""
+    E = P[1:] - P[0]
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(E @ E.T))
+    except np.linalg.LinAlgError:
+        Linv = np.full((len(E), len(E)), np.nan)
+    grads = np.empty_like(P)
+    grads[1:] = Linv.T @ (Linv @ E)
+    grads[0] = -grads[1:].sum(axis=0)
+    beta = -(grads @ P[0])
+    beta[0] += 1.0
+    beta -= grads @ (beta @ P)
+    return grads, beta, Linv
+
+
+def _origin_factor(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_edge_factor(V), rejecting an origin more than 1e-7 (|V^T beta|)
+    from the affine hull, and a degenerate simplex: a failed factor or a
+    least Cholesky height 1/|L^-1_kk| at most 1e-6 max(1, the largest),
+    since rounding in E E^T can leave heights near 1e-7 on a flat one."""
+    factor = _edge_factor(V)
+    heights = 1.0 / np.abs(np.diagonal(factor[2]))
+    if not heights.min() > 1e-6 * max(1.0, heights.max()):  # NaN rejects
         raise ValueError("degenerate simplex: vertices are affinely dependent")
-    return lam
+    resid = float(np.linalg.norm(V.T @ factor[1]))
+    if resid > 1e-7:
+        raise ValueError(f"origin is {resid:.3e} from the affine hull of the vertices")
+    return factor
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
@@ -98,9 +113,9 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 def _simplex_rows(P: np.ndarray, what: str) -> None:
     """Reject more rows than a simplex in R^d has vertices, d + 1, which
-    are affinely dependent however they lie (the degeneracy test sees
-    only d singular values of their edges), and NaN and inf, which pass
-    every norm check (NaN compares false)."""
+    are affinely dependent however they lie (only the degeneracy test
+    would see it, without saying why), and NaN and inf, which pass every
+    norm check (NaN compares false)."""
     m, d = P.shape
     if m > d + 1:
         raise ValueError(f"got {m} {what} rows in R^{d}: more than d + 1 = {d + 1} are affinely dependent")
@@ -109,7 +124,12 @@ def _simplex_rows(P: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} {i} has coordinate {k} = {P[i, k]}, not finite")
 
 
-def _validated(vertices) -> np.ndarray:
+def _validated(vertices) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The vertices as an array and their _edge_factor.  An origin with a
+    coordinate below 1e-10 is retried on the rows of V - 1e-8 mean(V),
+    renormalized, where its coordinates (1 - 1e-8) lambda + 1e-8 / m are
+    positive (before the positive row scaling, which keeps them so), each
+    vertex moving by at most 2e-8 / (1 - 1e-8)."""
     V = np.array(vertices, dtype=float)
     if V.ndim != 2 or V.shape[0] < 2:
         raise ValueError("need at least two vertices")
@@ -117,54 +137,37 @@ def _validated(vertices) -> np.ndarray:
     norms = _row_norms(V)
     if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
         raise ValueError("vertices must lie on the unit sphere")
-    lam = _origin_barycentric(V)
-    if lam.min() < _INTERIOR_TOL:
-        # Mirror the boundary case by a deterministic jitter and retry.
-        rng = np.random.default_rng(0)
-        W = V + _JITTER * rng.standard_normal(V.shape)
-        W /= _row_norms(W)[:, None]
-        lam = _origin_barycentric(W)
-        if lam.min() <= 0.0:
+    factor = _origin_factor(V)
+    if factor[1].min() < _INTERIOR_TOL:
+        V = V - _SHIFT * V.mean(axis=0)
+        V /= _row_norms(V)[:, None]
+        factor = _origin_factor(V)
+        if factor[1].min() <= 0.0:
             raise ValueError("origin is not strictly inside the hull of the vertices")
-        V = W
-    return V
+    return V, factor
 
 
-def _facet_bounds(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _facet_bounds(C: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Lower bounds on the distance from the origin to the hull of each
-    facet of the simplex with vertex rows C, the barycentric gradients
-    they come from, and the barycentric coordinates beta = 1 - <g_i, v_i>
-    of the origin's projection onto the simplex's affine hull, which
-    _facet_foot needs; entry (row) a is for the facet without vertex a.
+    facet of the simplex with vertex rows C, from its barycentric
+    gradients (_edge_factor); entry a is for the facet without vertex a.
 
-    With E = C[1:] - C[0], one solve with the Gram matrix E E^T gives the
-    gradients of lambda_1, lambda_2, ... within the affine hull, the rows
-    of (E E^T)^-1 E; that of lambda_0 is minus their sum.  With nu the
-    unit vector along -grad lambda_a, every point y of facet a has
-    ||y|| >= <nu, y> >= min over the facet's vertices of <nu, v>
-    (Cauchy-Schwarz), however inaccurate the solve.  The bound subtracts
-    twice the worst-case rounding, with u = eps/2 in dimension d: d u ||v||
-    in each product and (d + 3) u |<nu, v>| from the norm of nu.  A
-    singular Gram matrix gives NaN gradients; non-finite or negative
-    bounds become 0.  For an origin inside the simplex, the least bound
-    is the distance to the nearest facet's hyperplane, whose foot lies in
-    that facet.
+    With nu the unit vector along -grad lambda_a, every point y of facet
+    a has ||y|| >= <nu, y> >= min over the facet's vertices of <nu, v>
+    (Cauchy-Schwarz), however inaccurate the gradients.  The bound
+    subtracts twice the worst-case rounding, with u = eps/2 in dimension
+    d: d u ||v|| in each product and (d + 3) u |<nu, v>| from the norm of
+    nu.  Non-finite or negative bounds become 0.  For an origin inside
+    the simplex, the least bound is the distance to the nearest facet's
+    hyperplane, whose foot lies in that facet.
     """
     m, d = C.shape
-    E = C[1:] - C[0]
-    grads = np.empty_like(C)
-    try:
-        grads[1:] = np.linalg.solve(E @ E.T, E)
-    except np.linalg.LinAlgError:
-        grads[1:] = np.nan
-    grads[0] = -grads[1:].sum(axis=0)
     nu = -grads / _row_norms(grads)[:, None]
     dots = C @ nu.T
     dots.flat[:: m + 1] = np.inf
     lo = dots.min(axis=0)
     bounds = lo - _EPS * (d * _row_norms(C).max() + (d + 3) * np.abs(lo))
-    beta = 1.0 - np.einsum("ij,ij->i", grads, C)
-    return np.where(np.isfinite(bounds) & (bounds > 0.0), bounds, 0.0), grads, beta
+    return np.where(np.isfinite(bounds) & (bounds > 0.0), bounds, 0.0)
 
 
 def _nearest_on_facet(C: np.ndarray, a: int) -> tuple[float, np.ndarray]:
@@ -201,8 +204,9 @@ def _facet_foot(
     return _nearest_on_facet(C, a)
 
 
-def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
-    """Nearest-facet descent; returns the vertex index sets of every
+def _descend(V: np.ndarray, factor: tuple, stop_dim: int) -> list[tuple[int, ...]]:
+    """Nearest-facet descent from V with its _edge_factor ``factor`` (each
+    lower level factors its own); returns the vertex index sets of every
     visited simplex, largest first, down to dimension stop_dim.
 
     At each level the facets are ordered so that the lexicographically
@@ -218,8 +222,10 @@ def _descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
     chain = [tuple(idx)]
     while len(idx) - 1 > stop_dim:
         order = range(len(idx) - 1, -1, -1)  # idx ascends: largest index first
-        bounds, grads, beta = _facet_bounds(coords)
-        bounds = bounds.tolist()
+        if len(chain) > 1:
+            factor = _edge_factor(coords)
+        grads, beta, _ = factor
+        bounds = _facet_bounds(coords, grads).tolist()
         first = bounds.index(min(bounds))
         solved = {first: _facet_foot(coords, grads, beta, first, bounds[first])}
         cutoff = solved[first][0] + _TIE_TOL
@@ -244,8 +250,8 @@ def _prefix_distances(P: np.ndarray) -> list[float | None]:
     the rows of P, k = 0..m-1, or None where the closed form below does
     not certify it.
 
-    With E = P[1:] - P[0] and E E^T = L L^T, the foot of the origin on
-    the affine hull of P[:k + 1] is P[0] + y_k^T E[:k] with
+    With E = P[1:] - P[0] and E E^T = L L^T (_edge_factor), the foot of
+    the origin on the affine hull of P[:k + 1] is P[0] + y_k^T E[:k] with
     y_k = -L_k^-T z_k, z = L^-1 E P[0] and L_k the leading k x k block
     of L, whose inverse is the leading block of L^-1.  So row k - 1 of
     the running sum over the rows of diag(z) L^-1 is -y_k, with zeros
@@ -254,16 +260,11 @@ def _prefix_distances(P: np.ndarray) -> list[float | None]:
     1e-12) and its Frank-Wolfe gap g.w - min g, computed from those
     weights on the rows of P, meets min_distance_over_simplex's stop
     rule at tol 1e-11.  A negative weight means that the nearest point
-    lies on the prefix's boundary; a singular Gram matrix certifies
-    nothing.
+    lies on the prefix's boundary; a failed factor certifies only P[:1].
     """
     m = P.shape[0]
-    E = P[1:] - P[0]
-    try:
-        Linv = np.linalg.inv(np.linalg.cholesky(E @ E.T))
-    except np.linalg.LinAlgError:
-        return [None] * m
-    z = Linv @ (E @ P[0])
+    Linv = _edge_factor(P)[2]
+    z = Linv @ ((P[1:] - P[0]) @ P[0])
     W = np.zeros((m, m))
     W[1:, 1:] = -np.cumsum(Linv * z[:, None], axis=0)
     W[:, 0] = 1.0 - W[:, 1:].sum(axis=1)
@@ -290,13 +291,13 @@ def near_face(vertices, k: int) -> FaceResult:
 
     ``vertices`` are the n+1 simplex vertices, the rows of an (n+1, n)
     array, on the unit sphere with the origin strictly inside; inputs
-    on the boundary within 1e-10 are jittered by 1e-8 and retried.
+    on the boundary within 1e-10 are shifted inward by 1e-8 and retried.
     """
     n = len(vertices) - 1 if np.ndim(vertices) else 0
     if not 0 <= k <= n - 1:
         raise ValueError(f"near_face needs 0 <= k <= n-1, got k={k} for n={n}")
-    V = _validated(vertices)
-    return _face(V, _descend(V, k)[-1])
+    V, factor = _validated(vertices)
+    return _face(V, _descend(V, factor, k)[-1])
 
 
 def face_chain(vertices) -> list[FaceResult]:
@@ -307,8 +308,8 @@ def face_chain(vertices) -> list[FaceResult]:
     factorization gives every distance (_prefix_distances); a face it
     does not certify goes to the kernel.
     """
-    V = _validated(vertices)
-    faces = _descend(V, 0)[:0:-1]  # k = 0..n-1
+    V, factor = _validated(vertices)
+    faces = _descend(V, factor, 0)[:0:-1]  # k = 0..n-1
     order = list(faces[0]) + [(set(big) - set(small)).pop() for small, big in zip(faces, faces[1:])]
     return [
         _face(V, face) if dist is None else FaceResult(tuple(sorted(face)), dist)
@@ -331,10 +332,9 @@ def best_subset(points, j: int) -> FaceResult:
     with mu on the simplex, then sum (mu_i / r_i) p_i = -e, and dividing
     by s = sum mu_i / r_i >= 1 / (1 + 1e-9) puts the origin within
     (1 + 1e-9) |e| of the hull of the p_i.  Here |e| is at most the
-    affine residual _origin_barycentric admits (1e-7; rounding for n + 1
-    points in R^n) plus, on the jitter path, the largest move
-    |v_i - w_i| <= 1e-8 |z_i| / (1 - 1e-8 |z_i|) of a vertex, with z the
-    fixed jitter draw (|z_i| < 3.7 for n <= 9).
+    affine residual _origin_factor admits (1e-7; rounding for n + 1
+    points in R^n) plus, on the boundary retry, the largest move of a
+    vertex, |v_i - w_i| <= 2e-8 / (1 - 1e-8) (see _validated).
     """
     P = np.array(points, dtype=float)
     if P.ndim != 2:
@@ -348,5 +348,5 @@ def best_subset(points, j: int) -> FaceResult:
         raise ValueError("zero vector cannot be normalized onto the sphere")
     if np.any(norms > 1.0 + _UNIT_TOL):
         raise ValueError("points must lie in the unit ball")
-    V = _validated(P / norms[:, None])
-    return _face(P, sorted(_descend(V, j - 1)[-1]))
+    V, factor = _validated(P / norms[:, None])
+    return _face(P, sorted(_descend(V, factor, j - 1)[-1]))

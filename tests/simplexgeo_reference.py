@@ -1,9 +1,11 @@
 """Reference implementations of the near-face descent as the library had
 it before its per-level numpy calls were trimmed, and of `best_subset`
 with its former second hull check (the min-norm-point kernel on all the
-points, rejecting a distance above 1e-7).  Tests compare the library
-with these: bounds, gradients, chains and distances bit for bit, and
-best_subset's accept-or-reject decision.  Not collected by pytest.
+points, rejecting a distance above 1e-7).  The barycentric gradients and
+the origin's coordinates come from the library's own factor routine,
+simplexgeo._edge_factor.  Tests compare the library with these: bounds,
+gradients, chains and distances bit for bit, and best_subset's
+accept-or-reject decision.  Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -14,25 +16,21 @@ from approxconvex import simplexgeo
 from approxconvex.optim import min_distance_over_simplex
 
 
-def facet_bounds(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def facet_bounds(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d = C.shape[1]
-    E = C[1:] - C[0]
-    try:
-        grads = np.linalg.solve(E @ E.T, E)
-    except np.linalg.LinAlgError:
-        grads = np.full_like(E, np.nan)
-    grads = np.vstack([-grads.sum(axis=0), grads])
+    grads, beta, _ = simplexgeo._edge_factor(C)
     nu = -grads / np.linalg.norm(grads, axis=1, keepdims=True)
     dots = C @ nu.T
     np.fill_diagonal(dots, np.inf)
     lo = dots.min(axis=0)
     eps = np.finfo(float).eps
     bounds = lo - eps * (d * np.linalg.norm(C, axis=1).max() + (d + 3) * np.abs(lo))
-    return np.where(np.isfinite(bounds) & (bounds > 0.0), bounds, 0.0), grads
+    return np.where(np.isfinite(bounds) & (bounds > 0.0), bounds, 0.0), grads, beta
 
 
-def facet_foot(C: np.ndarray, grads: np.ndarray, a: int, bound: float) -> tuple[float, np.ndarray]:
-    beta = 1.0 - np.einsum("ij,ij->i", grads, C)
+def facet_foot(
+    C: np.ndarray, grads: np.ndarray, beta: np.ndarray, a: int, bound: float
+) -> tuple[float, np.ndarray]:
     g = grads @ grads[a]
     w = beta - (beta[a] / g[a]) * g
     w[a] = 0.0
@@ -50,13 +48,13 @@ def descend(V: np.ndarray, stop_dim: int) -> list[tuple[int, ...]]:
     chain = [tuple(idx)]
     while len(idx) - 1 > stop_dim:
         order = range(len(idx) - 1, -1, -1)
-        bounds, grads = facet_bounds(coords)
+        bounds, grads, beta = facet_bounds(coords)
         first = int(np.argmin(bounds))
-        solved = {first: facet_foot(coords, grads, first, bounds[first])}
+        solved = {first: facet_foot(coords, grads, beta, first, bounds[first])}
         cutoff = solved[first][0] + simplexgeo._TIE_TOL
         for a in order:
             if a not in solved and bounds[a] ** 2 <= cutoff:
-                solved[a] = facet_foot(coords, grads, a, bounds[a])
+                solved[a] = facet_foot(coords, grads, beta, a, bounds[a])
         f_min = min(f for f, _ in solved.values())
         best_a = next(
             a for a in order if a in solved and solved[a][0] <= f_min + simplexgeo._TIE_TOL
@@ -88,5 +86,5 @@ def best_subset(points, j: int) -> simplexgeo.FaceResult:
     _, hull_dist = min_distance_over_simplex(P.T, np.zeros(P.shape[1]), tol=1e-9)
     if hull_dist > 1e-7:
         raise ValueError(f"origin is {hull_dist:.3e} from the hull of the points")
-    V = simplexgeo._validated(P / norms[:, None])
+    V = simplexgeo._validated(P / norms[:, None])[0]
     return simplexgeo._face(P, sorted(descend(V, j - 1)[-1]))

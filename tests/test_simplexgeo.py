@@ -121,9 +121,8 @@ class TestNearFace:
         lambda V: best_subset(0.9 * V, 2),
     ], ids=["near_face", "face_chain", "best_subset"])
     def test_rejects_more_vertices_than_a_simplex_has(self, monkeypatch, call):
-        # Five points of the unit circle are affinely dependent, but the
-        # SVD of their four edges has only two singular values, so the
-        # degeneracy test alone would pass them.
+        # Five points of the unit circle are affinely dependent; the row
+        # count says why before any factorization or solver runs.
         def no_solve(*args, **kwargs):
             raise AssertionError("too many vertices reached a solver")
 
@@ -134,20 +133,64 @@ class TestNearFace:
         with pytest.raises(ValueError, match=r"got 5 (vertex|point) rows in R\^2: more than d \+ 1 = 3"):
             call(V)
 
-    def test_origin_coordinates_from_one_svd(self, rng):
+    @staticmethod
+    def _factored_simplices(rng):
         simplices = [random_interior_simplex(rng, n) for n in range(1, 9)]
         simplices.append(np.column_stack([regular_simplex(2), np.zeros(3)]))  # a triangle in R^3
-        for V in simplices:
-            lam = simplexgeo._origin_barycentric(V)
+        return simplices
+
+    def test_origin_coordinates_from_the_edge_factor(self, rng):
+        for V in self._factored_simplices(rng):
+            lam = simplexgeo._edge_factor(V)[1]
             assert np.abs(lam - origin_barycentric(V)).max() <= 1e-12
             assert np.linalg.norm(lam @ V) <= 1e-14
+            assert abs(lam.sum() - 1.0) <= len(V) * np.finfo(float).eps
+
+    def test_gradients_agree_with_a_gram_solve(self, rng):
+        # The rows of (E E^T)^-1 E from the Cholesky factor, against
+        # LAPACK's LU solve of the same system: both are backward stable,
+        # so they differ by at most a few eps cond(E E^T) relative to the
+        # largest entry (at most 0.65 over 1,600 draws, n = 1..8).
+        for V in self._factored_simplices(rng):
+            E = V[1:] - V[0]
+            solved = np.linalg.solve(E @ E.T, E)
+            grads = simplexgeo._edge_factor(V)[0]
+            bound = 4.0 * np.finfo(float).eps * np.linalg.cond(E @ E.T)
+            assert np.abs(grads[1:] - solved).max() <= bound * np.abs(solved).max()
+
+    def test_flattened_simplices(self):
+        # A regular n-simplex with its last coordinate scaled by 10^-e,
+        # rows renormalized.  Rounding in the edge Gram matrix can leave a
+        # computed height near 1e-7 on a degenerate simplex, so heights up
+        # to 1e-6 count as degenerate; the former SVD test resolved them
+        # down to 1e-12.  Decisions for e = 2..13:
+        #   n = 3, former SVD:   ok ok ok ok ok ok  ok  ok  ok  ok  deg deg
+        #   n = 3, edge factor:  ok ok ok ok ok deg deg deg deg deg deg deg
+        #   n = 8, former SVD:   ok ok ok ok ok ok  ok  ok  ok  ok  deg deg
+        #   n = 8, edge factor:  ok ok ok ok ok ok  deg deg deg deg deg deg
+        now = {3: "ok ok ok ok ok deg deg deg deg deg deg deg",
+               8: "ok ok ok ok ok ok deg deg deg deg deg deg"}
+        for n in (3, 8):
+            R = regular_simplex(n)
+            R = R @ np.linalg.svd(R)[2][:n].T
+            decisions = []
+            for e in range(2, 14):
+                V = R * np.append(np.ones(n - 1), 10.0 ** -e)
+                V /= np.linalg.norm(V, axis=1, keepdims=True)
+                try:
+                    simplexgeo._validated(V)
+                    decisions.append("ok")
+                except ValueError as exc:
+                    assert str(exc) == "degenerate simplex: vertices are affinely dependent"
+                    decisions.append("deg")
+            assert " ".join(decisions) == now[n]
 
     def test_k_range(self, monkeypatch):
-        # A bad k is rejected before _validated's SVD, the first real work.
-        def no_svd(*args, **kwargs):
-            raise AssertionError("a bad k reached the SVD")
+        # A bad k is rejected before _validated's factor, the first real work.
+        def no_factor(*args, **kwargs):
+            raise AssertionError("a bad k reached the factorization")
 
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        monkeypatch.setattr(np.linalg, "cholesky", no_factor)
         V = regular_simplex(3)
         for k in (-1, 3):
             with pytest.raises(ValueError, match=rf"near_face needs 0 <= k <= n-1, got k={k} for n=3"):
@@ -155,7 +198,7 @@ class TestNearFace:
 
     def test_boundary_jitter_path(self):
         # Origin exactly on a facet of the square's inscribed triangle:
-        # the deterministic jitter must keep the call usable.
+        # the inward shift must keep the call usable.
         V = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         res = near_face(V, 0)
         assert res.distance <= 1.0 + 1e-9
@@ -244,13 +287,13 @@ def _decision(call, P, j):
 BAND = (1e-9, 1e-8, 1e-7, 1e-6, 1e-3)
 
 
-def _band_inputs():
-    """(delta, points) for each band edge, d = 2..6 and 8 rotations."""
+def _band_inputs(deltas=BAND):
+    """(delta, points) for each delta, d = 2..6 and 8 rotations."""
     rng = np.random.default_rng(27)
     for d in range(2, 7):
         for _ in range(8):
             Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
-            for delta in BAND:
+            for delta in deltas:
                 yield delta, _missing_by(delta, d, Q)
 
 
@@ -267,8 +310,9 @@ class TestSingleHullCheck:
                 rejected[delta] += 1
             else:
                 assert new == old
-        # The jitter moves each vertex by at most 1e-8 |z| / (1 - 1e-8 |z|)
-        # with |z| < 3 here, so from 1e-7 on it cannot bring the origin in.
+        # The inward shift moves each vertex by at most
+        # 2e-8 |mean| / (1 - 1e-8 |mean|) with |mean| <= 1, so from 1e-7 on
+        # it cannot bring the origin in.
         assert rejected[1e-7] == rejected[1e-6] == rejected[1e-3] == 40
         assert rejected[1e-9] < 40
 
@@ -286,13 +330,28 @@ class TestSingleHullCheck:
     def test_origin_on_a_facet_takes_the_jitter_path(self, monkeypatch):
         V = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         P = V * np.array([[0.5], [0.9], [0.7]])
-        calls = _count_calls(monkeypatch, "_origin_barycentric")
+        calls = _count_calls(monkeypatch, "_origin_factor")
         for j in (1, 2):
             calls.clear()
             res = best_subset(P, j)
             assert len(calls) == 2
             assert res.vertex_index_set == near_face(V, j - 1).vertex_index_set
             assert res == reference.best_subset(P, j)
+
+    def test_origin_on_a_facet_is_accepted(self):
+        # The origin at a facet's centroid, d = 2..6 and 8 rotations: the
+        # inward shift brings every input inside, and each face of the
+        # chain is within the shift's largest vertex move, 2e-8 / (1 -
+        # 1e-8), of the enumerated distance on the input's own vertices.
+        for _, P in _band_inputs((0.0,)):
+            n = P.shape[0] - 1
+            chain = face_chain(P)
+            for k, res in enumerate(chain):
+                assert res.distance <= alpha(n, k) + 1e-9
+                exact = exact_simplex_distance(P[list(res.vertex_index_set)])
+                assert abs(res.distance - exact) <= 2.1e-8
+            nearest = min(exact_simplex_distance(P[list(sub)]) for sub in combinations(range(n + 1), n))
+            assert chain[n - 1].distance <= nearest + 2.1e-8
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -309,7 +368,7 @@ def test_non_finite_input_rejected_before_any_solve(monkeypatch, call, what, val
 
     for name in ("min_distance_over_simplex", "min_quadratic_over_simplex"):
         monkeypatch.setattr(simplexgeo, name, no_solve)
-    for name in ("cholesky", "svd"):
+    for name in ("cholesky", "inv", "solve", "svd", "lstsq"):
         monkeypatch.setattr(np.linalg, name, no_solve)
     V = regular_simplex(3)
     V[2, 1] = value
@@ -376,7 +435,7 @@ def _count_calls(monkeypatch, name):
 
 class TestPrunedDescent:
     def _assert_matches_reference(self, V, k):
-        W = simplexgeo._validated(V)
+        W = simplexgeo._validated(V)[0]
         chain = _reference_descend(W, 0)
         expected = [tuple(sorted(sub)) for sub in reversed(chain[1:])]
         assert [res.vertex_index_set for res in face_chain(V)] == expected
@@ -401,7 +460,7 @@ class TestPrunedDescent:
         levels = []
 
         def check(coords, values):
-            bounds = simplexgeo._facet_bounds(coords)[0]
+            bounds = simplexgeo._facet_bounds(coords, simplexgeo._edge_factor(coords)[0])
             for a, f in values.items():
                 assert bounds[a] <= math.sqrt(f)
             # The least bound is the nearest facet's exact distance, to
@@ -447,7 +506,8 @@ class TestFacetFeet:
         assert np.linalg.solve(base.T, [0.0, 0.0, -0.6]).min() < 0.0
         top = -base.mean(axis=0)
         C = np.vstack([top / np.linalg.norm(top), base])
-        bounds, grads, beta = simplexgeo._facet_bounds(C)
+        grads, beta, _ = simplexgeo._edge_factor(C)
+        bounds = simplexgeo._facet_bounds(C, grads)
         nearest = simplexgeo._nearest_on_facet
         calls = _count_calls(monkeypatch, "_nearest_on_facet")
         f, q = simplexgeo._facet_foot(C, grads, beta, 0, bounds[0])
@@ -460,17 +520,17 @@ class TestFacetFeet:
         rng = np.random.default_rng(23)
         simplices = [_interior_simplex(rng, 2 + i % 8) for i in range(24)]
         simplices += [regular_simplex(n) for n in range(2, 10)]
+        validated = [simplexgeo._validated(V)[0] for V in simplices]
 
         def singular(*args, **kwargs):
-            raise np.linalg.LinAlgError("Singular matrix")
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-        monkeypatch.setattr(np.linalg, "solve", singular)
-        bounds, grads, beta = simplexgeo._facet_bounds(simplices[0])
-        assert np.array_equal(bounds, np.zeros(3)) and np.isnan(grads).all() and np.isnan(beta).all()
-        for V in simplices:
-            chain = _reference_descend(simplexgeo._validated(V), 0)
-            expected = [tuple(sorted(sub)) for sub in reversed(chain[1:])]
-            assert [res.vertex_index_set for res in face_chain(V)] == expected
+        monkeypatch.setattr(np.linalg, "cholesky", singular)
+        grads, beta, Linv = simplexgeo._edge_factor(simplices[0])
+        assert np.isnan(grads).all() and np.isnan(beta).all() and np.isnan(Linv).all()
+        assert np.array_equal(simplexgeo._facet_bounds(simplices[0], grads), np.zeros(3))
+        for W in validated:
+            assert simplexgeo._descend(W, simplexgeo._edge_factor(W), 0) == _reference_descend(W, 0)
 
     def test_accepted_feet_are_certified(self, monkeypatch):
         rng = np.random.default_rng(24)
@@ -478,7 +538,8 @@ class TestFacetFeet:
         least_accepted = []
 
         def check(coords, values):
-            bounds, grads, beta = simplexgeo._facet_bounds(coords)
+            grads, beta, _ = simplexgeo._edge_factor(coords)
+            bounds = simplexgeo._facet_bounds(coords, grads)
             for a, f_kernel in values.items():
                 before = len(fallbacks)
                 f, _ = simplexgeo._facet_foot(coords, grads, beta, a, bounds[a])
@@ -504,7 +565,7 @@ class TestChainDistances:
         simplices += [regular_simplex(n) for n in range(2, 10)]
         for V in simplices:
             for res in face_chain(V):
-                P = simplexgeo._validated(V)[list(res.vertex_index_set)]
+                P = simplexgeo._validated(V)[0][list(res.vertex_index_set)]
                 _, dist = min_distance_over_simplex(P.T, np.zeros(P.shape[1]), tol=1e-11)
                 assert abs(res.distance - dist) <= 1e-11
 
@@ -527,7 +588,7 @@ class TestChainDistances:
         top = -base.mean(axis=0)
         V = np.vstack([top / np.linalg.norm(top), base])
         chain = [(0, 1, 2, 3), (1, 2, 3), (1, 3), (1,)]
-        monkeypatch.setattr(simplexgeo, "_descend", lambda W, stop_dim: chain)
+        monkeypatch.setattr(simplexgeo, "_descend", lambda W, factor, stop_dim: chain)
         faces = []
         kernel = simplexgeo.min_distance_over_simplex
 
@@ -549,10 +610,14 @@ class TestChainDistances:
 
         V = _interior_simplex(np.random.default_rng(26), 5)
         expected = face_chain(V)
+        validated = simplexgeo._validated(V)
+        monkeypatch.setattr(simplexgeo, "_validated", lambda vertices: validated)
         calls = _count_calls(monkeypatch, "min_distance_over_simplex")
         monkeypatch.setattr(np.linalg, "cholesky", singular)
         results = face_chain(V)
-        assert len(calls) == 5
+        # A failed factor (NaN) certifies no face of two or more vertices;
+        # the lone vertex's weights need no factor.
+        assert len(calls) == 4
         assert [res.vertex_index_set for res in results] == [res.vertex_index_set for res in expected]
         for res, ref in zip(results, expected):
             assert abs(res.distance - ref.distance) <= 1e-11
@@ -565,19 +630,20 @@ class TestSameAsReference:
     def _assert_same_descent(self, V):
         coords = V
         while True:
-            bounds, grads, beta = simplexgeo._facet_bounds(coords)
-            ref_bounds, ref_grads = reference.facet_bounds(coords)
+            grads, beta, _ = simplexgeo._edge_factor(coords)
+            bounds = simplexgeo._facet_bounds(coords, grads)
+            ref_bounds, ref_grads, ref_beta = reference.facet_bounds(coords)
             assert np.array_equal(bounds, ref_bounds)
             assert np.array_equal(grads, ref_grads, equal_nan=True)
             for a, bound in enumerate(bounds.tolist()):
                 f, q = simplexgeo._facet_foot(coords, grads, beta, a, bound)
-                ref_f, ref_q = reference.facet_foot(coords, ref_grads, a, ref_bounds[a])
+                ref_f, ref_q = reference.facet_foot(coords, ref_grads, ref_beta, a, ref_bounds[a])
                 assert f == ref_f and np.array_equal(q, ref_q)
             if coords.shape[0] == 2:
                 break
             coords = coords[:-1] - q  # the facet without the last vertex, recentred
             coords = coords / np.linalg.norm(coords, axis=1, keepdims=True)
-        assert simplexgeo._descend(V, 0) == reference.descend(V, 0)
+        assert simplexgeo._descend(V, simplexgeo._edge_factor(V), 0) == reference.descend(V, 0)
 
     def test_random_interior_simplices(self):
         rng = np.random.default_rng(29)
@@ -595,7 +661,7 @@ class TestSameAsReference:
         jittered = 0
         for P in inputs:
             try:
-                V = simplexgeo._validated(P)
+                V = simplexgeo._validated(P)[0]
             except ValueError:
                 continue
             jittered += not np.array_equal(V, P)
@@ -611,3 +677,38 @@ class TestSameAsReference:
             P = _interior_simplex(rng, n) * rng.uniform(0.4, 1.0, size=(n + 1, 1))
             for j in range(1, n + 1):
                 assert best_subset(P, j) == reference.best_subset(P, j)
+
+
+def test_one_factorization_per_factored_simplex(monkeypatch):
+    # Counting spies on numpy's solvers, outside the min-norm-point
+    # kernels (which solve with lstsq on their own): face_chain factors
+    # the input, each descent level below it and the chain's prefix
+    # order; best_subset(P, j) factors the input and its n - j lower
+    # levels.  No other solver runs.
+    counts = {}
+    in_kernel = []
+    for name in ("cholesky", "inv", "svd", "solve", "lstsq"):
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            if not in_kernel:
+                counts[_name] = counts.get(_name, 0) + 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for name in ("min_distance_over_simplex", "min_quadratic_over_simplex"):
+        def kernel(*args, _kernel=getattr(simplexgeo, name), **kwargs):
+            in_kernel.append(1)
+            try:
+                return _kernel(*args, **kwargs)
+            finally:
+                in_kernel.pop()
+
+        monkeypatch.setattr(simplexgeo, name, kernel)
+    rng = np.random.default_rng(32)
+    for n in range(2, 10):
+        for V in (_interior_simplex(rng, n), regular_simplex(n)):
+            calls = [(face_chain, n + 1)]
+            calls += [(lambda V, j=j: best_subset(0.9 * V, j), n + 1 - j) for j in range(1, n + 1)]
+            for call, factored in calls:
+                counts.clear()
+                call(V)
+                assert counts == {"cholesky": factored, "inv": factored}
