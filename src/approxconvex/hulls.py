@@ -9,11 +9,10 @@ explicit witnesses and above by analytic arguments elsewhere; no attempt
 is made to solve the inner max-min globally (it is a non-concave
 maximization).  Euclidean hull distances go through the minimum-norm-point
 quadratic kernel.  l1 and l-infinity distances are exact LPs in
-standard form (see `dist_to_hull`), each built as one array and started
-on a feasible basis in closed form from the sample point nearest x,
-which `lp_solve` requires.  The hull LP is always feasible and bounded,
-so a status other than optimal can only be numerical and raises
-`ConvergenceError`.
+standard form (see `dist_to_hull`), each built as one array in canonical
+form around the sample point nearest x, the start `lp_solve` takes.  The
+hull LP is always feasible and bounded, so a status other than optimal
+can only be numerical and raises `ConvergenceError`.
 
 The convexity-defect scan is an exact pruned max-min: each midpoint is
 measured first against the DEFECT_HEAD samples nearest its first
@@ -159,17 +158,18 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
     Either value is the exact distance: at an optimum s+_i * s-_i = 0
     can be taken, and p, q >= 0 is |r_i| <= u.
 
-    The simplex starts on a feasible basis built from the sample point
-    P_j nearest x in the same norm, r = x - P_j; lam_j = 1 covers the
-    convexity row.  Under l1, s+_i = r_i or s-_i = -r_i by the sign of
-    r_i covers coordinate row i, a basis of unit columns and lam_j.
-    Under l-infinity, u = ||r||_inf, and p_i = u - r_i and q_i = u + r_i
-    cover the two rows of coordinate i, except at one i* with |r_i*| = u:
-    there u takes the row of whichever of p_i*, q_i* is zero, the top row
-    if r_i* >= 0, else the bottom row.  Eliminating the other unit
-    columns leaves u and lam_j on that row and the convexity row,
-    [[P_j,i*, +-1], [1, 0]], so the basis has determinant +-1 and the
-    one-phase simplex starts on it.  Other norms are rejected.
+    Both LPs are posed in canonical form around the sample point P_j
+    nearest x in the same norm, the start `lp_solve` takes: subtracting P_j
+    times the convexity row from each coordinate row puts Q = (P - P_j).T
+    in place of P.T and r = x - P_j in place of x, and Q's column j is
+    zero, so lam_j = 1 starts on the unit column of the convexity row.
+    Under l1, s+_i or s-_i by the sign of r_i starts on row i.  Under
+    l-infinity, u = ||r||_inf, p = u - r and q = u + r, except that u takes
+    row rho, the top (r_i* >= 0) or bottom row of the first i* with
+    |r_i*| = u; one rank-1 elimination of u from the other coordinate rows
+    makes its column +-e_rho and leaves every other start column +-e_k on
+    a right-hand side of its sign (zero on a -e_k column at a tie
+    r_k = r_i*).  Other norms are rejected.
     """
     P = A.matrix
     N, d = P.shape
@@ -177,30 +177,41 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
     if norm.p == 2.0:
         _, dist = min_distance_over_simplex(P.T, xv, tol=tol)
         return dist
+    if not (norm.p == 1.0 or np.isinf(norm.p)):
+        raise ValueError(f"dist_to_hull supports l1/l2/linf, not {norm}")
+    # The canonical form described above.  G is built on P.T and Q
+    # replaces it in place, so no second copy of the sample is made.
+    j = int(np.argmin(_dists_to_points(xv[None, :], P, norm)))
+    r = xv - P[j]
     I, Z = np.eye(d), np.zeros((d, d))
     if norm.p == 1.0:
         # Columns lam, s+, s-; rows: the coordinates, then convexity.
         G = np.block([[P.T, I, -I], [np.ones((1, N)), np.zeros((1, 2 * d))]])
+        G[:d, :N] -= P[j][:, None]
         c = np.concatenate([np.zeros(N), np.ones(2 * d)])
-        rhs = np.append(xv, 1.0)
-    elif np.isinf(norm.p):
-        # Columns lam, p, q, u; rows: P.T lam + u - p = x, then
-        # P.T lam - u + q = x, then convexity.
+        rhs = np.append(r, 1.0)
+        basis = np.append(N + np.arange(d) + d * (r < 0.0), j)
+    else:
+        # Columns lam, p, q, u; rows: Q lam + u - p = r, then
+        # Q lam - u + q = r, then convexity.
         one = np.ones((d, 1))
         G = np.block([[P.T, -I, Z, one], [P.T, Z, I, -one], [np.ones((1, N)), np.zeros((1, 2 * d + 1))]])
+        G[:-1, :N] -= np.tile(P[j], 2)[:, None]
         c = np.append(np.zeros(N + 2 * d), 1.0)
-        rhs = np.concatenate([xv, xv, [1.0]])
-    else:
-        raise ValueError(f"dist_to_hull supports l1/l2/linf, not {norm}")
-    # The closed-form feasible start described above.
-    j = int(np.argmin(_dists_to_points(xv[None, :], P, norm)))
-    r = xv - P[j]
-    if norm.p == 1.0:
-        basis = np.concatenate(([j], N + np.arange(d) + d * (r < 0.0)))
-    else:
-        basis = np.append(N + np.arange(2 * d), j)
+        rhs = np.concatenate([r, r, [1.0]])
         i = int(np.argmax(np.abs(r)))
-        basis[i + d * (r[i] < 0.0)] = N + 2 * d
+        rho = i + d * (r[i] < 0.0)
+        # Eliminate u from the other coordinate rows with row rho, scaled
+        # so that its u entry is +1 (u's entry is +1 on top, -1 below).
+        s = G[rho, -1]
+        row, b_row = s * G[rho], s * rhs[rho]
+        G[:d] -= row
+        G[d:-1] += row
+        rhs[:d] -= b_row
+        rhs[d:-1] += b_row
+        G[rho], rhs[rho] = s * row, s * b_row
+        basis = np.append(N + np.arange(2 * d), j)
+        basis[rho] = N + 2 * d
     sol = lp_solve(LPInstance(c=c, A=G, b=rhs), tol=tol, basis=basis)
     if sol.status != "optimal":
         # The LP is feasible (any lam on the simplex) and bounded below

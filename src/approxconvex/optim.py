@@ -8,17 +8,17 @@ Two solvers used by every distance computation in the package:
   termination).  A pivot prices the reduced-cost row in one pass and
   runs the ratio test on the rows whose pivot-column entry is positive
   only.  An inequality is written as a row with its own slack column.
-  Every LP starts on a feasible basis B0 its caller names: the
-  tree-norm decomposition LP and the l1 and l-infinity hull-distance
-  LPs build one in closed form.  The basis is checked before any
-  pivot, the constraints become B0^-1 [A b] (formed in column blocks)
-  unless B0 is the identity, and the simplex runs from there; there is
-  no phase 1 and no artificial column.  Its whole state is one array, the
-  constraint rows over the reduced-cost row, with the basic values and
-  the negated objective in the last column, so a pivot is one rank-1
-  update.  Row duals are read from B0, and every optimum is certified on
-  the original data (primal and dual feasibility, duality gap), with no
-  Python loop over variables,
+  Every LP starts on a feasible basis B0 its caller names, in
+  canonical form: row i's start column is +-e_i, so B0 is the identity
+  once each row takes that sign, and no basis is ever inverted; the
+  tree-norm LP and the l1 and l-infinity hull LPs are posed so in closed
+  form.  The start is checked before any pivot; there is no phase 1 and
+  no artificial column.  Its whole state is one array, the constraint
+  rows over the reduced-cost row, with the basic values and the negated
+  objective in the last column, so a pivot is one rank-1 update.  Row
+  duals are read off the start columns, and every optimum is certified
+  on the original data (primal and dual feasibility, duality gap), with
+  no Python loop over variables,
 * minimization of ``f(t) = ||c - L t||^2`` over the probability simplex
   by Wolfe's minimum-norm-point algorithm, exact in finitely many steps.
   Its affine steps are least-squares solves on edge vectors against the
@@ -201,68 +201,43 @@ def _basis_columns(lp: LPInstance, basis) -> np.ndarray:
     return basis.astype(np.intp)
 
 
-_BLOCK_CELLS = 1 << 14  # cells of B^-1 T formed at a time
-
-
-def _start_on_basis(T, rhs, start, feas_tol):
-    """``(B0^-1 rhs, B0^-1)`` for B0 = T[:, start], or ``(rhs, None)`` when
-    B0 is the identity; T is the tableau's constraint block, without the
-    rhs column.  Unless B0 is the identity, T becomes B0^-1 T in place,
-    formed in column blocks of about ``_BLOCK_CELLS`` cells, so no second
-    copy of a wide tableau is built.
-
-    Raises ``ValueError`` before any pivot if B0 is numerically singular
-    or if a basic value is below ``-feas_tol``; values above that but
-    below zero are rounding and start at zero.  Singular means a 1-norm
-    condition number of at least 1 / (m eps) once the rows and then the
-    columns of B0 are scaled to unit max-norm, so the test judges the
-    basis and not the scale of the data.
-    """
-    m = len(start)
-    B = T[:, start]
-    if np.count_nonzero(B) == m and (np.diagonal(B) == 1.0).all():
-        return rhs, None  # rhs >= 0 once lp_solve has flipped its rows
-    tiny = np.finfo(float).tiny
-    row = np.maximum(np.abs(B).max(axis=1, initial=0.0), tiny)
-    col = np.maximum(np.abs(B / row[:, None]).max(axis=0, initial=0.0), tiny)
-    B_scaled = B / row[:, None] / col
-    try:
-        inv_scaled = np.linalg.inv(B_scaled)
-        cond = np.abs(B_scaled).sum(axis=0).max(initial=0.0) * np.abs(inv_scaled).sum(axis=0).max(initial=0.0)
-    except np.linalg.LinAlgError:
-        cond = np.inf
-    if not cond * m * np.finfo(float).eps < 1.0:  # NaN counts as singular
-        raise ValueError(f"basis is singular: its scaled 1-norm condition number is {cond:.3e}")
-    B_inv = inv_scaled / col[:, None] / row
-    x_B = B_inv @ rhs
-    low = np.flatnonzero(x_B < -feas_tol)
+def _start_signs(A, start, b, feas_tol) -> np.ndarray:
+    """The sign of each start column, which must be +-e_i for row i: the
+    LP in canonical form for its start (Chvatal, *Linear Programming*,
+    1983, ch. 2-3).  Raises ``ValueError`` before any pivot if a start
+    column is anything else, or if a signed right-hand side is below
+    ``-feas_tol``."""
+    B = A[:, start]
+    sign = np.diagonal(B).copy()
+    if not (np.count_nonzero(B) == len(start) and (np.abs(sign) == 1.0).all()):
+        i = int(np.argmax((np.abs(sign) != 1.0) | (np.count_nonzero(B, axis=0) != 1)))
+        raise ValueError(f"start column {start[i]} of row {i} is not a signed unit column +-e_{i}")
+    low = np.flatnonzero(sign * b < -feas_tol)
     if len(low):
         i = int(low[0])
         raise ValueError(
-            f"basis is infeasible: its basic variable in row {i} is {x_B[i]:.3e} "
+            f"basis is infeasible: its basic variable in row {i} is {sign[i] * b[i]:.3e} "
             f"(tolerance {-feas_tol:.3e})"
         )
-    step = max(1, _BLOCK_CELLS // max(m, 1))
-    for k in range(0, T.shape[1], step):
-        T[:, k : k + step] = B_inv @ T[:, k : k + step]
-    T[:, start] = np.eye(m)
-    return np.maximum(x_B, 0.0), B_inv
+    return sign
 
 
 def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
     """One-phase dense simplex from a caller's feasible basis, with a
     certified optimum.
 
-    ``basis`` names a feasible basis, one column of ``lp`` per row.  It
-    is checked before any pivot: a basis of the wrong length, a
-    numerically singular one, or one whose basic values B0^-1 b fall
-    below ``-tol (1 + ||b||_1)`` raises ``ValueError``.  Rows with
-    b_i < 0 are negated first, so a caller's slack column of such a row
-    is a surplus.  The simplex runs on one (rows + 1) x (columns + 1)
-    array, from which x is read off the last column and the row duals
-    as y = (c_B0 - r_B0) B0^-1 off the reduced-cost row, whatever the
-    start's cost.  A solve that needs more than 20,000 + 40 (rows +
-    columns) pivots raises :class:`ConvergenceError`.
+    ``basis`` names a feasible start, one column of ``lp`` per row, and
+    row i's start column must be +-e_i (see `_start_signs`).  Row i is
+    multiplied by that sign, so the start is the identity and its basic
+    values are the signed right-hand sides.  It is checked before any
+    pivot: a basis of the wrong length, a start column that is not a
+    signed unit column, or a signed right-hand side below
+    ``-tol (1 + ||b||_1)`` raises ``ValueError``; one between that bound
+    and zero starts at zero.  The simplex runs on one (rows + 1) x
+    (columns + 1) array, from which x is read off the last column and the
+    row duals as y = (c_B0 - r_B0) sign off the reduced-cost row.  A solve
+    that needs more than 20,000 + 40 (rows + columns) pivots raises
+    :class:`ConvergenceError`.
 
     An ``optimal`` result is certified on the original data before it is
     returned: x >= 0 and every row hold within ``tol`` (scaled by
@@ -276,17 +251,16 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
     m, n = lp.A.shape
     max_iter = 20_000 + 40 * (m + n)
     start = _basis_columns(lp, basis)
+    feas_tol = tol * (1.0 + float(np.abs(lp.b).sum()))
+    row_sign = _start_signs(lp.A, start, lp.b, feas_tol)
 
-    # Flip rows to make the rhs nonnegative, remembering the sign for duals.
-    row_sign = np.where(lp.b < 0.0, -1.0, 1.0)
-    b = lp.b * row_sign
-
-    # The simplex state (see _simplex): constraints over reduced costs
-    # priced out against B0, with B0^-1 b and -c.x in the last column.
+    # The simplex state (see _simplex): the signed rows over reduced
+    # costs priced out against the start, with the start values and
+    # -c.x in the last column.
     T = np.zeros((m + 1, n + 1))
     np.multiply(lp.A, row_sign[:, None], out=T[:m, :n])
-    feas_tol = tol * (1.0 + float(np.abs(b).sum()))
-    T[:m, -1], B_inv = _start_on_basis(T[:m, :-1], b, start, feas_tol)
+    b = lp.b * row_sign
+    T[:m, -1] = np.where(b < 0.0, 0.0, b)
     cost = np.zeros(n + 1)
     cost[:n] = lp.c
     T[m] = cost - cost[start] @ T[:m]
@@ -299,11 +273,8 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
     x[basis] = T[:m, -1]
     x += 0.0  # turns a basic -0.0 into 0.0
     # Row duals from the start columns: r_j = c_j - y.T0[:, j] with
-    # T0[:, start] = B0, then unflipped to the original rows.
-    y = cost[start] - T[m, start]
-    if B_inv is not None:
-        y = y @ B_inv
-    y *= row_sign
+    # T0[:, start] = I on the signed rows, then unsigned.
+    y = (cost[start] - T[m, start]) * row_sign
 
     # Certify on the original data before reporting; a NaN fails every
     # comparison, so it counts as a violation.

@@ -241,9 +241,9 @@ def _primal_lp(x: TreeVector, M: float, tol: float):
     would equal y+-_d, cost included, and the simplex, which breaks ties
     by the lower column, would never bring it in.  The row duals of this
     LP are precisely a maximizing dual functional.  It starts on y = x,
-    w = 0 (y+ or y- by the sign of x), an identity basis once the
-    negative rows are flipped, so it is never inverted.  Returns D, its
-    layout and the solution.
+    w = 0 (y+ or y- by the sign of x), whose columns are +-e_i: the
+    signed unit start `lp_solve` takes.  Returns D, its layout and the
+    solution.
     """
     D, S, layout = _halving(x)
     pairs = layout[1]

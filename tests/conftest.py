@@ -134,12 +134,26 @@ def with_slacks(c, A, rel, b) -> LPInstance:
     return LPInstance(c=np.concatenate([np.asarray(c, dtype=float), np.zeros(len(ineq))]), A=np.hstack([A, S]), b=b)
 
 
+def canonical_form(lp: LPInstance, basis) -> LPInstance:
+    """lp in canonical form for the feasible basis ``basis``, the start
+    `lp_solve` takes: the rows B^-1 [A b] for B = lp.A[:, basis], with
+    column basis[i] set to e_i exactly, then negated where lp's b_i < 0,
+    so starts on -e_i columns are covered too.  The LP has the same
+    feasible set and optimum as lp, not the same row duals."""
+    basis = list(basis)
+    T = np.linalg.solve(lp.A[:, basis], np.column_stack([lp.A, lp.b]))
+    T[:, basis] = np.eye(len(basis))
+    T *= np.where(lp.b < 0.0, -1.0, 1.0)[:, None]
+    return LPInstance(c=lp.c, A=T[:, :-1], b=T[:, -1])
+
+
 def lp_with_feasible_basis(rng):
-    """A random bounded LP and a feasible basis of it, the LP's '<=' rows
-    written with slack columns by `with_slacks`.  b is B x_B
-    for basic values x_B >= 0, a third of them zero (degenerate starts),
-    so it takes either sign; the last row, 1.x <= 1.x_B + 1 with its
-    slack basic, bounds the LP whatever the sign of c."""
+    """A random bounded LP and a feasible basis of it, the LP in
+    `canonical_form` for that basis.  Before that, its '<=' rows are
+    written with slack columns by `with_slacks`, and b is B x_B for basic
+    values x_B >= 0, a third of them zero (degenerate starts), so it
+    takes either sign; the last row, 1.x <= 1.x_B + 1 with its slack
+    basic, bounds the LP whatever the sign of c."""
     while True:
         m = int(rng.integers(1, 9))
         n = int(rng.integers(m, 2 * m + 4))
@@ -162,7 +176,8 @@ def lp_with_feasible_basis(rng):
         rel=rel + ("<=",),
         b=np.append(full @ x, bound),
     )
-    return lp, np.append(basis, n + len(ineq))
+    basis = np.append(basis, n + len(ineq))
+    return canonical_form(lp, basis), basis
 
 
 def assert_dual_certificate(lp, sol, tol: float = 1e-7):

@@ -140,8 +140,8 @@ class TestDistToHull:
     @pytest.mark.parametrize("norm", [L1, LINF])
     @pytest.mark.parametrize("scale", [1e-8, 1e8, 1e10])
     def test_lp_distance_scales_with_the_data(self, rng, norm, scale):
-        # The LP basis start must not read large or small coordinates as
-        # a singular basis: d(s x, s A) = s d(x, A).
+        # The canonical-form start must not depend on the scale of the
+        # coordinates: d(s x, s A) = s d(x, A).
         P, x = rng.normal(size=(6, 3)), 3.0 * rng.normal(size=3)
         want = dist_to_hull(Vector.from_array(x), SampledSet(P), norm)
         got = dist_to_hull(Vector.from_array(scale * x), SampledSet(scale * P), norm)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from approxconvex import optim, treespace
+from approxconvex import treespace
 from approxconvex.core import NormSpec, Vector
 from approxconvex.hulls import SampledSet
 from approxconvex.labels import downward_closure
@@ -217,33 +217,59 @@ def test_hull_lps(d):
                 assert abs(value - ref) <= 1e-7 * max(1.0, ref)
 
 
-@pytest.mark.parametrize("r", [
+# Residuals r = x - P_j from the nearest sample P_j of `start_case`.
+START_RESIDUALS = [
     [0.0, 0.0, 0.0],  # x is a sample point
     [0.5, -0.5, 0.25],  # |r| ties with opposite signs, the first r_i* > 0
     [-0.5, 0.5, 0.25],  # the same tie, the first r_i* < 0
-    [0.25, -0.75, 0.5],
+    [0.25, -0.75, 0.5],  # a negative r_i*
     [0.25, 0.75, -0.5],
-])
+    [0.5, 0.25, 0.5],  # r_k = r_i* > 0: a zero right-hand side on -e_k
+    [-0.5, 0.25, -0.5],  # r_k = r_i* < 0: a zero right-hand side below
+]
+
+
+def start_case(r, p):
+    """The hull LP of x = P_j + r, P a grid 4 apart so that P_j is the
+    nearest sample and every start value is exact: (P, j, lp, basis, the
+    signed right-hand side), the LP and the distance checked against
+    HiGHS."""
+    P = 4.0 * np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=3)))
+    j = 13
+    x = P[j] + np.array(r)
+    value, ((lp, basis),) = hull_lps(Vector.from_array(x), SampledSet(P), NormSpec.lp(p))
+    sol = assert_matches_highs(lp, basis, rel=1e-9)
+    assert_dual_certificate(lp, sol)
+    assert abs(value - highs_hull_distance(P, x, p)) <= 1e-9 * max(1.0, value)
+    sign = np.diagonal(lp.A[:, basis])
+    return P, j, lp, basis, sign * lp.b
+
+
+@pytest.mark.parametrize("r", START_RESIDUALS)
 def test_linf_start_basis(r):
     # The closed-form l-infinity start from the nearest sample P_j: lam_j
-    # = 1, u = ||r||_inf with r = x - P_j, p = u - r and q = u + r,
-    # except that u takes the row of the zero one of p_i*, q_i*.  The
-    # samples are 4 apart, so P_j is the nearest, and every value is exact.
-    P = 4.0 * np.array(list(itertools.product([0.0, 1.0, 2.0], repeat=3)))
+    # = 1, u = ||r||_inf, p = u - r and q = u + r, except that u takes
+    # the row of the zero one of p_i*, q_i*.  The signed right-hand side
+    # is exactly those start values.
+    P, j, lp, basis, signed_b = start_case(r, math.inf)
     N, d = P.shape
-    j, r = 13, np.array(r)
-    x = P[j] + r
-    value, ((lp, basis),) = hull_lps(Vector.from_array(x), SampledSet(P), NormSpec.lp(math.inf))
+    r = np.array(r)
     u = np.abs(r).max()
     i = int(np.argmax(np.abs(r)))
     want = np.append(N + np.arange(2 * d), j)
     want[i + d * (r[i] < 0.0)] = N + 2 * d
     assert list(basis) == list(want)
-    sign = np.where(lp.b < 0.0, -1.0, 1.0)
-    x_B, _ = optim._start_on_basis(sign[:, None] * lp.A, sign * lp.b, basis, 1e-9)
     start = np.concatenate([np.zeros(N), u - r, u + r, [u]])
     start[j] = 1.0
-    assert x_B == pytest.approx(start[basis], abs=1e-12)
-    sol = assert_matches_highs(lp, basis, rel=1e-9)
-    assert_dual_certificate(lp, sol)
-    assert abs(value - highs_hull_distance(P, x, math.inf)) <= 1e-9 * max(1.0, value)
+    assert list(signed_b) == list(start[basis])
+
+
+@pytest.mark.parametrize("r", START_RESIDUALS)
+def test_l1_start_basis(r):
+    # The l1 start: s+_i = r_i or s-_i = -r_i by the sign of r_i, and
+    # lam_j = 1; the signed right-hand side is (|r|, 1).
+    P, j, lp, basis, signed_b = start_case(r, 1.0)
+    N, d = P.shape
+    r = np.array(r)
+    assert list(basis) == list(N + np.arange(d) + d * (r < 0.0)) + [j]
+    assert list(signed_b) == list(np.abs(r)) + [1.0]

@@ -16,9 +16,9 @@ from approxconvex.optim import (
     min_distance_over_simplex,
     min_quadratic_over_simplex,
 )
-from approxconvex.treespace import tree_norm
 from conftest import (
     assert_dual_certificate,
+    canonical_form,
     hull_lps,
     lp_with_feasible_basis,
     random_tree_vector,
@@ -71,8 +71,10 @@ def feasible_basis(lp: LPInstance):
 
 
 def assert_agrees_with_brute_force(lp: LPInstance, basis):
-    """lp_solve's status from a feasible basis is the oracle's, and an
-    optimum has its value and a dual certificate."""
+    """lp_solve's status from a feasible basis, on lp in canonical form
+    for it, is the oracle's, and an optimum has its value and a dual
+    certificate."""
+    lp = canonical_form(lp, basis)
     status, value = brute_force_lp(lp)
     sol = lp_solve(lp, basis=basis)
     assert sol.status == status
@@ -175,15 +177,25 @@ class TestLPSolve:
         assert sol.status == "optimal"
         assert sol.iterations < lp.n_rows
 
-    def test_tree_norm_never_inverts_its_basis(self, monkeypatch):
-        # The decomposition LP starts on an identity basis once its
-        # negative rows are flipped, so neither B0^-1 nor B0^-1 T is ever
-        # formed.
-        def no_inverse(*args):
-            raise AssertionError("tree_norm inverted a basis")
-
-        monkeypatch.setattr(np.linalg, "inv", no_inverse)
-        tree_norm(random_tree_vector(np.random.default_rng(8), 260), 2.0)
+    def test_lp_solve_calls_no_linalg(self, monkeypatch):
+        # The tree-norm LP and the l1 and l-infinity hull LPs start on
+        # signed unit columns, so lp_solve neither inverts nor factors a
+        # basis: it calls no np.linalg routine on any of them.
+        lps = tree_lps(random_tree_vector(np.random.default_rng(8), 260), 2.0)
+        P = np.random.default_rng(9).normal(size=(40, 5))
+        for p in (1.0, math.inf):
+            lps += hull_lps(Vector.from_array(np.full(5, 2.0)), SampledSet(P), NormSpec.lp(p))[1]
+        calls = []
+        for name in np.linalg.__all__:
+            routine = getattr(np.linalg, name)
+            if callable(routine) and not isinstance(routine, type):
+                monkeypatch.setattr(
+                    np.linalg, name, lambda *a, _name=name, _f=routine, **k: calls.append(_name) or _f(*a, **k)
+                )
+        for lp, basis in lps:
+            assert lp_solve(lp, basis=basis).status == "optimal"
+        assert len(lps) == 3
+        assert calls == []
 
     def test_degenerate_unit_column_start_switches_to_bland(self, monkeypatch):
         lp, basis = bland_lp()
@@ -300,7 +312,7 @@ class TestPivotRule:
         degenerate = 0
         for _ in range(200):
             lp, basis = lp_with_feasible_basis(rng)
-            degenerate += np.abs(np.linalg.solve(lp.A[:, basis], lp.b)).min() < 1e-9
+            degenerate += np.abs(lp.b).min() < 1e-9
             lp_solve(lp, basis=basis)
         lp_solve(*bland_lp())
         assert len(runs) == 201
@@ -351,18 +363,20 @@ class TestPivotRule:
 
 
 class TestBasisStart:
-    # min x0 + x1 + x2 over x0 + x1 + 2 x2 = 2, x0 - x1 + 2 x2 <= 1: column 2
-    # is twice column 0, and column 3 is the slack of the second row.
-    lp = with_slacks(c=[1.0, 1.0, 1.0], A=[[1.0, 1.0, 2.0], [1.0, -1.0, 2.0]], rel=("=", "<="), b=[2.0, 1.0])
+    # min x0 + x1 + x2 / 2 over x0 + 2 x2 = 2, -x1 + x2 <= -1: column 0 is
+    # e_0, column 1 is -e_1, column 2 is no unit column, and column 3 is the
+    # slack of the second row, e_1.
+    lp = with_slacks(c=[1.0, 1.0, 0.5], A=[[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]], rel=("=", "<="), b=[2.0, -1.0])
 
     @pytest.mark.parametrize("basis, message", [
         ([0], r"basis needs one column per row, 2 entries; got shape \(1,\)"),
         ([0, 1, 3], r"basis needs one column per row, 2 entries; got shape \(3,\)"),
         ([0, 4], r"integers in \[0, 4\)"),
         ([0.0, 1.0], r"integers in \[0, 4\)"),
-        ([0, 0], "basis is singular"),
-        ([0, 2], "basis is singular"),
+        ([0, 0], r"start column 0 of row 1 is not a signed unit column \+-e_1"),
+        ([0, 2], r"start column 2 of row 1 is not a signed unit column \+-e_1"),
         ([0, 3], r"basis is infeasible: its basic variable in row 1 is -1\.000e\+00"),
+        ([3, 1], r"start column 3 of row 0 is not a signed unit column \+-e_0"),
     ])
     def test_bad_basis_raises_before_any_pivot(self, monkeypatch, basis, message):
         def no_simplex(*args):
@@ -381,9 +395,9 @@ class TestBasisStart:
             return simplex(T, basis, *args)
 
         monkeypatch.setattr(optim, "_simplex", recording_simplex)
-        sol = lp_solve(self.lp, basis=[0, 1])  # x0 = 1.5, x1 = 0.5
+        sol = lp_solve(self.lp, basis=[0, 1])  # x0 = 2, x1 = 1
         assert runs == [[0, 1]]
-        assert sol.value == pytest.approx(1.25, abs=1e-12)  # x = (0, 0.5, 0.75); HiGHS 1.25
+        assert sol.value == pytest.approx(2.5, abs=1e-12)  # x = (0, 2, 1, 0); HiGHS 2.5
         assert_dual_certificate(self.lp, sol)
 
     def test_random_feasible_bases_match_the_default_start(self, rng):
@@ -395,10 +409,11 @@ class TestBasisStart:
             lp, basis = lp_with_feasible_basis(rng)
             other = pivot_walk(lp, basis, rng)
             walked += sorted(other) != sorted(basis)
-            default, started = lp_solve(lp, basis=basis), lp_solve(lp, basis=other)
+            other_lp = canonical_form(lp, other)
+            default, started = lp_solve(lp, basis=basis), lp_solve(other_lp, basis=other)
             assert default.status == started.status == "optimal"
             assert started.value == pytest.approx(default.value, abs=1e-9 * (1.0 + abs(default.value)))
-            assert_dual_certificate(lp, started)
+            assert_dual_certificate(other_lp, started)
         assert walked >= 150
 
 
@@ -407,10 +422,8 @@ def pivot_walk(lp: LPInstance, basis, rng, steps: int = 3):
     brings in a random nonbasic column
     and drops the row of the ratio test, so B^-1 b stays >= 0.  A pivot
     on an entry below 1e-2, or one that leaves B ill-conditioned, is
-    not taken."""
-    sign = np.where(lp.b < 0.0, -1.0, 1.0)
-    full = sign[:, None] * lp.A
-    b = sign * lp.b
+    not taken.  `canonical_form` poses lp for the basis returned."""
+    full, b = lp.A, lp.b
     basis = np.array(basis)
     for _ in range(steps):
         for j in rng.permutation(full.shape[1]):
@@ -494,11 +507,15 @@ class TestCertificates:
         )
         self.shifted(monkeypatch, [0.0, -5.0, 0.0])
         with pytest.raises(ConvergenceError, match=r"violates row 1 by -5\.000e\+00"):
-            lp_solve(lp, basis=[0, 1, 4])  # x0 = x1 = 1, row 2's slack 2
+            lp_solve(canonical_form(lp, [0, 1, 4]), basis=[0, 1, 4])  # x0 = x1 = 1, row 2's slack 2
 
-    # min 0 over x0 + x2 = 100, x1 + x2 = 100, x2 = 100, from its only
-    # basis: x = (0, 0, 100), optimal without a pivot.
-    degenerate = LPInstance(c=np.zeros(3), A=[[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]], b=[100.0] * 3)
+    # min -x0/2 - x1/2 - x2 over x2 <= 100, x0 + x2 <= 100, x1 + x2 <= 100,
+    # from the slacks (columns 3 to 5): x2 enters at 100, then x0 and x1
+    # enter at 0 in degenerate pivots, so x = (0, 0, 100) with x0 and x1
+    # basic on rows whose right-hand side is 100.
+    degenerate = with_slacks(
+        c=[-0.5, -0.5, -1.0], A=[[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], rel=("<=",) * 3, b=[100.0] * 3,
+    )
 
     @pytest.mark.parametrize("delta, message", [
         ([0.0, -1e-8], r"variable 1 violates its lower bound: x = -1\.000e-08"),
@@ -509,7 +526,7 @@ class TestCertificates:
         # tol (1 + 100), but by more than the bound's, tol.
         self.shifted(monkeypatch, delta)
         with pytest.raises(ConvergenceError, match=message):
-            lp_solve(self.degenerate, basis=[0, 1, 2])
+            lp_solve(self.degenerate, basis=[3, 4, 5])
 
     def test_names_first_dual_infeasible_column(self, monkeypatch):
         # Lowering the slack of row 0's reduced cost by 2 reads y0 = 1, so

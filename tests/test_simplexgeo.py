@@ -577,6 +577,19 @@ class TestChainDistances:
         for k, res in enumerate(chain):
             assert res.distance == pytest.approx(alpha(8, k), abs=1e-12)
 
+    def test_prefix_feet_carry_no_weight_beyond_their_prefix(self, monkeypatch):
+        # L^-1 is kept exactly lower triangular, so a prefix's foot puts no
+        # rounding-level weight, of either sign, on a later vertex, which
+        # would send its face to the kernel: no face of these chains goes.
+        rng = np.random.default_rng(27)
+        simplices = [_interior_simplex(rng, 2 + i % 8) for i in range(200)]
+        for V in simplices:
+            Linv = simplexgeo._edge_factor(V)[2]
+            assert not np.triu(Linv, 1).any()
+        calls = _count_calls(monkeypatch, "min_distance_over_simplex")
+        assert sum(len(face_chain(V)) for V in simplices) == 1100
+        assert len(calls) == 0
+
     def test_face_whose_foot_is_outside_goes_to_the_kernel(self, monkeypatch):
         # Vertices 1-3 are an obtuse triangle on the circle z = -0.6 of
         # the unit sphere, so the origin's foot on its plane, (0, 0, -0.6),
