@@ -10,9 +10,11 @@ is made to solve the inner max-min globally (it is a non-concave
 maximization).  Euclidean hull distances go through the minimum-norm-point
 quadratic kernel.  l1 and l-infinity distances are exact LPs in
 standard form (see `dist_to_hull`), each built as one array in canonical
-form around the sample point nearest x, the start `lp_solve` takes.  The
-hull LP is always feasible and bounded, so a status other than optimal
-can only be numerical and raises `ConvergenceError`.
+form around the sample point nearest x, the start `lp_solve` takes;
+l-infinity's distance u enters as ||x - P_j||_inf - v, so that start is
+read off the LP as written and no row is transformed.  The hull LP is
+always feasible and bounded, so a status other than optimal can only be
+numerical and raises `ConvergenceError`.
 
 The convexity-defect scan is an exact pruned max-min: each midpoint is
 measured first against the DEFECT_HEAD samples nearest its first
@@ -152,11 +154,13 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
     l-infinity are linear programs in standard form, all variables
     nonnegative, with sum(lam) = 1 as the last row.  l1 is posed over
     (lam, s+, s-) with rows P.T lam + s+ - s- = x, so s+ - s- is the
-    residual r = x - P.T lam, and minimizes sum(s+ + s-).  l-infinity is
-    posed over (lam, p, q, u) with rows P.T lam + u - p = x and then
-    P.T lam - u + q = x, so p = u - r and q = u + r, and minimizes u.
+    residual r = x - P.T lam, and minimizes sum(s+ + s-).  l-infinity
+    minimizes the u with |r_i| <= u, written as u = U - v for a constant
+    U and v >= 0: it is posed over (lam, p, q, v) with rows
+    P.T lam - v - p = x - U and then P.T lam + v + q = x + U, so
+    p = u - r and q = u + r, and minimizes U sum(lam) - v, which is u.
     Either value is the exact distance: at an optimum s+_i * s-_i = 0
-    can be taken, and p, q >= 0 is |r_i| <= u.
+    can be taken, p, q >= 0 is |r_i| <= u, and p + q = 2u makes u >= 0.
 
     Both LPs are posed in canonical form around the sample point P_j
     nearest x in the same norm, the start `lp_solve` takes: subtracting P_j
@@ -164,12 +168,12 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
     in place of P.T and r = x - P_j in place of x, and Q's column j is
     zero, so lam_j = 1 starts on the unit column of the convexity row.
     Under l1, s+_i or s-_i by the sign of r_i starts on row i.  Under
-    l-infinity, u = ||r||_inf, p = u - r and q = u + r, except that u takes
-    row rho, the top (r_i* >= 0) or bottom row of the first i* with
-    |r_i*| = u; one rank-1 elimination of u from the other coordinate rows
-    makes its column +-e_rho and leaves every other start column +-e_k on
-    a right-hand side of its sign (zero on a -e_k column at a tie
-    r_k = r_i*).  Other norms are rejected.
+    l-infinity, U = ||r||_inf, the u of lam_j = 1, so u <= U loses no
+    optimum; the start is lam_j, every p on its -e_i column and every q
+    on its +e_(d+i) column, with signed right-hand sides U - r_i and
+    U + r_i, both >= 0 and zero where |r_i| = U.  Every other lam then
+    has reduced cost 0 and v has -1, so the first pivot enters v at
+    ratio 0 in such a row.  Other norms are rejected.
     """
     P = A.matrix
     N, d = P.shape
@@ -192,26 +196,15 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
         rhs = np.append(r, 1.0)
         basis = np.append(N + np.arange(d) + d * (r < 0.0), j)
     else:
-        # Columns lam, p, q, u; rows: Q lam + u - p = r, then
-        # Q lam - u + q = r, then convexity.
+        # Columns lam, p, q, v with u = U - v; rows: Q lam - v - p = r - U,
+        # then Q lam + v + q = r + U, then convexity.
+        U = float(np.abs(r).max())
         one = np.ones((d, 1))
-        G = np.block([[P.T, -I, Z, one], [P.T, Z, I, -one], [np.ones((1, N)), np.zeros((1, 2 * d + 1))]])
+        G = np.block([[P.T, -I, Z, -one], [P.T, Z, I, one], [np.ones((1, N)), np.zeros((1, 2 * d + 1))]])
         G[:-1, :N] -= np.tile(P[j], 2)[:, None]
-        c = np.append(np.zeros(N + 2 * d), 1.0)
-        rhs = np.concatenate([r, r, [1.0]])
-        i = int(np.argmax(np.abs(r)))
-        rho = i + d * (r[i] < 0.0)
-        # Eliminate u from the other coordinate rows with row rho, scaled
-        # so that its u entry is +1 (u's entry is +1 on top, -1 below).
-        s = G[rho, -1]
-        row, b_row = s * G[rho], s * rhs[rho]
-        G[:d] -= row
-        G[d:-1] += row
-        rhs[:d] -= b_row
-        rhs[d:-1] += b_row
-        G[rho], rhs[rho] = s * row, s * b_row
+        c = np.concatenate([np.full(N, U), np.zeros(2 * d), [-1.0]])
+        rhs = np.concatenate([r - U, r + U, [1.0]])
         basis = np.append(N + np.arange(2 * d), j)
-        basis[rho] = N + 2 * d
     sol = lp_solve(LPInstance(c=c, A=G, b=rhs), tol=tol, basis=basis)
     if sol.status != "optimal":
         # The LP is feasible (any lam on the simplex) and bounded below

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -67,15 +66,6 @@ def alpha(n: int, k: int) -> float:
     return math.sqrt((n - k) / (n * (k + 1)))
 
 
-@cache
-def _lower(m: int) -> np.ndarray:
-    """The read-only (m, m) mask of ones on and below the diagonal, the
-    one np.tril applies, without np.tril's per-call cost."""
-    mask = np.tri(m)
-    mask.setflags(write=False)
-    return mask
-
-
 def _edge_factor(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The barycentric gradients g of the simplex with vertex rows P, the
     affine coordinates beta of the origin's foot on its affine hull, and
@@ -84,13 +74,14 @@ def _edge_factor(P: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     g[1:] = (E E^T)^-1 E = L^-T (L^-1 E) and g[0] = -sum(g[1:]) (Wolfe's
     affine step for every facet at once).  beta = e_0 - g v_0 sums to one
     up to rounding, and one refinement beta -= g (P^T beta) takes back
-    what the Gram matrix's squared condition number costs.  L^-1 keeps
-    only the lower triangle of its LU inverse, whose rounding above the
-    diagonal would weigh vertices outside a prefix.  A failed
-    factorization gives NaN throughout, which certifies nothing."""
+    what the Gram matrix's squared condition number costs.  L^-1 is
+    taken as inv(L^T)^T: LU does not pivot on the upper-triangular L^T,
+    so the inverse is exactly triangular and no rounding above the
+    diagonal weighs vertices outside a prefix.  A failed factorization
+    gives NaN throughout, which certifies nothing."""
     E = P[1:] - P[0]
     try:
-        Linv = np.linalg.inv(np.linalg.cholesky(E @ E.T)) * _lower(len(E))
+        Linv = np.linalg.inv(np.linalg.cholesky(E @ E.T).T).T
     except np.linalg.LinAlgError:
         Linv = np.full((len(E), len(E)), np.nan)
     grads = np.empty_like(P)

@@ -247,21 +247,54 @@ def start_case(r, p):
 
 @pytest.mark.parametrize("r", START_RESIDUALS)
 def test_linf_start_basis(r):
-    # The closed-form l-infinity start from the nearest sample P_j: lam_j
-    # = 1, u = ||r||_inf, p = u - r and q = u + r, except that u takes
-    # the row of the zero one of p_i*, q_i*.  The signed right-hand side
-    # is exactly those start values.
+    # The l-infinity start from the nearest sample P_j, with U = ||r||_inf:
+    # every p on its -e_i column, every q on its +e_(d+i) column, then
+    # lam_j = 1, and v = 0 nonbasic.  The signed right-hand side is exactly
+    # (U - r, U + r, 1).  r0 starts every p and q at zero; r1, r2, r4 and
+    # r5 start a p, a -e_i column, at zero, and r1, r2, r3 and r6 a q.
     P, j, lp, basis, signed_b = start_case(r, math.inf)
     N, d = P.shape
     r = np.array(r)
-    u = np.abs(r).max()
-    i = int(np.argmax(np.abs(r)))
-    want = np.append(N + np.arange(2 * d), j)
-    want[i + d * (r[i] < 0.0)] = N + 2 * d
-    assert list(basis) == list(want)
-    start = np.concatenate([np.zeros(N), u - r, u + r, [u]])
-    start[j] = 1.0
-    assert list(signed_b) == list(start[basis])
+    U = np.abs(r).max()
+    assert list(basis) == list(N + np.arange(2 * d)) + [j]
+    assert list(np.diagonal(lp.A[:, basis])) == [-1.0] * d + [1.0] * (d + 1)
+    assert list(signed_b) == list(U - r) + list(U + r) + [1.0]
+
+
+def linf_hull_lp(P: np.ndarray, j: int, r: np.ndarray) -> LPInstance:
+    """The l-infinity hull LP around sample j in closed form, written
+    block by block: columns (lam, p, q, v), rows Q lam - v - p = r - U,
+    Q lam + v + q = r + U and sum(lam) = 1, costs U on every lam and -1 on
+    v, with Q = (P - P_j).T and U = ||r||_inf."""
+    N, d = P.shape
+    U = np.abs(r).max()
+    A = np.zeros((2 * d + 1, N + 2 * d + 1))
+    A[:d, :N] = A[d : 2 * d, :N] = (P - P[j]).T
+    A[range(d), N + np.arange(d)] = -1.0
+    A[d + np.arange(d), N + d + np.arange(d)] = 1.0
+    A[:d, -1], A[d : 2 * d, -1] = -1.0, 1.0
+    A[-1, :N] = 1.0
+    c = np.zeros(N + 2 * d + 1)
+    c[:N], c[-1] = U, -1.0
+    return LPInstance(c=c, A=A, b=np.concatenate([r - U, r + U, [1.0]]))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_linf_lp_is_posed_in_closed_form(seed):
+    # dist_to_hull hands lp_solve this LP as written, with no row
+    # transformed after it is built, and starts on every p, every q and
+    # lam_j.  Queries: off the hull, inside it, and at a sample point.
+    rng = np.random.default_rng(seed)
+    N, d = int(rng.integers(1, 25)), int(rng.integers(1, 7))
+    P = rng.normal(size=(N, d))
+    x = [3.0 * rng.normal(size=d), rng.dirichlet(np.ones(N)) @ P, P[rng.integers(N)]][seed % 3]
+    _, ((lp, basis),) = hull_lps(Vector.from_array(x), SampledSet(P), NormSpec.lp(math.inf))
+    j = int(np.argmin(np.abs(P - x).max(axis=1)))
+    want = linf_hull_lp(P, j, x - P[j])
+    assert np.array_equal(lp.A, want.A)
+    assert np.array_equal(lp.b, want.b)
+    assert np.array_equal(lp.c, want.c)
+    assert list(basis) == list(N + np.arange(2 * d)) + [j]
 
 
 @pytest.mark.parametrize("r", START_RESIDUALS)
