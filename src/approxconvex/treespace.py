@@ -241,23 +241,38 @@ def _primal_lp(x: TreeVector, M: float, tol: float):
     would equal y+-_d, cost included, and the simplex, which breaks ties
     by the lower column, would never bring it in.  The row duals of this
     LP are precisely a maximizing dual functional.  It starts on y = x,
-    w = 0 (y+ or y- by the sign of x), whose columns are +-e_i: the
-    signed unit start `lp_solve` takes.  Returns D, its layout and the
-    solution.
+    w = 0, whose columns are +-e_i: the signed unit start `lp_solve`
+    takes.  A support row starts on y+ or y- by the sign of x.  A zero
+    row, a label of D outside supp(x), has basic value 0 on either
+    column, so it takes the column of its last parent in label order.
+    The start duals are M sign, so such a label starts at its parent's
+    value and adds no midpoint defect there; y+ on every zero row put +M
+    under each negative support label, a defect of 2M that took about
+    ten degenerate pivots per LP to repair.  Returns D, its layout and
+    the solution.
     """
     D, S, layout = _halving(x)
-    pairs = layout[1]
+    _, pairs, left, right = layout
     N = len(D)
     W = S[:, pairs]
     A = np.hstack([np.eye(N), -np.eye(N), W, -W])
     b = x.to_array(D)
     c = np.concatenate([np.full(2 * N, M), np.ones(2 * len(pairs))])
+    # Parents sort after their children, so walking the pairs backwards
+    # signs each pair before its children; every label of D descends
+    # from a support label, so every row ends up signed.
+    sign = np.sign(b).tolist()
+    for a, kid1, kid2 in zip(pairs[::-1].tolist(), left[::-1].tolist(), right[::-1].tolist()):
+        if not sign[kid1]:
+            sign[kid1] = sign[a]
+        if not sign[kid2]:
+            sign[kid2] = sign[a]
     sol = lp_solve(
         LPInstance(c=c, A=A, b=b),
         tol=min(tol, 1e-9),
-        basis=np.arange(N) + N * (b < 0.0),
+        basis=np.arange(N) + N * (np.array(sign) < 0.0),
     )
-    if sol.status != "optimal":  # y = x, w = 0 is feasible; values are >= 0
+    if sol.status != "optimal":  # the start is feasible and every cost > 0
         raise ConvergenceError(f"norm LP ended with status {sol.status}")
     return D, layout, sol
 

@@ -108,6 +108,13 @@ def tree_lps(x: Vector, M: float):
     return captured
 
 
+def all_plus_start(lp: LPInstance):
+    """The tree-norm LP's start on y+ at every row where x is not
+    negative: a valid signed unit start, not the one `treespace` takes."""
+    N = lp.n_rows
+    return np.arange(N) + N * (lp.b < 0.0)
+
+
 def hull_lps(x: Vector, A, norm):
     """dist_to_hull(x, A, norm) and the (LP, basis) pairs it passes to
     `lp_solve`, captured at its call site."""

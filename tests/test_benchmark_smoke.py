@@ -55,9 +55,15 @@ def _face_descent_selection(tasks):
     return tasks[:60] + regular + [t for t in tasks if t.kind == "best_subset"][::8]
 
 
+def _tree_lp_selection(tasks):
+    """The first 40 tasks (closures 3-10) and the five tail tree norms
+    (closures 260-500), where the LP takes the longest pivot paths."""
+    return tasks[:40] + [t for t in tasks if t.kind == "tree_norm"][-5:]
+
+
 SELECTIONS = {
     "face-descent": (_face_descent_selection, False),
-    "tree-lp": (lambda tasks: tasks[:40], True),
+    "tree-lp": (_tree_lp_selection, True),
     "hull-scan": (_hull_scan_prefix, True),
 }
 

@@ -17,6 +17,7 @@ from approxconvex.optim import (
     min_quadratic_over_simplex,
 )
 from conftest import (
+    all_plus_start,
     assert_dual_certificate,
     canonical_form,
     hull_lps,
@@ -322,12 +323,17 @@ class TestPivotRule:
 
     @pytest.mark.parametrize("closure", [30, 260])
     def test_tree_lps(self, monkeypatch, closure):
+        """Each tree LP from `treespace`'s start, and again from y+ on
+        every zero row, a valid signed unit start whose long degenerate
+        paths the library's start no longer takes."""
         runs = self.pinned(monkeypatch)
         x = random_tree_vector(np.random.default_rng(closure), closure)
-        for M in (1.0, 3.0):
-            tree_lps(x, M)
+        lps = [lp for M in (1.0, 3.0) for lp, _ in tree_lps(x, M)]
         assert len(runs) == 2
-        assert all(path for _, path, _ in runs)
+        for lp in lps:
+            lp_solve(lp, basis=all_plus_start(lp), tol=1e-9)
+        assert len(runs) == 4
+        assert all(path for _, path, _ in runs[2:])
 
     def test_hull_lps(self, monkeypatch, rng):
         runs = self.pinned(monkeypatch)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import treespace_reference as reference
 from approxconvex import labels, treespace
 from approxconvex.core import Vector
-from approxconvex.optim import ConvergenceError, LPSolution
+from approxconvex.optim import ConvergenceError, LPSolution, lp_solve
 from approxconvex.treespace import (
     DualFunctional,
     apply_S,
@@ -31,6 +31,7 @@ from approxconvex.treespace import (
 )
 from approxconvex.labels import label_sort_key
 from conftest import random_tree_vector as closure_vector
+from conftest import all_plus_start, tree_lps
 
 
 def random_label(rng, max_level, leaf_hi=40):
@@ -371,6 +372,67 @@ class TestTreeNorm:
             pr, phi = tree_norm_functional(x, 2.0)
             phi.validate(tol=1e-9)
             assert functional_eval(phi, x) == pytest.approx(pr, abs=1e-7)
+
+
+def start_signs(basis, N):
+    """The sign of each row's start column: +1 on y+, -1 on y-."""
+    return np.where(np.asarray(basis) < N, 1.0, -1.0)
+
+
+class TestStartBasis:
+    """The decomposition LP starts on y = x, w = 0: by the sign of x on
+    supp(x), and on each other label of the closure by its last parent's
+    sign, which starts the duals at +-M alike down each support label's
+    closure."""
+
+    CASES = [(closure, M) for closure in (30, 260, 500) for M in (1.0, 2.0, 3.0)]
+
+    @pytest.mark.parametrize("closure,M", CASES)
+    def test_support_rows_start_by_the_sign_of_x(self, closure, M):
+        x = closure_vector(np.random.default_rng(closure), closure)
+        [(lp, basis)] = tree_lps(x, M)
+        N = lp.n_rows
+        assert (np.asarray(basis) % N == np.arange(N)).all()  # y columns only
+        support = lp.b != 0.0
+        assert support.sum() == len(x)
+        assert (start_signs(basis, N)[support] == np.sign(lp.b[support])).all()
+
+    @pytest.mark.parametrize("closure,M", CASES)
+    def test_zero_rows_start_by_their_last_parent(self, closure, M):
+        x = closure_vector(np.random.default_rng(closure), closure)
+        [(lp, basis)] = tree_lps(x, M)
+        D = sorted(downward_closure(x.support()), key=label_sort_key)
+        last_parent = {}
+        for j, lab in enumerate(D):
+            if not lab.is_leaf:
+                last_parent[lab.left] = last_parent[lab.right] = j
+        sign = start_signs(basis, len(D))
+        zero = np.flatnonzero(lp.b == 0.0)
+        assert len(zero) > len(D) // 2
+        for i in zero.tolist():
+            assert sign[i] == sign[last_parent[D[i]]]
+
+    @pytest.mark.parametrize("closure,M", CASES)
+    def test_both_starts_reach_the_same_certified_value(self, closure, M):
+        x = closure_vector(np.random.default_rng(closure), closure)
+        [(lp, basis)] = tree_lps(x, M)
+        new = lp_solve(lp, basis=basis, tol=1e-9)
+        old = lp_solve(lp, basis=all_plus_start(lp), tol=1e-9)
+        assert abs(new.value - old.value) <= 1e-9 * (1.0 + abs(new.value) + abs(old.value))
+        primal, phi = tree_norm_functional(x, M)
+        assert primal == new.value
+        phi.validate(tol=1e-9)
+        assert abs(functional_eval(phi, x) - old.value) <= 1e-7
+
+    def test_pivot_count_pin(self):
+        # Measured: 15 pivots from the library's start, 64 from y+ on
+        # every zero row.
+        x = closure_vector(np.random.default_rng(8), 260)
+        [(lp, basis)] = tree_lps(x, 2.0)
+        new = lp_solve(lp, basis=basis, tol=1e-9).iterations
+        old = lp_solve(lp, basis=all_plus_start(lp), tol=1e-9).iterations
+        assert new <= 20
+        assert 3 * new <= old
 
 
 class TestDualFunctional:
