@@ -26,7 +26,7 @@ import numpy as np
 from . import constructions, entropy, entropy_opt, hulls, simplexgeo, treespace
 from .core import NormSpec, Vector
 from .labels import leaf, pair
-from .optim import ConvergenceError, _affine_solve
+from .optim import ConvergenceError
 
 __all__ = ["ExperimentConfig", "run", "main"]
 
@@ -289,12 +289,20 @@ def _cmd_simplex_face(cfg):
 
 def _random_interior_simplex(rng, n):
     """Unit-sphere vertices whose barycentric coordinates of the origin
-    all exceed 1e-3 and combine them to it (coincident vertices at n = 1
-    get barycentre weights that do not)."""
+    all exceed 1e-3 and combine them to it.
+
+    n + 1 random unit vectors have a linear dependence c, the last right
+    singular vector of V^T; flipping each v_i to sign(c_i c_0) v_i puts
+    the origin inside, at barycentric coordinates |c| / ||c||_1.  Up to
+    one global sign no other flip does (Wendel, Math. Scand. 11, 1962),
+    so V has the law of n + 1 random unit vectors conditioned on holding
+    the origin, in one draw where rejection took about 2^n."""
     while True:
         V = rng.standard_normal((n + 1, n))
         V /= np.linalg.norm(V, axis=1, keepdims=True)
-        lam = _affine_solve(V.T, np.zeros(n))
+        c = np.linalg.svd(V.T)[2][-1]
+        V *= np.sign(c * c[0])[:, None]
+        lam = np.abs(c) / np.abs(c).sum()
         if lam.min() > 1e-3 and np.linalg.norm(V.T @ lam) <= 1e-9:
             return V
 

@@ -75,6 +75,8 @@ class ConstructionSpec:
             raise ValueError(f"need n >= 2, got {self.n}")
         if not self.M > 0.0:
             raise ValueError(f"need M > 0, got {self.M}")
+        if not self.M < math.inf:
+            raise ValueError(f"need a finite M, got {self.M}")
         if self.grid < 1:
             raise ValueError(f"need grid >= 1, got {self.grid}")
         if self.variant not in ("full", "anchored"):
@@ -258,6 +260,8 @@ def euclid_witness_distance(
         raise ValueError(f"unknown mode {mode!r}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if not abs(M) < math.inf:
+        raise ValueError(f"need a finite M, got {M}")
     crit = critical_scale(n)
     at_critical = abs(M - crit) <= 1e-9 * crit
     if mode == "auto":

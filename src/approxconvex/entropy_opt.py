@@ -214,6 +214,8 @@ def minimize_I(n: int, M: float, tol: float = 1e-9) -> tuple[StepFunction, float
         raise ValueError(f"need n >= 1, got {n}")
     if not M > 0.0:
         raise ValueError(f"need M > 0, got {M}")
+    if not M < math.inf:
+        raise ValueError(f"need a finite M, got {M}")
     if not tol > 0.0:
         raise ValueError(f"need tol > 0, got {tol}")
     _, _, (x, k) = _family_bracket(n, M, tol)

@@ -321,17 +321,15 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
 # ---------------------------------------------------------------------------
 
 
-def _affine_solve(L, c, lam=None):
+def _affine_solve(L, c, lam):
     """Affine weights (summing to one) of the point of the affine hull of
     L's columns (at least two) nearest ``c``.
 
     Solved as least squares on the edge vectors ``L[:, 1:] - L[:, :1]``
-    against the residual ``L @ lam - c`` of a start ``lam`` summing to one
-    (default: the barycenter), so the result refines ``lam``.  Affinely
-    dependent columns get the minimum-norm correction.
+    against the residual ``L @ lam - c`` of a start ``lam`` summing to one,
+    so the result refines ``lam``.  Affinely dependent columns get the
+    minimum-norm correction.
     """
-    if lam is None:
-        lam = np.full(L.shape[1], 1.0 / L.shape[1])
     r = L @ lam - c
     delta = np.linalg.lstsq(L[:, 1:] - L[:, :1], -r, rcond=None)[0]
     return lam + np.concatenate(([-delta.sum()], delta))
@@ -523,7 +521,9 @@ def _best_first(upper, best, nodes, split, done, max_splits: int):
     of the halves.  Nodes not below ``upper`` are dropped, and ``lower``
     is the least bound left, capped at ``upper``.  Returns ``(lower,
     upper, best)`` once ``done(lower, upper)``, or raises
-    :class:`ConvergenceError` after ``max_splits`` splits.
+    :class:`ConvergenceError` after ``max_splits`` splits, or once no
+    node is left while ``done`` fails, as it does on a bracket whose
+    ends are not finite.
     """
     heap = [node for node in nodes if node[0] < upper]
     heapq.heapify(heap)
@@ -531,6 +531,8 @@ def _best_first(upper, best, nodes, split, done, max_splits: int):
         lower = min(heap[0][0], upper) if heap else upper
         if done(lower, upper):
             return lower, upper, best
+        if not heap:
+            raise ConvergenceError(f"bracket [{lower!r}, {upper!r}] is open with no node left to split")
         value, arg, children = split(heapq.heappop(heap))
         if value < upper:
             upper, best = value, arg

@@ -216,22 +216,6 @@ def functional_eval(phi: DualFunctional, x: TreeVector) -> float:
     return total
 
 
-def _halving(x: TreeVector):
-    """(D, S, layout): the downward closure D of supp(x) in label order,
-    S = I - T on it as an (N, N) array whose column j is S(e_D[j]), and
-    D's ``_layout``, whose pairs are all of D's pairs.
-
-    Each child gets its -1/2 from its own statement, so a pair (a, a)
-    puts -1 on a."""
-    D = sorted(downward_closure(x.support()), key=label_sort_key)
-    layout = _layout(D)
-    _, pairs, left, right = layout
-    S = np.eye(len(D))
-    S[left, pairs] -= 0.5
-    S[right, pairs] -= 0.5
-    return D, S, layout
-
-
 def _primal_lp(x: TreeVector, M: float, tol: float):
     """Decomposition LP over the downward closure D of supp(x).
 
@@ -248,16 +232,28 @@ def _primal_lp(x: TreeVector, M: float, tol: float):
     The start duals are M sign, so such a label starts at its parent's
     value and adds no midpoint defect there; y+ on every zero row put +M
     under each negative support label, a defect of 2M that took about
-    ten degenerate pivots per LP to repair.  Returns D, its layout and
-    the solution.
+    ten degenerate pivots per LP to repair.  Returns D in label order,
+    its layout and the solution.
+
+    A = [I, -I, W, -W] is written once from the layout: W's column k is
+    S(e_a) for the k-th pair a, each child taking its -1/2 in its own
+    statement so that a pair (b, b) puts -1 on b, and the minus blocks
+    are negated copies of the plus blocks.
     """
-    D, S, layout = _halving(x)
+    D = sorted(downward_closure(x.support()), key=label_sort_key)
+    layout = _layout(D)
     _, pairs, left, right = layout
-    N = len(D)
-    W = S[:, pairs]
-    A = np.hstack([np.eye(N), -np.eye(N), W, -W])
+    N, P = len(D), len(pairs)
+    A = np.zeros((N, 2 * (N + P)))
+    rows, cols = np.arange(N), 2 * N + np.arange(P)
+    A[rows, rows] = 1.0
+    A[pairs, cols] = 1.0
+    A[left, cols] -= 0.5
+    A[right, cols] -= 0.5
+    A[:, N : 2 * N] = -A[:, :N]
+    A[:, 2 * N + P :] = -A[:, 2 * N : 2 * N + P]
     b = x.to_array(D)
-    c = np.concatenate([np.full(2 * N, M), np.ones(2 * len(pairs))])
+    c = np.concatenate([np.full(2 * N, M), np.ones(2 * P)])
     # Parents sort after their children, so walking the pairs backwards
     # signs each pair before its children; every label of D descends
     # from a support label, so every row ends up signed.

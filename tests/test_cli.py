@@ -11,6 +11,7 @@ import approxconvex
 from approxconvex import cli, constructions, entropy_opt, hulls, optim
 from approxconvex.cli import main
 from approxconvex.optim import ConvergenceError
+from conftest import origin_barycentric
 
 
 def run_cli(capsys, *argv):
@@ -196,6 +197,9 @@ class TestExitCodes:
         (("opt-entropy", "--n", "4", "--tol", "-1"), "opt-entropy needs --tol > 0, got -1"),
         (("opt-entropy", "--n", "0"), "opt-entropy needs --n >= 1, got 0"),
         (("opt-entropy", "--n", "1"), "opt-entropy needs --M > 0 when --n is 1"),
+        (("euclid-set", "--n", "3", "--M", "inf"), "need a finite M, got inf"),
+        (("opt-entropy", "--n", "2", "--M", "inf"), "need a finite M, got inf"),
+        (("lp-set", "--n", "3", "--p", "1", "--M", "inf"), "need a finite M, got inf"),
     ])
     def test_out_of_domain_input_is_a_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -203,6 +207,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("usage error: ")
         assert message in err
+
+    @pytest.mark.parametrize("argv", [
+        ("euclid-set", "--n", "4", "--M", "1e300"),
+        ("opt-entropy", "--n", "3", "--M", "1e300"),
+    ])
+    def test_overflowing_scale_is_a_numerical_failure(self, capsys, argv):
+        # M^2 overflows, so every bound of the search is inf or NaN; the
+        # search used to end in an IndexError from an empty heap.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure: bracket [")
+        assert "no node left" in err
 
     @pytest.mark.parametrize("argv, message", [
         (("simplex-face", "--n", "3", "--trials", "0"), "simplex-face needs --trials >= 1, got 0"),
@@ -270,6 +287,40 @@ class TestExitCodes:
     def test_bad_sweep(self, capsys):
         code, _, err = run_cli(capsys, "kappa", "--sweep", "5")
         assert code == 1
+
+
+class TestRandomInteriorSimplex:
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_unit_vertices_around_the_origin(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(20):
+            V = cli._random_interior_simplex(rng, n)
+            assert V.shape == (n + 1, n)
+            assert np.allclose(np.linalg.norm(V, axis=1), 1.0)
+            assert origin_barycentric(V).min() > 1e-3
+
+    def test_law_is_the_rejection_samplers(self):
+        # Flipping signs by the linear dependence gives the law of n + 1
+        # unit vectors conditioned on holding the origin: compare the
+        # least barycentric coordinate with rejection sampling by a
+        # two-sample Kolmogorov-Smirnov statistic, against its 0.1%
+        # critical value.  The Dirichlet construction in conftest, a
+        # different law, scores about 0.2 here.
+        n, K = 3, 1500
+
+        def rejection(rng):
+            while True:
+                V = rng.standard_normal((n + 1, n))
+                V /= np.linalg.norm(V, axis=1, keepdims=True)
+                if origin_barycentric(V).min() > 1e-3:
+                    return V
+
+        rng1, rng2 = np.random.default_rng(1), np.random.default_rng(2)
+        ref = np.sort([origin_barycentric(rejection(rng1)).min() for _ in range(K)])
+        new = np.sort([origin_barycentric(cli._random_interior_simplex(rng2, n)).min() for _ in range(K)])
+        x = np.concatenate([ref, new])
+        ks = np.abs(np.searchsorted(ref, x, "right") - np.searchsorted(new, x, "right")).max() / K
+        assert ks < 1.95 * np.sqrt(2.0 / K)
 
 
 class TestOptEntropyVerdict:

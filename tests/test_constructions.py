@@ -97,6 +97,8 @@ class TestBuildEntropySet:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             spec_l2(1, 1.0, 2)
+        with pytest.raises(ValueError, match="need a finite M, got inf"):
+            spec_l2(3, math.inf, 2)
         with pytest.raises(ValueError):
             spec_l2(3, 0.0, 2)
         with pytest.raises(ValueError):
@@ -202,6 +204,15 @@ class TestEuclidWitnessDistance:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             euclid_witness_distance(4, 1.0, mode="nonsense")
+
+    @pytest.mark.parametrize("M", [math.inf, -math.inf, math.nan])
+    def test_non_finite_scale_rejected_before_the_search(self, monkeypatch, M):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the search ran on a non-finite scale")
+
+        monkeypatch.setattr(constructions, "min_smooth_over_simplex", forbidden)
+        with pytest.raises(ValueError, match="need a finite M"):
+            euclid_witness_distance(4, M, mode="numeric")
 
 
 def g_values(T, M):

@@ -133,6 +133,8 @@ class TestMinimizeI:
             minimize_I(0, 1.0)
         with pytest.raises(ValueError):
             minimize_I(4, 0.0)
+        with pytest.raises(ValueError, match="need a finite M, got inf"):
+            minimize_I(4, math.inf)
         with pytest.raises(ValueError, match="need tol > 0"):
             minimize_I(4, 1.0, tol=0.0)
 

@@ -10,7 +10,7 @@ import pytest
 from approxconvex import treespace
 from approxconvex.core import NormSpec, Vector
 from approxconvex.hulls import SampledSet
-from approxconvex.labels import downward_closure
+from approxconvex.labels import downward_closure, label_sort_key, leaf, pair
 from approxconvex.optim import LPInstance, lp_solve
 from conftest import (
     assert_dual_certificate,
@@ -126,10 +126,12 @@ def test_tree_lps(closure):
 
 def four_block_tree_lp(x: Vector, M: float) -> LPInstance:
     """The decomposition LP with a w column for every label of the
-    closure D, leaves included: A = [I, -I, S, -S], cost M on y and on a
-    leaf's w, 1 on a pair's w."""
-    D, S, _ = treespace._halving(x)
+    closure D, leaves included: A = [I, -I, S, -S], with S's columns
+    taken from the paper's S = I - T, cost M on y and on a leaf's w, 1
+    on a pair's w."""
+    D = sorted(downward_closure(x.support()), key=label_sort_key)
     N = len(D)
+    S = np.column_stack([treespace.apply_S(Vector.unit(lab)).to_array(D) for lab in D])
     wprime = np.array([M if lab.is_leaf else 1.0 for lab in D])
     return LPInstance(
         c=np.concatenate([np.full(2 * N, M), wprime, wprime]),
@@ -138,24 +140,37 @@ def four_block_tree_lp(x: Vector, M: float) -> LPInstance:
     )
 
 
-@pytest.mark.parametrize("closure", [260, 500])
-def test_tree_lp_has_no_leaf_w_columns(closure):
+def assert_no_leaf_w_columns(x: Vector):
     # A leaf's w columns equal its y columns, cost included, so dropping
     # them leaves the value and, since ties go to the lower column, every
-    # pivot.
-    rng = np.random.default_rng(closure)
-    x = random_tree_vector(rng, closure)
-    D = downward_closure(x.support())
-    n_pairs = sum(not lab.is_leaf for lab in D)
+    # pivot.  What is left is [I, -I, S_P, -S_P], S_P the pair columns
+    # of the paper's S.
+    D = sorted(downward_closure(x.support()), key=label_sort_key)
+    N, is_pair = len(D), np.array([not lab.is_leaf for lab in D])
     for M in (1.0, 3.0):
         [(primal, basis)] = tree_lps(x, M)
-        assert primal.n_vars == 2 * len(D) + 2 * n_pairs
+        assert primal.n_vars == 2 * N + 2 * int(is_pair.sum())
         four_block = four_block_tree_lp(x, M)
-        assert four_block.n_vars == 4 * len(D)
+        assert four_block.n_vars == 4 * N
+        S_P = four_block.A[:, 2 * N : 3 * N][:, is_pair]
+        assert np.array_equal(primal.A, np.hstack([np.eye(N), -np.eye(N), S_P, -S_P]))
         sol = lp_solve(primal, basis=basis)
         _, value = highs(four_block)
         assert abs(sol.value - value) <= 1e-9 * max(1.0, abs(value))
         assert lp_solve(four_block, basis=basis).iterations == sol.iterations
+
+
+@pytest.mark.parametrize("closure", [260, 500])
+def test_tree_lp_has_no_leaf_w_columns(closure):
+    rng = np.random.default_rng(closure)
+    assert_no_leaf_w_columns(random_tree_vector(rng, closure))
+
+
+def test_tree_lp_has_no_leaf_w_columns_with_repeated_children():
+    # Each child takes its -1/2 on its own, so (b, b) puts -1 on b.
+    a1 = pair(leaf(1), leaf(1))
+    a2 = pair(pair(leaf(2), leaf(2)), leaf(2))
+    assert_no_leaf_w_columns(Vector({a1: 1.0, a2: -0.5, leaf(3): 2.0}))
 
 
 def highs_hull_distance(P: np.ndarray, x: np.ndarray, p: float) -> float:

@@ -634,3 +634,24 @@ class TestQuadraticKernel:
             _, dist = min_distance_over_simplex(L, c, tol=1e-9)
             _, f = min_quadratic_over_simplex(L, c, tol=1e-12)
             assert dist == pytest.approx(math.sqrt(f), abs=1e-8)
+
+
+class TestBestFirst:
+    @staticmethod
+    def never_split(node):
+        raise AssertionError("a node at or above upper was split")
+
+    @pytest.mark.parametrize("upper, nodes", [
+        (1.0, [(1.0, 0), (2.0, 1)]),
+        (math.inf, [(math.inf, 0)]),
+        (math.nan, [(0.0, 0), (math.nan, 1)]),
+    ], ids=["at-or-above", "inf", "nan"])
+    def test_no_node_below_upper_raises(self, upper, nodes):
+        # A scale whose square overflows makes every bound inf or NaN: no
+        # node is kept, and the open bracket used to pop an empty heap.
+        with pytest.raises(ConvergenceError, match=r"bracket \[.*\] is open with no node left"):
+            optim._best_first(upper, None, nodes, self.never_split, lambda lo, up: False, 10)
+
+    def test_no_node_below_upper_is_done_when_closed(self):
+        closed = optim._best_first(1.0, "arg", [(1.0, 0)], self.never_split, lambda lo, up: up - lo <= 0.0, 10)
+        assert closed == (1.0, 1.0, "arg")
