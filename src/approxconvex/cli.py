@@ -4,13 +4,17 @@ the bound it reproduces.
 
 Reports are JSON lines {command, params, results, pass, elapsed_ms}
 with floats printed to 17 significant digits, so a rerun with the same
-config and seed is bit-identical except for the timing field.  Sweep
+parameters and seed is bit-identical except for the timing field.  Sweep
 variants emit one line (or CSV row) per parameter value; non-finite
-floats are written as the strings "inf", "-inf" and "nan".  With
---paper-check the exit code becomes 2 when any asserted bound fails;
-usage errors exit 1, a solver that cannot certify its answer
-(optim.ConvergenceError) exits 3 with "numerical failure: ..." on
-stderr, everything else 0.
+floats are written as the strings "inf", "-inf" and "nan".  A CSV cell
+that holds a list is the list's JSON text in one pair of quotes, every
+quote inside it doubled.  With --paper-check the exit code becomes 2
+when any asserted bound fails; usage errors exit 1, a solver that
+cannot certify its answer (optim.ConvergenceError) exits 3 with
+"numerical failure: ..." on stderr, everything else 0.
+
+Each subcommand is named once, in one table of handlers and flags
+(_COMMANDS), from which the parser is built.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from .core import NormSpec, Vector
 from .labels import leaf, pair
 from .optim import ConvergenceError
 
-__all__ = ["ExperimentConfig", "run", "main"]
+__all__ = ["main"]
 
 DEFAULT_TOL = 1e-9
 
@@ -37,20 +41,7 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class ExperimentConfig:
-    """A parsed experiment: command name, numeric parameters, seed and
-    output format."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
-    fmt: str = "json"
-    paper_check: bool = False
-
-    def __post_init__(self):
-        if self.fmt not in ("json", "csv"):
-            raise UsageError(f"output format must be json or csv, got {self.fmt!r}")
+_Run = namedtuple("_Run", "command params seed")  # one parameter set, as its handler sees it
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +99,7 @@ def _csv_cell(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, list):
-        return '"' + ";".join(_csv_cell(x) for x in v) + '"'
+        return '"' + _json_token(v).replace('"', '""') + '"'
     return str(v)
 
 
@@ -417,7 +408,8 @@ def _cmd_tree_norm(cfg):
 
 def _cmd_tree_haus(cfg):
     M, N = cfg.params["M"], _positive(cfg, "N")  # the number of leaves averaged
-    formula = 2.0 * M - 2.0 ** (2 * M + 1) * M / N
+    # 2.0 ** (2M + 1) raises from M = 512; its product with M is inf from M = 508.
+    formula = 2.0 * M - (2.0 ** (2 * M + 1) if M <= 511 else math.inf) * M / N
     measured = treespace.haus_experiment(M, N)
     certified = measured >= formula - 1e-12 and measured <= 2.0 * M + 1e-12
     results = {"bound": formula, "measured": measured, "certified": certified}
@@ -437,60 +429,6 @@ def _cmd_tree_jensen(cfg):
         worst = max(worst, treespace.jensen_defect(b, c, float(M)))
     results = {"pairs": pairs_n, "max_defect": worst}
     return results, worst <= 1.0 + 1e-9
-
-
-_HANDLERS = {
-    "kappa": _cmd_kappa,
-    "entropy-defect": _cmd_entropy_defect,
-    "euclid-set": _cmd_euclid_set,
-    "l1-bound": _cmd_l1_bound,
-    "general-bound": _cmd_general_bound,
-    "lp-set": _cmd_lp_set,
-    "simplex-face": _cmd_simplex_face,
-    "best-subset": _cmd_best_subset,
-    "opt-entropy": _cmd_opt_entropy,
-    "lowbound3": _cmd_lowbound3,
-    "typep-bound": _cmd_typep_bound,
-    "tree-norm": _cmd_tree_norm,
-    "tree-haus": _cmd_tree_haus,
-    "tree-jensen": _cmd_tree_jensen,
-}
-
-_SWEEPABLE = {"kappa", "l1-bound", "lowbound3"}
-
-
-def run(config: ExperimentConfig) -> tuple[list[dict], bool]:
-    """Execute one experiment (or a sweep) and return its report lines
-    plus the overall pass verdict."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        raise UsageError(f"unknown command {config.command!r}")
-    sweep = config.params.pop("sweep", None)
-    param_sets = [config.params]
-    if sweep is not None:
-        if config.command not in _SWEEPABLE:
-            raise UsageError(f"{config.command} does not support --sweep")
-        param_sets = [dict(config.params, n=n) for n in sweep]
-    reports = []
-    all_pass = True
-    for params in param_sets:
-        cfg = replace(config, params=params)
-        t0 = time.perf_counter()
-        results, passed = handler(cfg)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0
-        shown = dict(params)
-        shown["seed"] = config.seed
-        reports.append(
-            {
-                "command": config.command,
-                "params": _canon(shown),
-                "results": _canon(results),
-                "pass": bool(passed),
-                "elapsed_ms": float(elapsed_ms),
-            }
-        )
-        all_pass = all_pass and passed
-    return reports, all_pass
 
 
 def _emit(reports: list[dict], fmt: str):
@@ -532,6 +470,48 @@ def _parse_sweep(text: str) -> list[int]:
     return list(range(start, stop + 1, step))
 
 
+# name: (handler, {flag: (type, default, required)}); a command with a
+# "sweep" flag runs once per n of its START:STOP[:STEP] range.
+_SWEEP = (_parse_sweep, None, False)
+_COMMANDS = {
+    "kappa": (_cmd_kappa, {"n": (int, None, False), "sweep": _SWEEP}),
+    "entropy-defect": (_cmd_entropy_defect, {"n": (int, 4, False), "samples": (int, 10_000, False)}),
+    "euclid-set": (_cmd_euclid_set, {"n": (int, None, True), "M": (float, None, False), "grid": (int, None, False)}),
+    "l1-bound": (_cmd_l1_bound, {"n": (int, None, False), "eps": (float, 1.0, False), "sweep": _SWEEP}),
+    "general-bound": (
+        _cmd_general_bound,
+        {"n": (int, None, True), "eps": (float, 1.0, False), "dist": (float, None, False), "p": (float, None, False)},
+    ),
+    "lp-set": (
+        _cmd_lp_set,
+        {
+            "n": (int, None, True),
+            "p": (float, 1.0, False),
+            "M": (float, None, False),
+            "grid": (int, None, False),
+            "t_grid": (int, 5, False),
+        },
+    ),
+    "simplex-face": (_cmd_simplex_face, {"n": (int, None, True), "trials": (int, 50, False)}),
+    "best-subset": (_cmd_best_subset, {"n": (int, None, True), "trials": (int, 20, False)}),
+    "opt-entropy": (
+        _cmd_opt_entropy,
+        {"n": (int, None, True), "M": (float, None, False), "tol": (float, DEFAULT_TOL, False)},
+    ),
+    "lowbound3": (_cmd_lowbound3, {"n": (int, None, False), "sweep": _SWEEP}),
+    "typep-bound": (
+        _cmd_typep_bound,
+        {"p": (float, None, True), "Tp": (float, 1.0, False), "d": (float, None, True), "diam": (float, None, False)},
+    ),
+    "tree-norm": (_cmd_tree_norm, {"M": (float, 2.0, False), "samples": (int, 25, False)}),
+    "tree-haus": (_cmd_tree_haus, {"M": (int, 2, False), "N": (int, 128, False)}),
+    "tree-jensen": (
+        _cmd_tree_jensen,
+        {"M": (float, 2.0, False), "pairs": (int, 20, False), "level": (int, 6, False)},
+    ),
+}
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0)
@@ -543,82 +523,46 @@ def _build_parser() -> _Parser:
     )
     parser = _Parser(prog="approxconvex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, **spec):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common])
-        for flag, (typ, default, required) in spec.items():
+        for flag, (typ, default, required) in flags.items():
             p.add_argument(f"--{flag}", type=typ, default=default, required=required)
-        return p
-
-    p = add("kappa", n=(int, None, False))
-    p.add_argument("--sweep", type=str, default=None)
-    add("entropy-defect", n=(int, 4, False), samples=(int, 10_000, False))
-    add("euclid-set", n=(int, None, True), M=(float, None, False), grid=(int, None, False))
-    p = add("l1-bound", n=(int, None, False), eps=(float, 1.0, False))
-    p.add_argument("--sweep", type=str, default=None)
-    add(
-        "general-bound",
-        n=(int, None, True),
-        eps=(float, 1.0, False),
-        dist=(float, None, False),
-        p=(float, None, False),
-    )
-    add(
-        "lp-set",
-        n=(int, None, True),
-        p=(float, 1.0, False),
-        M=(float, None, False),
-        grid=(int, None, False),
-        t_grid=(int, 5, False),
-    )
-    add("simplex-face", n=(int, None, True), trials=(int, 50, False))
-    add("best-subset", n=(int, None, True), trials=(int, 20, False))
-    add("opt-entropy", n=(int, None, True), M=(float, None, False), tol=(float, DEFAULT_TOL, False))
-    p = add("lowbound3", n=(int, None, False))
-    p.add_argument("--sweep", type=str, default=None)
-    add(
-        "typep-bound",
-        p=(float, None, True),
-        Tp=(float, 1.0, False),
-        d=(float, None, True),
-        diam=(float, None, False),
-    )
-    add("tree-norm", M=(float, 2.0, False), samples=(int, 25, False))
-    add("tree-haus", M=(int, 2, False), N=(int, 128, False))
-    add("tree-jensen", M=(float, 2.0, False), pairs=(int, 20, False), level=(int, 6, False))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-        params = {
-            k: v
-            for k, v in vars(ns).items()
-            if k not in ("seed", "format", "paper_check", "command")
-            and v is not None
-        }
-        if "sweep" in params:
-            params["sweep"] = _parse_sweep(params["sweep"])
-        elif ns.command in _SWEEPABLE and params.get("n") is None:
+        ns = _build_parser().parse_args(argv)
+        handler, flags = _COMMANDS[ns.command]
+        common = ("seed", "format", "paper_check", "command")
+        params = {k: v for k, v in vars(ns).items() if k not in common and v is not None}
+        sweep = params.pop("sweep", None)
+        if "sweep" in flags and sweep is None and "n" not in params:
             raise UsageError(f"{ns.command} needs --n or --sweep")
-        config = ExperimentConfig(
-            command=ns.command,
-            params=params,
-            seed=ns.seed,
-            fmt=ns.format,
-            paper_check=ns.paper_check,
-        )
-        reports, all_pass = run(config)
+        param_sets = [params] if sweep is None else [dict(params, n=n) for n in sweep]
+        reports, all_pass = [], True
+        for params in param_sets:
+            t0 = time.perf_counter()
+            results, passed = handler(_Run(ns.command, params, ns.seed))
+            elapsed_ms = (time.perf_counter() - t0) * 1000.0
+            reports.append(
+                {
+                    "command": ns.command,
+                    "params": _canon(dict(params, seed=ns.seed)),
+                    "results": _canon(results),
+                    "pass": bool(passed),
+                    "elapsed_ms": float(elapsed_ms),
+                }
+            )
+            all_pass = all_pass and passed
     except (UsageError, ValueError, ArithmeticError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    _emit(reports, config.fmt)
-    if config.paper_check and not all_pass:
+    _emit(reports, ns.format)
+    if ns.paper_check and not all_pass:
         return 2
     return 0
 

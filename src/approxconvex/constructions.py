@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import NormSpec, Vector, simplex_grid_array
+from .core import NormSpec, Vector, check_count, check_tol, simplex_grid_array
 from .entropy import entropy_E_array, phi
 from .hulls import SampledSet
 from .optim import _best_first
@@ -207,9 +207,11 @@ def min_smooth_over_simplex(n: int, M: float, tol: float) -> tuple[float, float]
     its exact value, and twice that is subtracted.
 
     Raises :class:`ConvergenceError` if the bracket is not within ``tol``
-    after ``EUCLID_MAX_SPLITS`` splits.  The name is the module attribute
+    after ``EUCLID_MAX_SPLITS`` splits, and ``ValueError`` at once unless
+    ``tol`` is finite and positive.  The name is the module attribute
     that the benchmark's tracer wraps.
     """
+    check_tol(tol, positive=True)
     M2 = M * M
     base = M2 / n
 
@@ -253,11 +255,13 @@ def euclid_witness_distance(
     distance is exactly log2 n ("analytic" mode).  "numeric" mode returns
     sqrt(upper - M^2/n) for the certified bracket of
     :func:`min_smooth_over_simplex`: the distance of an explicit simplex
-    point, within ``tol`` of the true distance.  ``seed`` is accepted for
-    compatibility and has no effect.
+    point, within ``tol`` of the true distance, which must be finite and
+    positive.  ``seed`` is accepted for compatibility and has no effect.
     """
     if mode not in ("auto", "analytic", "numeric"):
         raise ValueError(f"unknown mode {mode!r}")
+    n = check_count(n, "n")
+    check_tol(tol, positive=True)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not abs(M) < math.inf:

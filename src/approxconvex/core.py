@@ -8,8 +8,9 @@ witnesses) are still Vectors over 0..d-1.  Point sets in lp^n, simplex
 grids included, are dense arrays, and every lp distance is computed on
 them (hulls).  Probability vectors, the kernels' weights and the
 arguments of the entropy, are plain (n,) float arrays, checked where they
-are made or received (optim, entropy).  Everything here is immutable
-after construction and safe to use concurrently.
+are made or received (optim, entropy).  Counts and tolerances are checked
+by `check_count` and `check_tol` before any work.  Everything here is
+immutable after construction and safe to use concurrently.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
+from numbers import Integral
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -30,6 +32,22 @@ __all__ = [
     "simplex_grid_array",
     "index_sort_key",
 ]
+
+
+def check_count(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` if it is a bool or not a
+    ``numbers.Integral`` (numpy integers are)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def check_tol(tol, positive: bool = False) -> None:
+    """Raise ``ValueError`` unless the tolerance ``tol`` is finite and
+    not negative.  A bracket search passes ``positive``, since no bracket
+    gets 0 wide, and 0 is rejected too."""
+    if not (math.isfinite(tol) and (tol > 0.0 if positive else tol >= 0.0)):
+        raise ValueError(f"need tol {'>' if positive else '>='} 0 and finite, got {tol}")
 
 
 def index_sort_key(index):
@@ -154,6 +172,7 @@ def simplex_grid_array(n: int, m: int) -> np.ndarray:
     Enumerates the compositions of m into n nonnegative parts; the count
     is C(m+n-1, n-1).
     """
+    n, m = check_count(n, "n"), check_count(m, "m")
     if n < 1 or m < 1:
         raise ValueError(f"simplex_grid_array needs n >= 1 and m >= 1, got n={n}, m={m}")
     if n == 1:

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_count
+
 __all__ = [
     "phi",
     "entropy_E",
@@ -163,6 +165,7 @@ def power2_condition(n: int) -> bool:
     only asserted downstream for n >= 16 even though the inequality
     itself already holds at n = 8.
     """
+    n = check_count(n, "n")
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"power2_condition needs n = 2^k with k >= 1, got {n}")
     lhs = float(_floor_log2(n))  # kappa(n-1) by the closed formula

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import check_tol
 from .entropy import phi
 from .optim import ConvergenceError, _best_first
 
@@ -216,8 +217,7 @@ def minimize_I(n: int, M: float, tol: float = 1e-9) -> tuple[StepFunction, float
         raise ValueError(f"need M > 0, got {M}")
     if not M < math.inf:
         raise ValueError(f"need a finite M, got {M}")
-    if not tol > 0.0:
-        raise ValueError(f"need tol > 0, got {tol}")
+    check_tol(tol, positive=True)
     _, _, (x, k) = _family_bracket(n, M, tol)
     y = _assemble(x, k, n)
     return y, I_eval(y, M)

@@ -33,7 +33,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .core import NormSpec, Vector
+from .core import NormSpec, Vector, check_count, check_tol
 from .optim import ConvergenceError, LPInstance, lp_solve, min_distance_over_simplex
 
 __all__ = [
@@ -173,8 +173,10 @@ def dist_to_hull(x: Vector, A: SampledSet, norm: NormSpec, tol: float = 1e-9) ->
     on its +e_(d+i) column, with signed right-hand sides U - r_i and
     U + r_i, both >= 0 and zero where |r_i| = U.  Every other lam then
     has reduced cost 0 and v has -1, so the first pivot enters v at
-    ratio 0 in such a row.  Other norms are rejected.
+    ratio 0 in such a row.  Other norms, and a NaN, infinite or negative
+    ``tol``, are rejected.
     """
+    check_tol(tol)
     P = A.matrix
     N, d = P.shape
     xv = _coords(x, d)
@@ -247,6 +249,7 @@ def convexity_defect(A: SampledSet, norm: NormSpec, t_grid: int) -> DefectReport
     """
     if len(A) < 2:
         raise ValueError("convexity_defect needs at least two points")
+    t_grid = check_count(t_grid, "t_grid")
     if t_grid < 2:
         raise ValueError("t_grid must be at least 2")
     X = A.matrix

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_tol
+
 __all__ = [
     "ConvergenceError",
     "LPInstance",
@@ -246,8 +248,10 @@ def lp_solve(lp: LPInstance, basis, tol: float = 1e-9) -> LPSolution:
     |c.x - b.y| <= tol (1 + |c.x| + |b.y|).
     A failed check is a numerical failure: it raises
     :class:`ConvergenceError` naming the first bad row or column instead
-    of returning a wrong ``optimal``.
+    of returning a wrong ``optimal``.  A NaN, infinite or negative
+    ``tol`` raises ``ValueError``.
     """
+    check_tol(tol)
     m, n = lp.A.shape
     max_iter = 20_000 + 40 * (m + n)
     start = _basis_columns(lp, basis)
@@ -470,9 +474,10 @@ def min_quadratic_over_simplex(
     iteration budget, once iterations stop lowering the value first, or
     if ``t`` leaves the simplex (a negative entry, or a sum more than
     1e-12 from one).  An L that is not (d, N) with N >= 1, a c that is
-    not (d,), or a non-finite entry in either raises ``ValueError``
-    before any solve.
+    not (d,), a non-finite entry in either, or a NaN, infinite or
+    negative ``tol`` raises ``ValueError`` before any solve.
     """
+    check_tol(tol)
     L, c = _kernel_data(L, c)
     lam, f, _, _ = _mnp(L, c, lambda f_, g_: g_ <= tol)
     _check_simplex(lam)
@@ -499,6 +504,7 @@ def min_distance_over_simplex(
     returned ``(t, distance)`` has the distance within ``tol`` of the true
     minimum even when the optimum is far from zero.
     """
+    check_tol(tol)
     L, c = _kernel_data(L, c)
     lam, f, _, _ = _mnp(L, c, lambda f_, g_: _distance_stop(f_, g_, tol))
     _check_simplex(lam)

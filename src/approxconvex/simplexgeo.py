@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_count
 from .optim import _distance_stop, min_distance_over_simplex, min_quadratic_over_simplex
 
 __all__ = ["FaceResult", "alpha", "near_face", "face_chain", "best_subset"]
@@ -296,6 +297,7 @@ def near_face(vertices, k: int) -> FaceResult:
     array, on the unit sphere with the origin strictly inside; inputs
     on the boundary within 1e-10 are shifted inward by 1e-8 and retried.
     """
+    k = check_count(k, "k")
     n = len(vertices) - 1 if np.ndim(vertices) else 0
     if not 0 <= k <= n - 1:
         raise ValueError(f"near_face needs 0 <= k <= n-1, got k={k} for n={n}")
@@ -339,6 +341,7 @@ def best_subset(points, j: int) -> FaceResult:
     points in R^n) plus, on the boundary retry, the largest move of a
     vertex, |v_i - w_i| <= 2e-8 / (1 - 1e-8) (see _validated).
     """
+    j = check_count(j, "j")
     P = np.array(points, dtype=float)
     if P.ndim != 2:
         raise ValueError(f"points must be the rows of a 2-D array, got shape {P.shape}")

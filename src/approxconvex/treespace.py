@@ -26,11 +26,11 @@ else is confined to one call.
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import Vector
+from .core import Vector, check_tol
 from .labels import TreeLabel, downward_closure, label_sort_key, leaf, pair
 from .optim import ConvergenceError, LPInstance, lp_solve
 
@@ -168,7 +168,9 @@ class DualFunctional:
         """Return self if the scale is finite and positive and every
         constraint holds within ``tol``; else raise ``ValueError`` naming
         the first violation in label order, a label's bound before its
-        midpoint defect.  A NaN value or defect fails its check."""
+        midpoint defect.  A NaN value or defect fails its check; a NaN,
+        infinite or negative ``tol`` is rejected first."""
+        check_tol(tol)
         M = self.scale
         if not 0.0 < M < np.inf:
             raise ValueError(f"the scale M must be finite and positive, got {M}")
@@ -280,6 +282,7 @@ def tree_norm_functional(x: TreeVector, M: float, tol: float = DUALITY_TOL):
     phi is the dual functional read off the LP row multipliers, clamped
     into [-M, M] and validated, over the closure in label order.
     """
+    check_tol(tol)
     _check_tree_indices(x)
     if not 0.0 < M < np.inf:
         raise ValueError(f"need M > 0 and finite, got {M}")
@@ -379,7 +382,7 @@ def build_phi(a: TreeLabel, M: int, universe: set[TreeLabel]) -> DualFunctional:
 
 
 def haus_experiment(
-    M: int, N: int, candidates: list[TreeLabel] | None = None
+    M: int, N: int, candidates: Iterable[TreeLabel] | None = None
 ) -> float:
     """Certified lower bound on the distance from the average of N fresh
     leaves to the unit-vector set.
@@ -401,9 +404,13 @@ def haus_experiment(
         raise ValueError(f"N must be an integer, got {N!r}")
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    if candidates is not None and not candidates:
-        raise ValueError("need at least one candidate")
-    if candidates is None:
+    if candidates is not None:
+        candidates = list(candidates)  # read twice: closure, then values
+        if not candidates:
+            raise ValueError("need at least one candidate")
+        if not all(isinstance(a, TreeLabel) for a in candidates):
+            raise ValueError(f"candidates must be tree labels, got {candidates!r}")
+    else:
         candidates = [leaf(N + 1)]
         if N >= 2:
             candidates.append(pair(leaf(1), leaf(2)))

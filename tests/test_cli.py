@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 import approxconvex
-from approxconvex import cli, constructions, entropy_opt, hulls, optim
+from approxconvex import cli, constructions, entropy_opt, hulls, optim, treespace
 from approxconvex.cli import main
 from approxconvex.optim import ConvergenceError
 from conftest import origin_barycentric
@@ -200,6 +203,7 @@ class TestExitCodes:
         (("euclid-set", "--n", "3", "--M", "inf"), "need a finite M, got inf"),
         (("opt-entropy", "--n", "2", "--M", "inf"), "need a finite M, got inf"),
         (("lp-set", "--n", "3", "--p", "1", "--M", "inf"), "need a finite M, got inf"),
+        (("opt-entropy", "--n", "4", "--tol", "inf"), "need tol > 0 and finite, got inf"),
     ])
     def test_out_of_domain_input_is_a_usage_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
@@ -375,6 +379,41 @@ class TestFormats:
         code, _, err = run_cli(capsys, "euclid-set", "--n", "4", "--sweep", "1:2")
         assert code == 1
 
+    def test_csv_list_cell_round_trips(self, capsys):
+        # A list cell is its JSON text in one pair of quotes, so csv and
+        # json read back the pieces the JSON report holds.
+        code, out, _ = run_cli(capsys, "opt-entropy", "--n", "6", "--M", "3")
+        assert code == 0
+        (rep,) = parse_lines(out)
+        code, out, _ = run_cli(capsys, "opt-entropy", "--n", "6", "--M", "3", "--format", "csv")
+        assert code == 0
+        header, row = csv.reader(io.StringIO(out))
+        assert header[:4] == ["command", "n", "M", "tol"]
+        cell = row[header.index("pieces")]
+        assert json.loads(cell) == rep["results"]["pieces"]
+        assert len(rep["results"]["pieces"]) == 2
+
+
+class TestTreeHausLargeScale:
+    @pytest.mark.parametrize("M", [507, 508])
+    def test_bound_is_the_float_formula(self, capsys, M):
+        code, out, _ = run_cli(capsys, "tree-haus", "--M", str(M), "--N", "5")
+        assert code == 0
+        bound = parse_lines(out)[0]["results"]["bound"]
+        expected = 2.0 * M - 2.0 ** (2 * M + 1) * M / 5
+        assert bound == (expected if math.isfinite(expected) else str(expected))
+
+    @pytest.mark.parametrize("M", [511, 512, 600])
+    def test_overflowing_bound_is_minus_infinity(self, capsys, M):
+        # 2^(2M+1) M overflows from M = 508, and 2.0 ** (2M + 1) raises
+        # from M = 512; -inf is still a true lower bound.
+        code, out, err = run_cli(capsys, "tree-haus", "--M", str(M), "--N", "5", "--paper-check")
+        assert (code, err) == (0, "")
+        (rep,) = parse_lines(out)
+        assert rep["results"]["bound"] == "-inf"
+        assert rep["results"]["measured"] == treespace.haus_experiment(M, 5)
+        assert rep["results"]["certified"] is True
+
 
 class TestTolerance:
     def test_tol_flag(self, capsys):
@@ -392,25 +431,33 @@ class TestTolerance:
         assert "tol" not in parse_lines(out)[0]["params"]
 
 
+# One passing invocation of every command; each is run under --paper-check.
+COVERAGE = [
+    ("entropy-defect", "--n", "3", "--samples", "300"),
+    ("l1-bound", "--n", "64", "--eps", "0.5"),
+    ("general-bound", "--n", "64", "--eps", "1", "--dist", "2.0"),
+    ("lp-set", "--n", "3", "--p", "2", "--grid", "6"),
+    ("simplex-face", "--n", "2", "--trials", "3"),
+    ("best-subset", "--n", "2", "--trials", "2"),
+    ("opt-entropy", "--n", "4"),
+    ("typep-bound", "--p", "1.5", "--d", "3"),
+    ("tree-norm", "--M", "2", "--samples", "4"),
+    ("tree-jensen", "--M", "1", "--pairs", "4", "--level", "4"),
+    ("tree-haus", "--M", "1", "--N", "32"),
+    ("kappa", "--sweep", "1:8"),
+    ("euclid-set", "--n", "4"),
+    ("lowbound3", "--sweep", "18:22"),
+]
+
+
 class TestCommandSweepCoverage:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("entropy-defect", "--n", "3", "--samples", "300"),
-            ("l1-bound", "--n", "64", "--eps", "0.5"),
-            ("general-bound", "--n", "64", "--eps", "1", "--dist", "2.0"),
-            ("lp-set", "--n", "3", "--p", "2", "--grid", "6"),
-            ("simplex-face", "--n", "2", "--trials", "3"),
-            ("best-subset", "--n", "2", "--trials", "2"),
-            ("opt-entropy", "--n", "4"),
-            ("typep-bound", "--p", "1.5", "--d", "3"),
-            ("tree-norm", "--M", "2", "--samples", "4"),
-            ("tree-jensen", "--M", "1", "--pairs", "4", "--level", "4"),
-            ("tree-haus", "--M", "1", "--N", "32"),
-        ],
-    )
+    def test_every_command_is_covered(self):
+        assert sorted(argv[0] for argv in COVERAGE) == sorted(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", COVERAGE)
     def test_all_commands_pass(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv, "--paper-check")
         assert code == 0, out
         for rep in parse_lines(out):
             assert rep["pass"] is True
+

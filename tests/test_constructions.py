@@ -446,3 +446,29 @@ class TestSampledSetConsistency:
             if n >= 20:
                 assert diam >= 0.7525 * math.sqrt(n)
             assert diam >= typep_bound(2.0, 1.0, math.log2(n))
+
+
+class TestArgumentTypes:
+    # A bracket search cannot end at width 0, so 0 is rejected with NaN,
+    # infinite and negative widths, before any split.
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda tol: euclid_witness_distance(6, 3.0, mode="numeric", tol=tol),
+            lambda tol: constructions.min_smooth_over_simplex(6, 3.0, tol),
+        ],
+        ids=["euclid_witness_distance", "min_smooth_over_simplex"],
+    )
+    def test_bad_tol_is_rejected_at_once(self, search, tol, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(constructions, "_best_first", no_search)
+        with pytest.raises(ValueError, match="need tol > 0 and finite"):
+            search(tol)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, True])
+    def test_dimension_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            euclid_witness_distance(n, 1.0)

@@ -135,3 +135,14 @@ class TestTypes:
     def test_normspec_validation(self):
         with pytest.raises(ValueError):
             NormSpec.lp(0.5)
+
+
+class TestGridCounts:
+    @pytest.mark.parametrize("n, m", [(3, 2.5), (2.0, 2), (True, 2), (3, False)])
+    def test_non_integer_counts_are_rejected(self, n, m):
+        with pytest.raises(ValueError, match="must be an integer"):
+            simplex_grid_array(n, m)
+
+    def test_numpy_integers_are_counts(self):
+        got = simplex_grid_array(np.int64(3), np.int32(2))
+        np.testing.assert_array_equal(got, simplex_grid_array(3, 2))

@@ -205,3 +205,13 @@ class TestPower2Condition:
         for k in range(1, 15):
             n = 2**k
             assert power2_condition(n) == (k >= self.rhs(n))
+
+
+@pytest.mark.parametrize("n", [4.0, True, "4"])
+def test_power2_condition_needs_an_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        power2_condition(n)
+
+
+def test_power2_condition_takes_numpy_integers():
+    assert power2_condition(np.int64(8)) == power2_condition(8)

@@ -259,3 +259,9 @@ class TestCertificate:
         assert code == 3
         assert out.out == ""
         assert out.err.startswith("numerical failure: bracket [")
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_tol_must_be_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="need tol > 0"):
+        minimize_I(4, 1.0, tol=tol)

@@ -492,3 +492,22 @@ class TestDiameter:
         A = SampledSet(X)
         brute = max(float(np.linalg.norm(a - b, ord=p)) for a in X for b in X)
         assert diameter(A, NormSpec.lp(p)) == pytest.approx(brute, rel=1e-14)
+
+
+class TestArgumentTypes:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+    def test_bad_tol_is_rejected(self, p, tol):
+        A = SampledSet(np.eye(3))
+        with pytest.raises(ValueError, match="need tol >= 0 and finite"):
+            dist_to_hull(Vector.from_array([1.0, 1.0, 1.0]), A, NormSpec.lp(p), tol=tol)
+
+    @pytest.mark.parametrize("t_grid", [3.5, 3.0, True, "3"])
+    def test_t_grid_must_be_an_integer(self, t_grid):
+        with pytest.raises(ValueError, match="t_grid must be an integer"):
+            convexity_defect(SampledSet(np.eye(3)), NormSpec.lp(2), t_grid)
+
+    def test_numpy_integer_t_grid_is_a_count(self):
+        A = SampledSet(np.eye(3))
+        got = convexity_defect(A, NormSpec.lp(2), np.int64(3)).sup_defect
+        assert got == convexity_defect(A, NormSpec.lp(2), 3).sup_defect

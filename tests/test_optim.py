@@ -655,3 +655,27 @@ class TestBestFirst:
     def test_no_node_below_upper_is_done_when_closed(self):
         closed = optim._best_first(1.0, "arg", [(1.0, 0)], self.never_split, lambda lo, up: up - lo <= 0.0, 10)
         assert closed == (1.0, 1.0, "arg")
+
+
+BAD_TOLS = [math.nan, math.inf, -math.inf, -1.0]
+
+
+class TestToleranceRule:
+    # A tolerance must be finite and not negative, checked before any work.
+    @pytest.mark.parametrize("tol", BAD_TOLS)
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda tol: lp_solve(LPInstance(c=[1.0], A=[[1.0]], b=[1.0]), basis=[0], tol=tol),
+            lambda tol: min_quadratic_over_simplex(np.eye(2), [2.0, 0.0], tol=tol),
+            lambda tol: min_distance_over_simplex(np.eye(2), [2.0, 0.0], tol=tol),
+        ],
+        ids=["lp_solve", "min_quadratic", "min_distance"],
+    )
+    def test_bad_tol_is_a_usage_error(self, solve, tol):
+        with pytest.raises(ValueError, match="need tol >= 0 and finite"):
+            solve(tol)
+
+    def test_zero_tol_is_legal(self):
+        sol = lp_solve(LPInstance(c=[1.0], A=[[1.0]], b=[1.0]), basis=[0], tol=0.0)
+        assert (sol.status, sol.value) == ("optimal", 1.0)

@@ -725,3 +725,21 @@ def test_one_factorization_per_factored_simplex(monkeypatch):
                 counts.clear()
                 call(V)
                 assert counts == {"cholesky": factored, "inv": factored}
+
+
+class TestCountTypes:
+    V = np.vstack([np.eye(2), -np.ones((1, 2)) / math.sqrt(2.0)])
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, True, "0"])
+    def test_near_face_needs_an_integer_k(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            near_face(self.V, k)
+
+    @pytest.mark.parametrize("j", [True, 1.0, 1.5])
+    def test_best_subset_needs_an_integer_j(self, j):
+        with pytest.raises(ValueError, match="j must be an integer"):
+            best_subset(self.V, j)
+
+    def test_numpy_integers_are_counts(self):
+        assert near_face(self.V, np.int64(1)) == near_face(self.V, 1)
+        assert best_subset(self.V, np.int64(2)) == best_subset(self.V, 2)

@@ -719,3 +719,31 @@ class TestJensenDefect:
     def test_requires_scale_at_least_one(self):
         with pytest.raises(ValueError):
             jensen_defect(leaf(1), leaf(2), 0.5)
+
+
+class TestArgumentTypes:
+    X = Vector.unit(pair(leaf(1), leaf(2))) - 0.5 * (Vector.unit(leaf(1)) + Vector.unit(leaf(2)))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x, tol: tree_norm(x, 2.0, tol=tol),
+            lambda x, tol: tree_norm_functional(x, 2.0, tol=tol),
+            lambda x, tol: jensen_defect(leaf(1), leaf(2), 2.0, tol=tol),
+            lambda x, tol: tree_norm_functional(x, 2.0)[1].validate(tol),
+        ],
+        ids=["tree_norm", "tree_norm_functional", "jensen_defect", "validate"],
+    )
+    def test_bad_tol_is_a_usage_error(self, call, tol):
+        with pytest.raises(ValueError, match="need tol >= 0 and finite"):
+            call(self.X, tol)
+
+    @pytest.mark.parametrize("candidates", [[1], [leaf(1), "a"], [Vector.unit(leaf(1))]])
+    def test_candidates_must_be_labels(self, candidates):
+        with pytest.raises(ValueError, match="candidates must be tree labels"):
+            haus_experiment(2, 8, candidates)
+
+    def test_candidates_may_be_any_iterable(self):
+        labs = [leaf(9), pair(leaf(1), leaf(2))]
+        assert haus_experiment(2, 8, iter(labs)) == haus_experiment(2, 8, labs)
